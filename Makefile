@@ -8,9 +8,12 @@ build:
 	$(GO) build ./...
 
 # Request-path packages must propagate contexts instead of sleeping or
-# using the legacy fixed-timeout RPC entry points. The compat shims in
-# internal/transport/compat.go are the one sanctioned exception; mark a
-# deliberate new exception with a `lint:allow` comment on the same line.
+# using the legacy fixed-timeout RPC entry points, and must wait on events
+# instead of polling for them on a ticker. The compat shims in
+# internal/transport/compat.go are the one sanctioned exception to the
+# former; heartbeats, reapers and scalers carry a `lint:allow` marker for
+# the latter. Mark a deliberate new exception with a `lint:allow` comment
+# on the same line.
 LINT_REQUEST_PATH = internal/transport internal/store internal/coordinator internal/measurement internal/peer internal/core
 
 # Instrumented packages must log through the trace-correlated obs.Logger,
@@ -26,6 +29,13 @@ lint:
 		| grep -v 'lint:allow' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: blocking timeout/sleep in request-path code (thread a context instead; see DESIGN.md):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn --include='*.go' -E 'time\.NewTicker\(|time\.Tick\(' $(LINT_REQUEST_PATH) \
+		| grep -v '_test.go' \
+		| grep -v 'lint:allow' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: ticker in request-path code (wait on the event — a done channel, a context — instead of polling for it; see DESIGN.md):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -E 'log\.(Printf|Println)\(' $(LINT_LOGGED) \

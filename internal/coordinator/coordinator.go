@@ -431,7 +431,7 @@ func (c *Coordinator) StartReaper(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(interval) // lint:allow background reaper, not a request path
 		defer ticker.Stop()
 		for {
 			select {

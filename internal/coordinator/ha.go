@@ -207,7 +207,7 @@ func (s *Server) replicateRequeues(moves []jobMove) {
 func (s *Server) StartHAReaper(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	go func() {
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(interval) // lint:allow background reaper, not a request path
 		defer ticker.Stop()
 		for {
 			select {

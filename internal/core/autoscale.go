@@ -83,7 +83,7 @@ func (a *AutoScaler) Scaled() int {
 
 // Run evaluates the policy every interval until Stop.
 func (a *AutoScaler) Run(interval time.Duration) {
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(interval) // lint:allow background scaler, not a request path
 	defer ticker.Stop()
 	for {
 		select {

@@ -13,6 +13,7 @@ type coreMetrics struct {
 	checks       *obs.Counter
 	checkErrors  *obs.Counter
 	piiBlocked   *obs.Counter
+	msDials      *obs.Counter
 	checkSeconds *obs.Histogram
 }
 
@@ -21,6 +22,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		checks:       reg.Counter("sheriff_core_checks_total"),
 		checkErrors:  reg.Counter("sheriff_core_check_errors_total"),
 		piiBlocked:   reg.Counter("sheriff_core_pii_blocked_total"),
+		msDials:      reg.Counter("sheriff_core_ms_dials_total"),
 		checkSeconds: reg.Histogram("sheriff_core_check_seconds"),
 	}
 }
@@ -43,4 +45,14 @@ func (m *coreMetrics) piiRejected() {
 		return
 	}
 	m.piiBlocked.Inc()
+}
+
+// msDialed counts one dial of a pooled measurement-server connection: the
+// first check routed to a server, and every re-dial after its connection
+// broke. Far below the check count on a healthy deployment.
+func (m *coreMetrics) msDialed() {
+	if m == nil {
+		return
+	}
+	m.msDials.Inc()
 }

@@ -100,6 +100,9 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	if n := reg.Counter("sheriff_core_checks_total").Value(); n != 1 {
 		t.Errorf("core checks = %d, want 1", n)
 	}
+	if n := reg.Counter("sheriff_core_ms_dials_total").Value(); n != 1 {
+		t.Errorf("measurement-server dials = %d, want 1 (the first check to a server dials it)", n)
+	}
 	if n := reg.Counter("sheriff_coordinator_jobs_scheduled_total").Value(); n != 1 {
 		t.Errorf("jobs scheduled = %d, want 1", n)
 	}
@@ -111,6 +114,17 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	}
 	if reg.Counter("sheriff_store_queries_total", "method", "insert").Value() == 0 {
 		t.Error("no store inserts counted")
+	}
+	// The degraded-path counter exists from boot (zero on this fabric: no
+	// advert exchange in process), so a dashboard can alert on its rate.
+	found := false
+	for _, p := range snap.Counters {
+		if p.Series == `sheriff_transport_wire_fallback_total{fabric="inproc",reason="pre_advert"}` {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no sheriff_transport_wire_fallback_total{reason=pre_advert} series in registry: %v", series)
 	}
 	if reg.Gauge("sheriff_peer_relay_sessions").Value() == 0 {
 		t.Error("relay session gauge is zero with connected peers")

@@ -261,7 +261,7 @@ func (a *ShardScaler) Scaled() (grown, shrunk int) {
 
 // Run evaluates the policy every interval until Stop.
 func (a *ShardScaler) Run(interval time.Duration) {
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(interval) // lint:allow background scaler, not a request path
 	defer ticker.Stop()
 	for {
 		select {

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -206,6 +207,12 @@ type System struct {
 	meas     []*measurement.Server
 	stopBeat []func()
 
+	// msConns pools the submitting side's connections: one multiplexed
+	// measurement client per server address, shared by every check the
+	// Coordinator routes there and dialed lazily on first use.
+	msMu    sync.Mutex
+	msConns map[string]*msConn
+
 	// Fault-tolerance settings shared by every measurement server,
 	// including ones attached later via AddMeasurementServer.
 	checkDeadline time.Duration
@@ -341,6 +348,7 @@ func NewSystem(cfg Config) (*System, error) {
 		measMetrics:  measurement.NewMetrics(cfg.Metrics),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		users:        make(map[string]*User),
+		msConns:      make(map[string]*msConn),
 
 		checkDeadline: cfg.CheckDeadline,
 		vantageBudget: cfg.VantageBudget,
@@ -858,7 +866,7 @@ var ErrPIIBlacklisted = errors.New("core: URL matches the PII blacklist; refusin
 // PriceCheck runs the full five-step protocol for a user: navigate to the
 // product page (a real visit), highlight the price (build the Tags Path),
 // obtain a job from the Coordinator, submit the check to the assigned
-// Measurement server, and poll results to completion. It derives from the
+// Measurement server, and wait for the results. It derives from the
 // system's base context; use PriceCheckContext for per-call control.
 func (s *System) PriceCheck(userID, url string) (*CheckResult, error) {
 	return s.PriceCheckCurrency(userID, url, "EUR")
@@ -867,7 +875,7 @@ func (s *System) PriceCheck(userID, url string) (*CheckResult, error) {
 // PriceCheckContext is PriceCheck under a caller context: canceling it
 // aborts the check end to end — the submit RPC, the server-side vantage
 // fan-out (via an explicit cancel to the Measurement server), and the
-// result polling. On early exit the partial rows gathered so far are
+// result wait. On early exit the partial rows gathered so far are
 // returned alongside the error.
 func (s *System) PriceCheckContext(ctx context.Context, userID, url string) (*CheckResult, error) {
 	return s.PriceCheckCurrencyContext(ctx, userID, url, "EUR")
@@ -951,12 +959,12 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 	}
 	tr.Annotate("job", job.ID)
 
-	// Step 2-3: submit to the assigned Measurement server over the wire.
-	msCli, err := measurement.DialMeasurement(s.fabric, job.ServerAddr)
+	// Step 2-3: submit to the assigned Measurement server over the wire,
+	// on the connection every check routed to that server shares.
+	msCli, err := s.measurementClient(job.ServerAddr)
 	if err != nil {
 		return nil, err
 	}
-	defer msCli.Close()
 	await := tr.Span("await")
 	check := &measurement.CheckRequest{
 		JobID:         job.ID,
@@ -970,16 +978,26 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 		ParentSpanID:  await.ID(),
 		Origin:        origin,
 	}
-	if err := msCli.CheckCtx(obs.WithSpan(ctx, await), check); err != nil {
+	actx := obs.WithSpan(ctx, await)
+	err = msCli.CheckCtx(actx, check)
+	if err != nil && msCli.Broken() && ctx.Err() == nil {
+		// The pooled connection died under the submit (the server restarted
+		// on its address since the last check): one fresh dial.
+		if msCli, err = s.measurementClient(job.ServerAddr); err == nil {
+			err = msCli.CheckCtx(actx, check)
+		}
+	}
+	if err != nil {
 		await.EndErr(err)
 		return nil, err
 	}
 
-	// Step 5: poll until the 'request finish' response, but never past the
+	// Step 5: wait for the 'request finish' response, but never past the
 	// 30-second interactive cap — whichever of the cap and the caller's
-	// context dies first ends the wait. The poll ctx carries the trace but
-	// deliberately no span: result polls stay span-free on the wire, while
-	// the Done response's exported Measurement-side spans stitch into tr.
+	// context dies first ends the wait. The wait ctx carries the trace but
+	// deliberately no span: the results call stays span-free on the wire,
+	// while the Done response's exported Measurement-side spans stitch
+	// into tr.
 	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
 	defer wcancel()
 	rows, err := msCli.WaitResultsCtx(wctx, job.ID)
@@ -1005,6 +1023,43 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 	return &CheckResult{JobID: job.ID, URL: url, Domain: domain, Currency: curr, Origin: origin, Rows: rows}, nil
 }
 
+// msConn is the pooled connection to one Measurement server; mu serializes
+// its (re-)dial so concurrent first checks share one connection.
+type msConn struct {
+	mu  sync.Mutex
+	cli *measurement.Client
+}
+
+// measurementClient returns the shared client for a Measurement server,
+// dialing on first use and again once the previous connection has broken
+// (the server restarted on its address, or the socket died).
+func (s *System) measurementClient(addr string) (*measurement.Client, error) {
+	s.msMu.Lock()
+	mc, ok := s.msConns[addr]
+	if !ok {
+		mc = &msConn{}
+		s.msConns[addr] = mc
+	}
+	s.msMu.Unlock()
+
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if mc.cli != nil {
+		if !mc.cli.Broken() {
+			return mc.cli, nil
+		}
+		mc.cli.Close()
+		mc.cli = nil
+	}
+	cli, err := measurement.DialMeasurement(s.fabric, addr)
+	if err != nil {
+		return nil, err
+	}
+	s.obs.msDialed()
+	mc.cli = cli
+	return cli, nil
+}
+
 // recordHistory folds one completed check into the longitudinal store:
 // a history_points row per successful vantage (durable first, through the
 // WAL when one is attached) and then the in-memory index. The row insert
@@ -1028,7 +1083,11 @@ func (s *System) recordHistory(url string, rows []measurement.ResultRow) {
 		}
 	}
 	for country, price := range best {
-		key := history.SeriesKey{URL: url, Country: country}
+		// The country outlives the check as a series key and a stored
+		// column, and over the wire it is a slice of the whole results
+		// frame (rows plus span blob): clone it where it enters long-lived
+		// state, or two bytes pin kilobytes per check.
+		key := history.SeriesKey{URL: url, Country: strings.Clone(country)}
 		pt := history.Point{T: now, Price: price}
 		if _, err := s.coreDB.Insert(history.PointsTable.Name, history.PointRow(key, pt)); err != nil {
 			continue
@@ -1192,6 +1251,15 @@ func (s *System) Close() error {
 	for _, stop := range stops {
 		stop()
 	}
+	s.msMu.Lock()
+	for _, mc := range s.msConns {
+		mc.mu.Lock()
+		if mc.cli != nil {
+			mc.cli.Close()
+		}
+		mc.mu.Unlock()
+	}
+	s.msMu.Unlock()
 	for _, r := range rpcs {
 		r.Close()
 	}

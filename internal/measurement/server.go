@@ -37,9 +37,9 @@ type CheckRequest struct {
 	// TraceID joins the server-side spans to a trace the submitter
 	// started (empty: the server traces under the job ID). ParentSpanID,
 	// when set, re-parents the server-side spans under that caller span
-	// when they are exported back on the final Results poll — the
-	// span-export path for the asynchronous check protocol, where the
-	// submit RPC returns long before the fan-out finishes.
+	// when they are exported back on the results answer that carries Done
+	// — the span-export path for the asynchronous check protocol, where
+	// the submit RPC returns long before the fan-out finishes.
 	TraceID      string `json:"trace_id,omitempty"`
 	ParentSpanID string `json:"parent_span,omitempty"`
 	// Origin tags how the check was initiated: "" for a user-submitted
@@ -64,8 +64,8 @@ type ResultRow struct {
 	Err        string  `json:"err,omitempty"`
 }
 
-// ResultsResponse is one AJAX poll answer: rows arriving after `since`,
-// plus the finish flag (Sect. 3.2: the browser polls "until the
+// ResultsResponse answers one results request: rows arriving after
+// `since`, plus the finish flag (Sect. 3.2: the browser waits "until the
 // measurement server replies with a 'request finish' response"). Once
 // Done, Spans carries the server-side span tree of the check so the
 // submitter can stitch the remote work into its own trace.
@@ -119,7 +119,7 @@ type Server struct {
 	// Retry drives per-vantage retries under jittered exponential backoff
 	// (nil = a single attempt). Share one across a server pool.
 	Retry *retry.Retrier
-	// CheckTTL evicts a completed check once no Results poll has touched
+	// CheckTTL evicts a completed check once no results request has touched
 	// it for this long, bounding the checks map under sustained traffic
 	// (0 = DefaultCheckTTL). Evicted jobs answer ErrUnknownJob again.
 	CheckTTL time.Duration
@@ -146,20 +146,23 @@ type Server struct {
 }
 
 type checkState struct {
-	rows     []ResultRow
-	done     bool
+	rows []ResultRow
+	done bool
+	// finished is closed by markDone: waiting results requests park on it
+	// instead of polling the done flag.
+	finished chan struct{}
 	doneAt   time.Time
 	lastPoll time.Time
 	cancel   context.CancelCauseFunc // aborts the running check
 
-	// trace/parentSpan feed the span export on the final Results poll:
+	// trace/parentSpan feed the span export on the Done results answer:
 	// the check's span tree, re-parented under the submitter's span.
 	trace      *obs.Trace
 	parentSpan string
 }
 
 // idleSince is the moment a completed check was last useful: its finish
-// or its latest Results poll, whichever is later.
+// or its latest results request, whichever is later.
 func (st *checkState) idleSince() time.Time {
 	if st.lastPoll.After(st.doneAt) {
 		return st.lastPoll
@@ -204,8 +207,8 @@ func isExists(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "already exists")
 }
 
-// StartCheck begins processing a price check asynchronously; poll Results
-// for rows. It returns once the job is admitted.
+// StartCheck begins processing a price check asynchronously; WaitResults
+// (or AwaitResults) delivers the rows. It returns once the job is admitted.
 func (s *Server) StartCheck(req *CheckRequest) error {
 	return s.StartCheckCtx(context.Background(), req)
 }
@@ -234,8 +237,18 @@ func (s *Server) StartCheckCtx(ctx context.Context, req *CheckRequest) error {
 		return ErrDuplicateJob
 	}
 	s.evictLocked(time.Now())
+	// The check's identity outlives the check — as the checks key, in the
+	// initiator's result row, on the trace — for as long as the completed
+	// check stays cached, and off the binary wire each of these is a slice
+	// of the one frame that also carries the initiator's whole page. Cloned
+	// here (the job is accepted; nothing else reads req yet), a cached
+	// check keeps a few dozen bytes instead of the page.
+	req.JobID = strings.Clone(req.JobID)
+	req.InitiatorID = strings.Clone(req.InitiatorID)
+	req.TraceID = strings.Clone(req.TraceID)
+	req.ParentSpanID = strings.Clone(req.ParentSpanID)
 	cctx, cancel := context.WithCancelCause(context.Background())
-	st := &checkState{cancel: cancel}
+	st := &checkState{cancel: cancel, finished: make(chan struct{})}
 	s.checks[req.JobID] = st
 	s.mu.Unlock()
 
@@ -317,7 +330,8 @@ func (s *Server) evictLocked(now time.Time) {
 	}
 }
 
-// Results serves one AJAX poll.
+// Results serves one non-waiting AJAX poll (the Sect. 3.2 surface): the
+// rows past since and whether the job has finished.
 func (s *Server) Results(jobID string, since int) (ResultsResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -325,6 +339,32 @@ func (s *Server) Results(jobID string, since int) (ResultsResponse, error) {
 	if !ok {
 		return ResultsResponse{}, ErrUnknownJob
 	}
+	return st.snapshot(since), nil
+}
+
+// AwaitResults is Results that first parks until the job finishes — by
+// completion, deadline cut or CancelCheck — or ctx dies, whichever comes
+// first; a dead ctx answers with the rows gathered so far and Done unset.
+// An unknown or evicted job answers ErrUnknownJob at once.
+func (s *Server) AwaitResults(ctx context.Context, jobID string, since int) (ResultsResponse, error) {
+	s.mu.Lock()
+	st, ok := s.checks[jobID]
+	s.mu.Unlock()
+	if !ok {
+		return ResultsResponse{}, ErrUnknownJob
+	}
+	select {
+	case <-st.finished:
+	case <-ctx.Done():
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return st.snapshot(since), nil
+}
+
+// snapshot builds one results answer and counts as a poll for eviction.
+// Callers hold Server.mu.
+func (st *checkState) snapshot(since int) ResultsResponse {
 	st.lastPoll = time.Now()
 	if since < 0 {
 		since = 0
@@ -336,39 +376,31 @@ func (s *Server) Results(jobID string, since int) (ResultsResponse, error) {
 	resp := ResultsResponse{Rows: rows, Done: st.done}
 	if st.done && st.trace != nil && st.trace.Sampled() {
 		// The check is finished: ship the server-side span tree with the
-		// final poll so the submitter stitches the remote work — fan-out,
+		// final answer so the submitter stitches the remote work — fan-out,
 		// per-vantage fetches, persistence — into its own trace.
 		resp.Spans = st.trace.Export(st.parentSpan, "measurement")
 	}
-	return resp, nil
+	return resp
 }
 
-// WaitResults polls until done (test/CLI convenience).
+// WaitResults waits until done (test/CLI convenience).
 func (s *Server) WaitResults(jobID string, timeout time.Duration) ([]ResultRow, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	return s.WaitResultsCtx(ctx, jobID)
 }
 
-// WaitResultsCtx polls until the job finishes or ctx dies; on early exit
+// WaitResultsCtx waits until the job finishes or ctx dies; on early exit
 // it returns the rows gathered so far alongside the context's cause.
 func (s *Server) WaitResultsCtx(ctx context.Context, jobID string) ([]ResultRow, error) {
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
-	for {
-		resp, err := s.Results(jobID, 0)
-		if err != nil {
-			return nil, err
-		}
-		if resp.Done {
-			return resp.Rows, nil
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return resp.Rows, fmt.Errorf("measurement: job %s incomplete: %w", jobID, context.Cause(ctx))
-		}
+	resp, err := s.AwaitResults(ctx, jobID, 0)
+	if err != nil {
+		return nil, err
 	}
+	if !resp.Done {
+		return resp.Rows, fmt.Errorf("measurement: job %s incomplete: %w", jobID, context.Cause(ctx))
+	}
+	return resp.Rows, nil
 }
 
 func (s *Server) addRow(jobID string, row ResultRow) {
@@ -380,20 +412,22 @@ func (s *Server) addRow(jobID string, row ResultRow) {
 	}
 	if st.done {
 		// A straggler vantage point answered after the check deadline cut
-		// the job: pollers already saw Done, so the row is dropped.
+		// the job: waiters already saw Done, so the row is dropped.
 		s.Metrics.lateRow()
 		return
 	}
 	st.rows = append(st.rows, row)
 }
 
-// markDone flags a check complete with the rows gathered so far.
+// markDone flags a check complete with the rows gathered so far and wakes
+// every parked results request.
 func (s *Server) markDone(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.checks[jobID]; ok && !st.done {
 		st.done = true
 		st.doneAt = time.Now()
+		close(st.finished)
 	}
 }
 
@@ -569,11 +603,14 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 	}
 	fanout.End()
 	s.flushBatch(batch, tr)
-	s.markDone(req.JobID)
+	// markDone wakes the waiting submitter at once, so everything it may
+	// look at next — counters, the latency exemplar, the log record — is
+	// published first.
 	s.publishCacheStats()
 	s.Metrics.checkCompleted(start, tr.ID())
 	s.Log.Info(ctx, "check completed", "job", req.JobID,
 		"elapsed_ms", time.Since(start).Milliseconds())
+	s.markDone(req.JobID)
 	if s.Coord != nil {
 		// Step 4. The report runs under its own bounded context: it must
 		// outlive the check's (possibly dead) lifetime, but a mute
@@ -823,10 +860,14 @@ type RPCServer struct {
 	rpc *transport.Server
 }
 
-// resultsReq is the AJAX poll shape.
+// resultsReq asks for the rows past Since. With Wait set the server parks
+// the request until the job finishes (or the request's context dies)
+// instead of answering at once; without it, it is the AJAX poll shape. A
+// peer that predates Wait ignores it and answers at once.
 type resultsReq struct {
 	JobID string `json:"job_id"`
 	Since int    `json:"since"`
+	Wait  bool   `json:"wait,omitempty"`
 }
 
 // NewRPCServer wraps the measurement server on a listener. The server's
@@ -842,7 +883,16 @@ func NewRPCServer(s *Server, lis transport.Listener) *RPCServer {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := s.Results(req.JobID, req.Since)
+		// A waiting request parks this (per-call) handler goroutine; ctx
+		// carries the caller's deadline, its cancel frame and the
+		// connection's death, so an abandoned wait never outlives its caller.
+		var resp ResultsResponse
+		var err error
+		if req.Wait {
+			resp, err = s.AwaitResults(ctx, req.JobID, req.Since)
+		} else {
+			resp, err = s.Results(req.JobID, req.Since)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -872,7 +922,7 @@ func (s *Server) StartHeartbeats(interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(interval) // lint:allow liveness heartbeat, not a request path
 		defer ticker.Stop()
 		for {
 			select {
@@ -915,15 +965,19 @@ func (c *Client) CheckCtx(ctx context.Context, req *CheckRequest) error {
 	return c.rpc.CallCtx(ctx, "ms.check", req, nil)
 }
 
-// Results polls for rows (the AJAX loop of step 5).
+// Results polls for rows once (the AJAX surface of step 5).
 func (c *Client) Results(jobID string, since int) (ResultsResponse, error) {
 	return c.ResultsCtx(context.Background(), jobID, since)
 }
 
 // ResultsCtx is Results under a context.
 func (c *Client) ResultsCtx(ctx context.Context, jobID string, since int) (ResultsResponse, error) {
+	return c.results(ctx, &resultsReq{JobID: jobID, Since: since})
+}
+
+func (c *Client) results(ctx context.Context, req *resultsReq) (ResultsResponse, error) {
 	var resp ResultsResponse
-	err := c.rpc.CallCtx(ctx, "ms.results", &resultsReq{JobID: jobID, Since: since}, &resp)
+	err := c.rpc.CallCtx(ctx, "ms.results", req, &resp)
 	return resp, err
 }
 
@@ -933,25 +987,40 @@ func (c *Client) Cancel(ctx context.Context, jobID string) error {
 	return c.rpc.CallCtx(ctx, "ms.cancel", &resultsReq{JobID: jobID}, nil)
 }
 
-// WaitResults polls until the job finishes or timeout elapses.
+// WaitResults waits until the job finishes or timeout elapses.
 func (c *Client) WaitResults(jobID string, timeout time.Duration) ([]ResultRow, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	return c.WaitResultsCtx(ctx, jobID)
 }
 
-// WaitResultsCtx polls until the job finishes or ctx dies; on early exit
-// it returns the rows gathered so far alongside the context's cause, so
-// an interrupted caller still prints partial results. When the context
-// carries a trace (obs.WithTrace), the server-side spans shipped with
-// the final poll are stitched into it, completing the distributed trace.
+// Pacing of the degraded paths of WaitResultsCtx.
+const (
+	// legacyPollInterval spaces re-asks to a server that predates the wait
+	// flag and answers not-done at once: the pair degrades to the 2 ms
+	// poll both sides spoke before instead of spinning.
+	legacyPollInterval = 2 * time.Millisecond
+	// partialFetchBudget bounds the one plain poll that collects the rows
+	// gathered so far once the caller's context is dead.
+	partialFetchBudget = 2 * time.Second
+)
+
+// WaitResultsCtx is one waiting call: the server parks it and answers all
+// rows the instant the job finishes — by completion, deadline cut or
+// cancel. ctx bounds the wait (its deadline rides the wire); when it dies
+// first, one plain poll under a short fresh context collects the rows
+// gathered so far, returned alongside the context's cause so an
+// interrupted caller still prints partial results. When the context
+// carries a trace (obs.WithTrace), the server-side spans shipped with the
+// final answer are stitched into it, completing the distributed trace.
 func (c *Client) WaitResultsCtx(ctx context.Context, jobID string) ([]ResultRow, error) {
-	ticker := time.NewTicker(2 * time.Millisecond)
-	defer ticker.Stop()
 	var rows []ResultRow
-	for {
-		resp, err := c.ResultsCtx(ctx, jobID, len(rows))
+	for ctx.Err() == nil {
+		resp, err := c.results(ctx, &resultsReq{JobID: jobID, Since: len(rows), Wait: true})
 		if err != nil {
+			if ctx.Err() != nil {
+				break
+			}
 			return rows, err
 		}
 		rows = append(rows, resp.Rows...)
@@ -959,13 +1028,28 @@ func (c *Client) WaitResultsCtx(ctx context.Context, jobID string) ([]ResultRow,
 			obs.TraceFrom(ctx).ImportSpans(resp.Spans)
 			return rows, nil
 		}
+		pause := time.NewTimer(legacyPollInterval)
 		select {
-		case <-ticker.C:
+		case <-pause.C:
 		case <-ctx.Done():
-			return rows, fmt.Errorf("measurement: job %s incomplete: %w", jobID, context.Cause(ctx))
+			pause.Stop()
 		}
 	}
+	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), partialFetchBudget)
+	defer cancel()
+	if resp, err := c.ResultsCtx(pctx, jobID, len(rows)); err == nil {
+		rows = append(rows, resp.Rows...)
+		if resp.Done { // finished in the instant the caller gave up
+			obs.TraceFrom(ctx).ImportSpans(resp.Spans)
+			return rows, nil
+		}
+	}
+	return rows, fmt.Errorf("measurement: job %s incomplete: %w", jobID, context.Cause(ctx))
 }
+
+// Broken reports whether the connection has failed; whoever keeps a Client
+// across checks re-dials when it has.
+func (c *Client) Broken() bool { return c.rpc.Broken() }
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.rpc.Close() }

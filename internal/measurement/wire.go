@@ -11,9 +11,9 @@ import (
 
 // Hand-written binary codecs for the measurement plane's hot frames: the
 // price-check submit (carries the initiator's whole page copy, by far the
-// largest frame in the system) and the AJAX result polls. Each codec must
-// mirror its struct's JSON shape exactly — wire_crosscheck_test.go in the
-// transport package round-trips every registered type through both
+// largest frame in the system) and the results requests and answers. Each
+// codec must mirror its struct's JSON shape exactly — crosscheck_test.go in
+// the transport package round-trips every registered type through both
 // encodings and fails on any divergence.
 
 // Wire tags of this package (global registry; see transport.RegisterWire).
@@ -83,13 +83,19 @@ func (r *resultsReq) WireTag() uint8 { return wireTagResultsReq }
 // AppendWire implements transport.WireMessage.
 func (r *resultsReq) AppendWire(b []byte) []byte {
 	b = transport.AppendString(b, r.JobID)
-	return transport.AppendVarint(b, int64(r.Since))
+	b = transport.AppendVarint(b, int64(r.Since))
+	return transport.AppendBool(b, r.Wait)
 }
 
 // DecodeWire implements transport.WireMessage.
 func (r *resultsReq) DecodeWire(d *transport.WireDec) error {
 	r.JobID = d.String()
 	r.Since = int(d.Varint())
+	// A peer that predates the wait flag ends the frame here; reading past
+	// the end would trip the sticky error on a well-formed old frame.
+	if d.Remaining() > 0 {
+		r.Wait = d.Bool()
+	}
 	return d.Err()
 }
 
@@ -115,7 +121,7 @@ func (r *ResultsResponse) AppendWire(b []byte) []byte {
 		b = transport.AppendString(b, row.Err)
 	}
 	b = transport.AppendBool(b, r.Done)
-	// Spans ride only the final poll of a sampled trace; JSON keeps their
+	// Spans ride only the Done answer of a sampled trace; JSON keeps their
 	// codec out of the hot path (mirroring the envelope's span blob).
 	var blob []byte
 	if len(r.Spans) > 0 {

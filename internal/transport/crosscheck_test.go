@@ -32,7 +32,7 @@ var wireSamples = map[string]string{
 		"initiator_html": "<html><body>x</body></html>",
 		"initiator_id": "user-7", "currency": "USD", "day": 12.5,
 		"trace_id": "t-1", "parent_span": "s-9", "origin": "watch"}`,
-	"ms.results_request": `{"job_id": "job-42", "since": 3}`,
+	"ms.results_request": `{"job_id": "job-42", "since": 3, "wait": true}`,
 	"ms.results_response": `{
 		"rows": [
 			{"source": "You", "kind": "initiator", "peer_id": "user-7",

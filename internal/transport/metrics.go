@@ -21,6 +21,7 @@ type Metrics struct {
 	rpcInflight *obs.Gauge
 	wireBin     *obs.Counter
 	wireJSON    *obs.Counter
+	preAdvert   *obs.Counter
 }
 
 // NewMetrics builds the transport metric bundle for one fabric label
@@ -36,7 +37,19 @@ func NewMetrics(reg *obs.Registry, fabric string) *Metrics {
 		rpcInflight: reg.Gauge("sheriff_rpc_inflight", "fabric", fabric),
 		wireBin:     reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "binary"),
 		wireJSON:    reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "json"),
+		preAdvert:   reg.Counter("sheriff_transport_wire_fallback_total", "fabric", fabric, "reason", "pre_advert"),
 	}
+}
+
+// sentPreAdvert counts one frame a binary-configured connection sent as
+// JSON because the peer's capability advert had not arrived yet — the
+// degraded path every fresh connection takes for its first frame(s), which
+// is why hot paths keep connections instead of dialing per request.
+func (m *Metrics) sentPreAdvert() {
+	if m == nil {
+		return
+	}
+	m.preAdvert.Inc()
 }
 
 // wireNegotiated counts one settled codec negotiation (or configured

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -249,5 +250,98 @@ func TestErrorCodeCrossesWire(t *testing.T) {
 	}
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is lost the typed identity across the wire: %v", err)
+	}
+}
+
+// slowSendNet delays every client-side Send by a settable amount (or, at
+// a negative amount, wedges it until the connection closes), standing in
+// for a write that is slow or stuck when its caller gives up.
+type slowSendNet struct {
+	Network
+	delay atomic.Int64 // nanoseconds; < 0 wedges
+}
+
+type slowSendConn struct {
+	Conn
+	net    *slowSendNet
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (n *slowSendNet) Dial(addr string) (Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &slowSendConn{Conn: c, net: n, closed: make(chan struct{})}, nil
+}
+
+func (c *slowSendConn) Send(v any) error {
+	switch d := time.Duration(c.net.delay.Load()); {
+	case d < 0:
+		<-c.closed
+		return ErrClosed
+	case d > 0:
+		time.Sleep(d)
+	}
+	return c.Conn.Send(v)
+}
+
+func (c *slowSendConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestAbandonedSendKeepsSharedConnUnlessWedged: a caller whose context
+// dies while its request is still being written gives up at once, but the
+// connection it shares with other calls is broken only if the write fails
+// or stays stuck — a write that lands moments later leaves it healthy.
+func TestAbandonedSendKeepsSharedConnUnlessWedged(t *testing.T) {
+	inner := NewInproc()
+	_, addr := echoServer(t, inner, "")
+	netw := &slowSendNet{Network: inner}
+	cli, err := DialClient(netw, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	var out string
+	call := func(budget time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		return cli.CallCtx(ctx, "echo", "hi", &out)
+	}
+
+	// The write outlasts the caller's budget but lands within the grace.
+	netw.delay.Store(int64(abandonedSendGrace / 4))
+	t0 := time.Now()
+	if err := call(abandonedSendGrace / 20); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call with a slow write: %v, want ErrCallTimeout", err)
+	}
+	if waited := time.Since(t0); waited >= abandonedSendGrace/4 {
+		t.Errorf("caller waited %v for a write it had abandoned", waited)
+	}
+	time.Sleep(abandonedSendGrace / 2) // the late write and its cancel frame land
+	netw.delay.Store(0)
+	if cli.Broken() {
+		t.Fatal("a write that landed late broke the shared connection")
+	}
+	if err := call(2 * time.Second); err != nil || out != "hi" {
+		t.Fatalf("call after the late write: %q, %v", out, err)
+	}
+
+	// The write never lands: the connection is broken after the grace, and
+	// closing it releases the stuck writer.
+	netw.delay.Store(-1)
+	if err := call(abandonedSendGrace / 20); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call with a wedged write: %v, want ErrCallTimeout", err)
+	}
+	deadline := time.Now().Add(20 * abandonedSendGrace)
+	for !cli.Broken() {
+		if time.Now().After(deadline) {
+			t.Fatal("a wedged write never broke the connection")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

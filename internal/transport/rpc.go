@@ -550,18 +550,10 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 			return err
 		}
 	case <-ctx.Done():
-		select {
-		case err := <-sent: // send actually finished: race with ctx
-			if err == nil {
-				c.drop(id)
-				go c.conn.Send(&Envelope{ID: id, Cancel: true})
-				return callCtxErr(method, ctx)
-			}
-		default:
-		}
-		// The frame may be half-written; the stream is unusable.
+		// The caller stops waiting; the write goroutine does not stop
+		// writing, so the stream stays whole if the write lands.
 		c.drop(id)
-		c.breakConn()
+		go c.settleAbandonedSend(id, sent)
 		return callCtxErr(method, ctx)
 	}
 
@@ -587,6 +579,32 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 		go c.conn.Send(&Envelope{ID: id, Cancel: true})
 		return callCtxErr(method, ctx)
 	}
+}
+
+// abandonedSendGrace is how long a write whose caller has given up may
+// still take before the connection is declared wedged.
+const abandonedSendGrace = 100 * time.Millisecond
+
+// settleAbandonedSend decides the fate of the connection after a caller's
+// context died while its request was still being written. On a connection
+// many calls share, breaking it fails every one of them, so it is broken
+// only when it has to be: a write that completes within the grace leaves
+// the stream whole and the call is aborted server-side like any other
+// abandoned one; a write that fails, or is still stuck after the grace
+// (a full buffer, a hung peer), breaks the connection — closing it is what
+// unblocks the wedged writer and lets a pool re-dial.
+func (c *Client) settleAbandonedSend(id uint64, sent <-chan error) {
+	grace := time.NewTimer(abandonedSendGrace)
+	defer grace.Stop()
+	select {
+	case err := <-sent:
+		if err == nil {
+			c.conn.Send(&Envelope{ID: id, Cancel: true})
+			return
+		}
+	case <-grace.C:
+	}
+	c.breakConn()
 }
 
 // decodeRespBody stores a response envelope's body into resp: a binary

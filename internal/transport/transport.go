@@ -164,6 +164,9 @@ func (c *tcpConn) Send(v any) error {
 	if c.WireBinary() {
 		return c.sendBinary(v, t0)
 	}
+	if c.binCfg && !c.first.Load() {
+		c.m.sentPreAdvert()
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("transport: marshal: %w", err)

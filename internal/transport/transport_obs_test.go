@@ -189,3 +189,71 @@ func TestInprocMetricsCountFrames(t *testing.T) {
 		t.Fatalf("inproc frames sent = %d, want 1", n)
 	}
 }
+
+// TestPreAdvertFallbackCounted: the first frame of a fresh binary-configured
+// TCP connection leaves before the peer's capability advert has been read,
+// so it rides JSON — the degraded path a dial-per-request caller takes for
+// its largest frame every time. It is counted; once a frame has come back
+// (the advert was consumed on the way) the connection sends binary and the
+// counter stands still. A JSON-configured endpoint never counts: it is not
+// falling back from anything.
+func TestPreAdvertFallbackCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	fab := TCP{Metrics: NewMetrics(reg, "tcp")}
+	preAdvert := reg.Counter("sheriff_transport_wire_fallback_total", "fabric", "tcp", "reason", "pre_advert")
+	lis, err := fab.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := acceptOne(t, lis)
+	cli, err := fab.Dial(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv := <-accepted
+	defer srv.Close()
+
+	msg := map[string]string{"ping": "pong"}
+	var got map[string]string
+	if err := cli.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if n := preAdvert.Value(); n != 1 {
+		t.Fatalf("pre_advert after the first frame of a fresh connection = %d, want 1", n)
+	}
+	if err := srv.Recv(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Send(msg); err != nil { // the acceptor has read the dialer's advert
+		t.Fatal(err)
+	}
+	if err := cli.Recv(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if n := preAdvert.Value(); n != 1 {
+		t.Errorf("pre_advert on a negotiated connection = %d, want it to stay at 1", n)
+	}
+	if !connBinary(cli) {
+		t.Error("connection did not negotiate binary")
+	}
+
+	jsonFab := TCP{Metrics: fab.Metrics, Wire: WireJSON}
+	accepted = acceptOne(t, lis)
+	jcli, err := jsonFab.Dial(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jcli.Close()
+	defer (<-accepted).Close()
+	if err := jcli.Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	if n := preAdvert.Value(); n != 1 {
+		t.Errorf("pre_advert after a JSON-configured send = %d, want 1", n)
+	}
+}

@@ -239,7 +239,10 @@ func (d *WireDec) ElemLen(minSize int) int {
 // String reads a length-prefixed string. The first call copies the whole
 // frame into one immutable string; every string field then slices that
 // copy, so a message with many string fields costs one allocation rather
-// than one per field, and never aliases the pooled receive buffer.
+// than one per field, and never aliases the pooled receive buffer. The
+// flip side: every returned string keeps the whole frame copy alive, so a
+// caller that stores one beyond the request it arrived in (a map key, a
+// cached row) must strings.Clone it at that point.
 func (d *WireDec) String() string {
 	n := d.Len()
 	if d.err != nil || n == 0 {
