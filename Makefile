@@ -22,6 +22,13 @@ LINT_REQUEST_PATH = internal/transport internal/store internal/coordinator inter
 # exception with a `lint:allow` comment on the same line.
 LINT_LOGGED = $(LINT_REQUEST_PATH) internal/adminui internal/history cmd
 
+# The wire codecs of the packages a price check's frames belong to are
+# hand-written: no reflective JSON rides inside a binary frame. The JSON
+# legs that remain by design (the frameJSON fallback, -wire=json peers, the
+# span blob old peers still send) carry a `lint:allow` marker on their
+# import line.
+LINT_WIRE = internal/transport/wire.go internal/measurement/wire.go internal/peer/wire.go internal/shop/wire.go
+
 lint:
 	@bad=$$(grep -rn --include='*.go' -E 'CallTimeout\(|time\.Sleep\(' $(LINT_REQUEST_PATH) \
 		| grep -v '_test.go' \
@@ -36,6 +43,11 @@ lint:
 		| grep -v 'lint:allow' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "lint: ticker in request-path code (wait on the event — a done channel, a context — instead of polling for it; see DESIGN.md):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -n '"encoding/json"' $(LINT_WIRE) | grep -v 'lint:allow' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: encoding/json in a wire codec (hand-write the codec — see DESIGN.md, Codec discipline — or mark a deliberate JSON leg lint:allow):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -E 'log\.(Printf|Println)\(' $(LINT_LOGGED) \

@@ -9,6 +9,7 @@ package browser
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 
 	"pricesheriff/internal/shop"
@@ -155,7 +156,12 @@ func (b *Browser) BrowseProduct(ctx context.Context, f shop.Fetcher, url string,
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for d, v := range resp.SetCookies {
-		b.cookies[d] = v
+		// Off the binary wire both are views of the frame that carries the
+		// page; the jar outlives it (and assigning to an existing string
+		// key replaces the key, so both are cloned or neither is stored).
+		if b.cookies[d] != v {
+			b.cookies[strings.Clone(d)] = strings.Clone(v)
+		}
 	}
 	b.history = append(b.history, Visit{URL: url, Domain: domain, Day: day})
 	b.cache[url] = resp.HTML

@@ -7,7 +7,7 @@ import "pricesheriff/internal/obs"
 // pending gauge of the Fig. 7 panel, and the online-peer gauge of the
 // Fig. 16 panel. A nil *Metrics disables instrumentation.
 type Metrics struct {
-	reg *obs.Registry
+	serverPending *obs.Series[obs.Gauge] // by measurement-server address
 
 	jobsScheduled       *obs.Counter
 	jobsDone            *obs.Counter
@@ -23,7 +23,9 @@ type Metrics struct {
 // NewMetrics builds the coordinator metric bundle.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:                 reg,
+		serverPending: obs.NewSeries(func(addr string) *obs.Gauge {
+			return reg.Gauge("sheriff_coordinator_server_pending", "server", addr)
+		}),
 		jobsScheduled:       reg.Counter("sheriff_coordinator_jobs_scheduled_total"),
 		jobsDone:            reg.Counter("sheriff_coordinator_jobs_done_total"),
 		jobsRequeued:        reg.Counter("sheriff_coordinator_jobs_requeued_total"),
@@ -101,5 +103,5 @@ func (m *Metrics) setServerPending(addr string, pending int) {
 	if m == nil {
 		return
 	}
-	m.reg.Gauge("sheriff_coordinator_server_pending", "server", addr).Set(int64(pending))
+	m.serverPending.With(addr).Set(int64(pending))
 }

@@ -113,7 +113,7 @@ func NewServer(c *Coordinator, lis transport.Listener) *Server {
 		if ppcs == nil {
 			ppcs = []PeerInfo{}
 		}
-		return ppcs, nil
+		return (*PeerList)(&ppcs), nil
 	})
 	transport.HandleTyped(s.rpc, "coord.jobdone", func(ctx context.Context, req *JobRef) (any, error) {
 		if err := ctx.Err(); err != nil {
@@ -315,7 +315,7 @@ func (cl *Client) JobPPCs(jobID string) ([]PeerInfo, error) {
 // JobPPCsCtx is JobPPCs bounded by a context.
 func (cl *Client) JobPPCsCtx(ctx context.Context, jobID string) ([]PeerInfo, error) {
 	var ppcs []PeerInfo
-	err := cl.rpc.CallCtx(ctx, "coord.job_ppcs", &JobRef{JobID: jobID}, &ppcs)
+	err := cl.rpc.CallCtx(ctx, "coord.job_ppcs", &JobRef{JobID: jobID}, (*PeerList)(&ppcs))
 	return ppcs, err
 }
 

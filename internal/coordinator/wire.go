@@ -6,7 +6,8 @@ import (
 
 // Hand-written binary codecs for the coordinator's hot frames: job
 // creation (one per price check), job completion, the job-reference
-// lookup, and the per-server heartbeat stream.
+// lookup and the PPC list it answers with, and the per-server heartbeat
+// stream.
 
 // Wire tags of this package (global registry; see transport.RegisterWire).
 const (
@@ -15,6 +16,7 @@ const (
 	wireTagHeartbeatReq = 15
 	wireTagJobRef       = 16
 	wireTagRingState    = 17
+	wireTagPeerList     = 22
 )
 
 func init() {
@@ -23,6 +25,7 @@ func init() {
 	transport.RegisterWire(wireTagHeartbeatReq, "coord.heartbeat_request", func() transport.WireMessage { return new(HeartbeatReq) })
 	transport.RegisterWire(wireTagJobRef, "coord.job_ref", func() transport.WireMessage { return new(JobRef) })
 	transport.RegisterWire(wireTagRingState, "coord.ring_state", func() transport.WireMessage { return new(RingState) })
+	transport.RegisterWire(wireTagPeerList, "coord.peer_list", func() transport.WireMessage { return new(PeerList) })
 }
 
 // WireTag implements transport.WireMessage.
@@ -102,5 +105,41 @@ func (r *RingState) AppendWire(b []byte) []byte {
 func (r *RingState) DecodeWire(d *transport.WireDec) error {
 	r.Version = d.Varint()
 	r.Ring = append([]byte(nil), d.Bytes()...)
+	return d.Err()
+}
+
+// PeerList is the coord.job_ppcs answer: a JSON array of PeerInfo on the
+// legacy encoding, a counted list on the binary one.
+type PeerList []PeerInfo
+
+// WireTag implements transport.WireMessage.
+func (l *PeerList) WireTag() uint8 { return wireTagPeerList }
+
+// AppendWire implements transport.WireMessage.
+func (l *PeerList) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, uint64(len(*l)))
+	for i := range *l {
+		p := &(*l)[i]
+		b = transport.AppendString(b, p.ID)
+		b = transport.AppendString(b, p.IP)
+		b = transport.AppendString(b, p.Country)
+		b = transport.AppendString(b, p.Region)
+		b = transport.AppendString(b, p.City)
+	}
+	return b
+}
+
+// DecodeWire implements transport.WireMessage. The list is never nil, as
+// the JSON answer is never null.
+func (l *PeerList) DecodeWire(d *transport.WireDec) error {
+	*l = make(PeerList, d.ElemLen(5)) // a peer is ≥ 5 bytes (five length prefixes)
+	for i := range *l {
+		p := &(*l)[i]
+		p.ID = d.String()
+		p.IP = d.String()
+		p.Country = d.String()
+		p.Region = d.String()
+		p.City = d.String()
+	}
 	return d.Err()
 }

@@ -1,6 +1,8 @@
 package ha
 
 import (
+	"bytes"
+
 	"pricesheriff/internal/transport"
 )
 
@@ -92,7 +94,7 @@ func (r *AppendReq) DecodeWire(d *transport.WireDec) error {
 			e.Term = d.Uvarint()
 			e.Cmd.Kind = d.String()
 			if data := d.Bytes(); len(data) > 0 {
-				e.Cmd.Data = data
+				e.Cmd.Data = bytes.Clone(data) // the log outlives the frame
 			}
 		}
 	}

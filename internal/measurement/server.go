@@ -573,7 +573,10 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 						sp.End()
 						return
 					}
-					base.Mode = resp.Mode
+					// Over the binary relay the mode is a view of the frame
+					// that carries the whole page; the row outlives it in the
+					// completed-check cache.
+					base.Mode = strings.Clone(resp.Mode)
 					row := s.extractRow(req, domain, resp.HTML, base)
 					s.addRow(req.JobID, row)
 					s.record(obs.WithSpan(context.Background(), sp), batch, req, domain, reqRowID, row, resp.HTML)

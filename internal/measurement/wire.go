@@ -1,11 +1,7 @@
 package measurement
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"pricesheriff/internal/htmlx"
-	"pricesheriff/internal/obs"
 	"pricesheriff/internal/transport"
 )
 
@@ -121,13 +117,16 @@ func (r *ResultsResponse) AppendWire(b []byte) []byte {
 		b = transport.AppendString(b, row.Err)
 	}
 	b = transport.AppendBool(b, r.Done)
-	// Spans ride only the Done answer of a sampled trace; JSON keeps their
-	// codec out of the hot path (mirroring the envelope's span blob).
-	var blob []byte
+	// The slot of the JSON span blob frames carried before the binary span
+	// batch: always empty now, kept so a decoder from before the batch
+	// still finds the frame well-formed (it stops here and loses only the
+	// spans).
+	b = transport.AppendBytes(b, nil)
+	// Spans ride only the Done answer of a sampled trace.
 	if len(r.Spans) > 0 {
-		blob, _ = json.Marshal(r.Spans)
+		b = transport.AppendSpans(b, r.Spans)
 	}
-	return transport.AppendBytes(b, blob)
+	return b
 }
 
 // DecodeWire implements transport.WireMessage.
@@ -151,13 +150,9 @@ func (r *ResultsResponse) DecodeWire(d *transport.WireDec) error {
 		}
 	}
 	r.Done = d.Bool()
-	if blob := d.Bytes(); len(blob) > 0 {
-		var spans []obs.WireSpan
-		if err := json.Unmarshal(blob, &spans); err != nil {
-			d.Fail(fmt.Errorf("measurement: results spans blob: %w", err))
-		} else {
-			r.Spans = spans
-		}
+	r.Spans = d.JSONSpans() // an old peer's blob; empty from a current one
+	if d.Remaining() > 0 {
+		r.Spans = d.Spans()
 	}
 	return d.Err()
 }

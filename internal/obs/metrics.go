@@ -306,10 +306,9 @@ func seriesKey(name string, kv []string) string {
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // Counter returns (creating if needed) the counter series name{kv...}.
 func (r *Registry) Counter(name string, kv ...string) *Counter {
@@ -341,6 +340,47 @@ func (r *Registry) Gauge(name string, kv ...string) *Gauge {
 		r.gauges[key] = g
 	}
 	return g
+}
+
+// Series resolves the members of one metric family that differ in a
+// single label value — the per-method, per-shard, per-server series a hot
+// path touches by a value it only learns at run time. The registry lookup
+// (key string, sort, registry-wide mutex) is paid on the first touch of
+// each value; every later touch is a read-locked map hit. Build one per
+// family with NewSeries at construction.
+type Series[T any] struct {
+	resolve func(value string) *T
+	mu      sync.RWMutex
+	byValue map[string]*T
+}
+
+// NewSeries builds a family whose members resolve calls into a Registry
+// for, e.g. func(v string) *Counter { return reg.Counter(name, "method", v) }.
+func NewSeries[T any](resolve func(value string) *T) *Series[T] {
+	return &Series[T]{resolve: resolve, byValue: make(map[string]*T)}
+}
+
+// With returns the series for one label value (nil on a nil family, or
+// when the registry behind it is nil — both swallow every operation).
+func (s *Series[T]) With(value string) *T {
+	if s == nil {
+		return nil
+	}
+	s.mu.RLock()
+	m, ok := s.byValue[value]
+	s.mu.RUnlock()
+	if ok {
+		return m
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if m, ok = s.byValue[value]; !ok {
+		m = s.resolve(value)
+		// The key lives as long as the family; the value may be a view of
+		// a wire frame (a server address off a heartbeat).
+		s.byValue[strings.Clone(value)] = m
+	}
+	return m
 }
 
 // Histogram returns (creating if needed) a histogram with the default

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +31,12 @@ var (
 	traceSeq atomic.Uint64
 )
 
+var spanIDPrefix = "s-" + procTag + "-"
+
 func nextSpanID() string {
-	return fmt.Sprintf("s-%s-%d", procTag, spanSeq.Add(1))
+	var buf [40]byte
+	b := append(buf[:0], spanIDPrefix...)
+	return string(strconv.AppendUint(b, spanSeq.Add(1), 10))
 }
 
 // Defaults for the active-trace leak guards (see Tracer.MaxActive and
@@ -233,6 +238,14 @@ type Trace struct {
 	attrs [][2]string
 	end   time.Time
 	done  bool
+	// index maps span ID to span for ImportSpans, which builds it on its
+	// first call; from then on Span, Child and ImportSpans insert into it,
+	// so stitching a reply costs O(batch) however large the trace has
+	// grown. A trace that never imports never has one, and Finish drops
+	// it: a finished trace sits in the recent ring (and behind the
+	// completed-check cache), where an index would be retained memory
+	// serving nothing.
+	index map[string]*Span
 }
 
 // NewRemoteTrace creates an unregistered trace joined to a trace ID that
@@ -293,6 +306,9 @@ func (tr *Trace) Span(name string, kv ...string) *Span {
 	sp := newSpan(tr, "", name, kv)
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, sp)
+	if tr.index != nil {
+		tr.index[sp.id] = sp
+	}
 	tr.mu.Unlock()
 	return sp
 }
@@ -310,6 +326,7 @@ func (tr *Trace) Finish() {
 	}
 	tr.done = true
 	tr.end = time.Now()
+	tr.index = nil
 	tr.mu.Unlock()
 	if tr.tracer != nil {
 		tr.tracer.finish(tr)
@@ -327,6 +344,7 @@ type Span struct {
 	start    time.Time
 	end      time.Time
 	ended    bool
+	pending  bool // ImportSpans only: created from a batch, not hung yet
 	attrs    [][2]string
 	children []*Span
 }
@@ -372,6 +390,9 @@ func (sp *Span) Child(name string, kv ...string) *Span {
 	c := newSpan(sp.trace, sp.id, name, kv)
 	sp.trace.mu.Lock()
 	sp.children = append(sp.children, c)
+	if sp.trace.index != nil {
+		sp.trace.index[c.id] = c
+	}
 	sp.trace.mu.Unlock()
 	return c
 }

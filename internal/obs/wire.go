@@ -1,6 +1,10 @@
 package obs
 
-import "time"
+import (
+	"encoding/binary"
+	"errors"
+	"time"
+)
 
 // WireSpan is the flattened, wire-encodable form of one span: what an
 // RPC server ships back to the originating process so the caller can
@@ -39,16 +43,22 @@ func (tr *Trace) Export(rootParent, proc string) []WireSpan {
 			if end.IsZero() {
 				end = now
 			}
+			// One allocation for the copy and the proc stamp together.
+			var attrs [][2]string
+			stamp := proc != "" && !hasAttr(sp.attrs, "proc")
+			if n := len(sp.attrs); n > 0 || stamp {
+				attrs = append(make([][2]string, 0, n+1), sp.attrs...)
+				if stamp {
+					attrs = append(attrs, [2]string{"proc", proc})
+				}
+			}
 			w := WireSpan{
 				ID:     sp.id,
 				Parent: parent,
 				Name:   sp.name,
 				Start:  sp.start.UnixNano(),
 				End:    end.UnixNano(),
-				Attrs:  append([][2]string(nil), sp.attrs...),
-			}
-			if proc != "" && !hasAttr(w.Attrs, "proc") {
-				w.Attrs = append(w.Attrs, [2]string{"proc", proc})
+				Attrs:  attrs,
 			}
 			out = append(out, w)
 			walk(sp.children, sp.id)
@@ -64,76 +74,182 @@ func (tr *Trace) Export(rootParent, proc string) []WireSpan {
 // exists in the trace are skipped, so importing the same batch twice
 // (repeated result polls, a retried RPC) is idempotent — and so is the
 // in-process case where client and server share one trace object.
-// Returns the number of spans added.
+// The cost is that of the batch, not of the trace: parents resolve
+// through the trace's span-ID index (see Trace.index). The trace keeps the
+// attribute slices of the spans it adds: ws must not be modified
+// afterwards. Returns the number of spans added.
 func (tr *Trace) ImportSpans(ws []WireSpan) int {
 	if tr == nil || len(ws) == 0 {
 		return 0
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	existing := make(map[string]*Span)
-	var index func(sps []*Span)
-	index = func(sps []*Span) {
-		for _, sp := range sps {
-			existing[sp.id] = sp
-			index(sp.children)
+	idx := tr.index
+	if idx == nil {
+		idx = make(map[string]*Span)
+		var walk func(sps []*Span)
+		walk = func(sps []*Span) {
+			for _, sp := range sps {
+				idx[sp.id] = sp
+				walk(sp.children)
+			}
+		}
+		walk(tr.spans)
+		if !tr.done {
+			// A live trace keeps the index for its next import; a finished
+			// one (retained by the recent ring) pays this walk each time.
+			tr.index = idx
 		}
 	}
-	index(tr.spans)
 
-	created := make(map[string]*Span, len(ws))
-	var fresh []WireSpan
-	for _, w := range ws {
-		if w.ID == "" {
+	fresh := make([]*Span, 0, len(ws))
+	for i := range ws {
+		w := &ws[i]
+		if w.ID == "" || idx[w.ID] != nil {
 			continue
 		}
-		if _, dup := existing[w.ID]; dup {
-			continue
+		sp := &Span{
+			trace:   tr,
+			id:      w.ID,
+			parent:  w.Parent,
+			name:    w.Name,
+			start:   time.Unix(0, w.Start),
+			end:     time.Unix(0, w.End),
+			ended:   true,
+			pending: true,
+			// Kept, not copied (ws is the caller's decoded reply, never
+			// touched again); capacity clipped so Annotate reallocates.
+			attrs: w.Attrs[:len(w.Attrs):len(w.Attrs)],
 		}
-		if _, dup := created[w.ID]; dup {
-			continue
-		}
-		created[w.ID] = &Span{
-			trace:  tr,
-			id:     w.ID,
-			parent: w.Parent,
-			name:   w.Name,
-			start:  time.Unix(0, w.Start),
-			end:    time.Unix(0, w.End),
-			ended:  true,
-			attrs:  append([][2]string(nil), w.Attrs...),
-		}
-		fresh = append(fresh, w)
+		idx[w.ID] = sp
+		fresh = append(fresh, sp)
 	}
-	// cyclic guards against malformed batches whose parent links loop;
-	// such spans attach at the root instead of corrupting the tree.
-	cyclic := func(id, parent string) bool {
-		for hops := 0; parent != ""; hops++ {
-			if parent == id || hops > len(created) {
+	// loops guards against malformed batches whose parent links loop:
+	// only spans of this batch that are not hung yet (pending) can close a
+	// cycle, and such a span attaches at the root instead of corrupting
+	// the tree.
+	loops := func(sp *Span) bool {
+		hops := 0
+		for p := idx[sp.parent]; p != nil && p.pending; p = idx[p.parent] {
+			if hops++; p == sp || hops > len(fresh) {
 				return true
 			}
-			p, ok := created[parent]
-			if !ok {
-				return false
-			}
-			parent = p.parent
 		}
 		return false
 	}
-	for _, w := range fresh {
-		sp := created[w.ID]
-		if p, ok := created[w.Parent]; ok && !cyclic(w.ID, w.Parent) {
+	for _, sp := range fresh {
+		if p := idx[sp.parent]; p != nil && !loops(sp) {
 			p.children = append(p.children, sp)
-			continue
+		} else {
+			sp.parent = ""
+			tr.spans = append(tr.spans, sp)
 		}
-		if p, ok := existing[w.Parent]; ok {
-			p.children = append(p.children, sp)
-			continue
-		}
-		sp.parent = ""
-		tr.spans = append(tr.spans, sp)
+		sp.pending = false
 	}
 	return len(fresh)
+}
+
+// Binary span batch — the one encoding of []WireSpan shared by every
+// frame that carries spans (transport.Envelope, peer.Msg,
+// measurement.ResultsResponse; see transport.AppendSpans):
+//
+//	[count:uvarint] then per span
+//	[id:str][parent:str][name:str][start:varint][end-start:varint]
+//	[nattrs:uvarint] then per attr [key:str][value:str]
+//
+// where str is a uvarint length followed by the bytes and start is unix
+// nanoseconds.
+
+// AppendWireSpans appends the binary batch encoding of ws.
+func AppendWireSpans(b []byte, ws []WireSpan) []byte {
+	str := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(ws)))
+	for i := range ws {
+		w := &ws[i]
+		str(w.ID)
+		str(w.Parent)
+		str(w.Name)
+		b = binary.AppendVarint(b, w.Start)
+		b = binary.AppendVarint(b, w.End-w.Start)
+		b = binary.AppendUvarint(b, uint64(len(w.Attrs)))
+		for _, kv := range w.Attrs {
+			str(kv[0])
+			str(kv[1])
+		}
+	}
+	return b
+}
+
+var errSpanBatch = errors.New("obs: malformed span batch")
+
+// DecodeWireSpans decodes a binary span batch. It converts b to one string
+// and slices every ID, name and attribute out of that: a batch costs one
+// string however many spans it holds, and the spans — which an importing
+// trace keeps for as long as it lives — reference the batch, never the
+// (much larger) frame it arrived in. Counts are checked against the bytes
+// left, so a hostile count cannot drive an allocation beyond the batch.
+func DecodeWireSpans(b []byte) ([]WireSpan, error) {
+	s, off, bad := string(b), 0, false
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			bad = true
+			off = len(b)
+			return 0
+		}
+		off += n
+		return v
+	}
+	varint := func() int64 {
+		u := uvarint() // zigzag, as binary.AppendVarint wrote it
+		return int64(u>>1) ^ -int64(u&1)
+	}
+	str := func() string {
+		n := uvarint()
+		if n > uint64(len(b)-off) {
+			bad = true
+			off = len(b)
+			return ""
+		}
+		v := s[off : off+int(n)]
+		off += int(n)
+		return v
+	}
+	count := func(minSize int) int {
+		n := uvarint()
+		if n > uint64((len(b)-off)/minSize) {
+			bad = true
+			return 0
+		}
+		return int(n)
+	}
+	n := count(6) // a span is ≥ 6 bytes: three lengths, two times, an attr count
+	if n == 0 {
+		if bad {
+			return nil, errSpanBatch
+		}
+		return nil, nil
+	}
+	ws := make([]WireSpan, n)
+	for i := range ws {
+		w := &ws[i]
+		w.ID, w.Parent, w.Name = str(), str(), str()
+		w.Start = varint()
+		w.End = w.Start + varint()
+		if na := count(2); na > 0 { // an attr is ≥ 2 bytes
+			w.Attrs = make([][2]string, na)
+			for j := range w.Attrs {
+				w.Attrs[j] = [2]string{str(), str()}
+			}
+		}
+		if bad {
+			return nil, errSpanBatch
+		}
+	}
+	return ws, nil
 }
 
 func hasAttr(attrs [][2]string, key string) bool {

@@ -42,6 +42,16 @@ type Msg struct {
 	SpanID  string          `json:"sid,omitempty"`   // page_req: requester's span
 	Sampled bool            `json:"smp,omitempty"`   // page_req: sampling bit
 	Spans   []obs.WireSpan  `json:"spans,omitempty"` // page_resp: exported node-side spans
+
+	// Binary payload state (unexported; the counterpart of
+	// transport.Envelope's): body is an outgoing typed payload, encoded in
+	// place by AppendWire or rendered into Payload by MarshalJSON on a
+	// JSON leg; binTag/binBody hold an inbound binary payload — a view of
+	// the frame copy — that decodePayload reads and the broker relays
+	// untouched.
+	body    transport.WireMessage
+	binTag  uint8
+	binBody []byte
 }
 
 // Message kinds.

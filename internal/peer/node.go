@@ -2,7 +2,6 @@ package peer
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -117,7 +116,7 @@ func (n *Node) handlePageReq(ctx context.Context, m Msg) {
 	}
 	var req PageRequest
 	resp := PageResponse{Status: 500, PeerID: n.ID}
-	if err := json.Unmarshal(m.Payload, &req); err == nil {
+	if err := m.decodePayload(&req); err == nil {
 		resp = n.ServePage(ctx, &req)
 	}
 	if hsp != nil {
@@ -125,11 +124,7 @@ func (n *Node) handlePageReq(ctx context.Context, m Msg) {
 		hsp.Annotate("status", fmt.Sprint(resp.Status))
 		hsp.End()
 	}
-	payload, err := json.Marshal(&resp)
-	if err != nil {
-		return
-	}
-	out := &Msg{Kind: KindPageResp, To: m.From, ReqID: m.ReqID, Payload: payload}
+	out := &Msg{Kind: KindPageResp, To: m.From, ReqID: m.ReqID, body: &resp}
 	if rt != nil {
 		out.Spans = rt.Export(m.SpanID, "ppc")
 	}
@@ -277,11 +272,6 @@ func (r *Requester) RequestPage(ctx context.Context, peerID string, req *PageReq
 		csp = sp.Child("relay " + peerID)
 		defer csp.End()
 	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		csp.EndErr(err)
-		return nil, err
-	}
 	ch := make(chan Msg, 1)
 	r.mu.Lock()
 	if r.closed {
@@ -294,7 +284,7 @@ func (r *Requester) RequestPage(ctx context.Context, peerID string, req *PageReq
 	r.pending[reqID] = ch
 	r.mu.Unlock()
 
-	out := &Msg{Kind: KindPageReq, To: peerID, ReqID: reqID, Payload: payload}
+	out := &Msg{Kind: KindPageReq, To: peerID, ReqID: reqID, body: req}
 	if sc := csp.Context(); sc.Valid() {
 		out.TraceID, out.SpanID, out.Sampled = sc.TraceID, sc.SpanID, true
 	}
@@ -325,7 +315,7 @@ func (r *Requester) RequestPage(ctx context.Context, peerID string, req *PageReq
 			csp.Trace().ImportSpans(m.Spans)
 		}
 		var resp PageResponse
-		if err := json.Unmarshal(m.Payload, &resp); err != nil {
+		if err := m.decodePayload(&resp); err != nil {
 			csp.EndErr(err)
 			return nil, err
 		}

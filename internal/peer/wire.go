@@ -1,41 +1,51 @@
 package peer
 
 import (
-	"encoding/json"
+	"encoding/json" // lint:allow — JSON legs (-wire=json, old peers) and the pre-PR-15 span blob
 	"fmt"
 
-	"pricesheriff/internal/obs"
 	"pricesheriff/internal/transport"
 )
 
-// wireTagMsg is the relay envelope's tag in the global codec registry.
+// Wire tags of this package (global registry; see transport.RegisterWire).
 // Every page fetched through a PPC crosses the broker twice (request and
-// response), so the relay envelope is firmly on the hot path.
-const wireTagMsg = 12
+// response), so the relay envelope and its two payloads are firmly on the
+// hot path.
+const (
+	wireTagMsg          = 12
+	wireTagPageRequest  = 20
+	wireTagPageResponse = 21
+)
 
 func init() {
 	transport.RegisterWire(wireTagMsg, "peer.msg", func() transport.WireMessage { return new(Msg) })
+	transport.RegisterWire(wireTagPageRequest, "peer.page_request", func() transport.WireMessage { return new(PageRequest) })
+	transport.RegisterWire(wireTagPageResponse, "peer.page_response", func() transport.WireMessage { return new(PageResponse) })
 }
 
-// Msg field presence bits. Kind is always present.
+// Msg field presence bits. Kind is always present. New fields are
+// appended after the old ones, so a decoder that predates a bit skips what
+// it announces.
 const (
 	msgHasFrom = 1 << iota
 	msgHasTo
 	msgHasReqID
 	msgHasErr
-	msgHasPayload
+	msgHasPayload // JSON payload bytes
 	msgHasTraceID
 	msgHasSpanID
 	msgSampled
-	msgHasSpans
+	msgHasJSONSpans  // read for old peers, never written
+	msgHasBinPayload // [tag:1] + length-prefixed AppendWire bytes of the payload
+	msgHasSpans      // binary span batch (transport.AppendSpans)
 )
 
 // WireTag implements transport.WireMessage.
 func (m *Msg) WireTag() uint8 { return wireTagMsg }
 
-// AppendWire implements transport.WireMessage. Spans ride as a JSON
-// sub-blob: they only appear on page_resp frames and never dominate the
-// payload, so a hand-rolled codec would buy little.
+// AppendWire implements transport.WireMessage. A typed payload is encoded
+// in place; a binary payload that arrived on another connection (the
+// broker's case) is copied through untouched.
 func (m *Msg) AppendWire(b []byte) []byte {
 	var flags uint64
 	if m.From != "" {
@@ -50,7 +60,9 @@ func (m *Msg) AppendWire(b []byte) []byte {
 	if m.Err != "" {
 		flags |= msgHasErr
 	}
-	if len(m.Payload) > 0 {
+	if m.body != nil || m.binTag != 0 {
+		flags |= msgHasBinPayload
+	} else if len(m.Payload) > 0 {
 		flags |= msgHasPayload
 	}
 	if m.TraceID != "" {
@@ -88,12 +100,17 @@ func (m *Msg) AppendWire(b []byte) []byte {
 	if flags&msgHasSpanID != 0 {
 		b = transport.AppendString(b, m.SpanID)
 	}
-	if flags&msgHasSpans != 0 {
-		blob, err := json.Marshal(m.Spans)
-		if err != nil {
-			blob = []byte("null")
+	if flags&msgHasBinPayload != 0 {
+		if m.body != nil {
+			b = append(b, m.body.WireTag())
+			b = transport.AppendSized(b, m.body.AppendWire)
+		} else {
+			b = append(b, m.binTag)
+			b = transport.AppendBytes(b, m.binBody)
 		}
-		b = transport.AppendBytes(b, blob)
+	}
+	if flags&msgHasSpans != 0 {
+		b = transport.AppendSpans(b, m.Spans)
 	}
 	return b
 }
@@ -124,16 +141,102 @@ func (m *Msg) DecodeWire(d *transport.WireDec) error {
 		m.SpanID = d.String()
 	}
 	m.Sampled = flags&msgSampled != 0
-	if flags&msgHasSpans != 0 {
-		blob := d.Bytes()
-		if d.Err() == nil && len(blob) > 0 {
-			var spans []obs.WireSpan
-			if err := json.Unmarshal(blob, &spans); err != nil {
-				d.Fail(fmt.Errorf("peer: msg spans blob: %w", err))
-			} else {
-				m.Spans = spans
-			}
+	if flags&msgHasJSONSpans != 0 {
+		m.Spans = d.JSONSpans()
+	}
+	if flags&msgHasBinPayload != 0 {
+		m.binTag = d.Byte()
+		m.binBody = d.Bytes()
+		if d.Err() == nil && m.binTag == 0 {
+			d.Fail(fmt.Errorf("peer: msg binary payload with reserved tag 0"))
 		}
 	}
+	if flags&msgHasSpans != 0 {
+		m.Spans = d.Spans()
+	}
+	return d.Err()
+}
+
+// MarshalJSON renders a typed or binary payload as the JSON document the
+// legacy encoding carries in its place, so a Msg can leave on a JSON leg —
+// a -wire=json fabric, a relay to a peer that never adverted — whatever
+// it was built from or arrived as.
+func (m *Msg) MarshalJSON() ([]byte, error) {
+	type plain Msg // the default struct encoding, without this method
+	p := plain(*m)
+	body := m.body
+	if body == nil && m.binTag != 0 {
+		switch m.binTag {
+		case wireTagPageRequest:
+			body = new(PageRequest)
+		case wireTagPageResponse:
+			body = new(PageResponse)
+		default:
+			return nil, fmt.Errorf("peer: msg payload with unknown wire tag %d", m.binTag)
+		}
+		if err := m.decodePayload(body); err != nil {
+			return nil, err
+		}
+	}
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		p.Payload = raw
+	}
+	return json.Marshal(&p)
+}
+
+// decodePayload stores the message's payload into dst, whichever encoding
+// it arrived in. A binary payload decodes as a view of the frame copy the
+// Msg itself was decoded from.
+func (m *Msg) decodePayload(dst transport.WireMessage) error {
+	if m.binTag == 0 {
+		return json.Unmarshal(m.Payload, dst)
+	}
+	if m.binTag != dst.WireTag() {
+		return fmt.Errorf("peer: %s payload has wire tag %d, want %d", m.Kind, m.binTag, dst.WireTag())
+	}
+	d := transport.NewWireDec(m.binBody)
+	if err := dst.DecodeWire(d); err != nil {
+		return err
+	}
+	return d.Err()
+}
+
+// WireTag implements transport.WireMessage.
+func (r *PageRequest) WireTag() uint8 { return wireTagPageRequest }
+
+// AppendWire implements transport.WireMessage.
+func (r *PageRequest) AppendWire(b []byte) []byte {
+	b = transport.AppendString(b, r.URL)
+	return transport.AppendFloat(b, r.Day)
+}
+
+// DecodeWire implements transport.WireMessage.
+func (r *PageRequest) DecodeWire(d *transport.WireDec) error {
+	r.URL = d.String()
+	r.Day = d.Float()
+	return d.Err()
+}
+
+// WireTag implements transport.WireMessage.
+func (r *PageResponse) WireTag() uint8 { return wireTagPageResponse }
+
+// AppendWire implements transport.WireMessage.
+func (r *PageResponse) AppendWire(b []byte) []byte {
+	b = transport.AppendVarint(b, int64(r.Status))
+	b = transport.AppendString(b, r.HTML)
+	b = transport.AppendString(b, r.Mode)
+	return transport.AppendString(b, r.PeerID)
+}
+
+// DecodeWire implements transport.WireMessage.
+func (r *PageResponse) DecodeWire(d *transport.WireDec) error {
+	r.Status = int(d.Varint())
+	r.HTML = d.String()
+	r.Mode = d.String()
+	r.PeerID = d.String()
 	return d.Err()
 }

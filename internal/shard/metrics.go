@@ -5,20 +5,26 @@ import "pricesheriff/internal/obs"
 // Metrics instruments the sharded data plane. A nil *Metrics disables
 // instrumentation (the obs idiom used across the system).
 type Metrics struct {
-	reg         *obs.Registry
-	ringVersion *obs.Gauge   // current placement epoch
-	memberCount *obs.Gauge   // shards on the current ring
-	rebalancing *obs.Gauge   // 1 while a handoff window is open
-	keysMoved   *obs.Counter // rows streamed to new owners
-	bytesMoved  *obs.Counter // snapshot bytes shipped during rebalances
-	misroutes   *obs.Counter // ID lookups that probed extra shards
-	retries     *obs.Counter // keyed ops retried after a shard error
+	shardOps    *obs.Series[obs.Counter] // routed operations, by shard
+	methodOps   *obs.Series[obs.Counter] // routed operations, by method
+	ringVersion *obs.Gauge               // current placement epoch
+	memberCount *obs.Gauge               // shards on the current ring
+	rebalancing *obs.Gauge               // 1 while a handoff window is open
+	keysMoved   *obs.Counter             // rows streamed to new owners
+	bytesMoved  *obs.Counter             // snapshot bytes shipped during rebalances
+	misroutes   *obs.Counter             // ID lookups that probed extra shards
+	retries     *obs.Counter             // keyed ops retried after a shard error
 }
 
 // NewMetrics builds the shard metric bundle on a registry.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:         reg,
+		shardOps: obs.NewSeries(func(shard string) *obs.Counter {
+			return reg.Counter("sheriff_shard_ops_total", "shard", shard)
+		}),
+		methodOps: obs.NewSeries(func(method string) *obs.Counter {
+			return reg.Counter("sheriff_shard_op_method_total", "method", method)
+		}),
 		ringVersion: reg.Gauge("sheriff_shard_ring_version"),
 		memberCount: reg.Gauge("sheriff_shard_members"),
 		rebalancing: reg.Gauge("sheriff_shard_rebalancing"),
@@ -34,8 +40,8 @@ func (m *Metrics) op(shardID, method string) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter("sheriff_shard_ops_total", "shard", shardID).Inc()
-	m.reg.Counter("sheriff_shard_op_method_total", "method", method).Inc()
+	m.shardOps.With(shardID).Inc()
+	m.methodOps.With(method).Inc()
 }
 
 func (m *Metrics) ring(r *Ring) {

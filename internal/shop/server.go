@@ -27,12 +27,8 @@ type ProductInfo struct {
 func NewServer(m *Mall, lis transport.Listener) *Server {
 	s := &Server{Mall: m, rpc: transport.NewServer(lis)}
 	s.rpc.SetProc("shop")
-	s.rpc.Handle("shop.fetch", func(raw json.RawMessage) (any, error) {
-		var req FetchRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			return nil, err
-		}
-		return m.Fetch(&req), nil
+	transport.HandleTyped(s.rpc, "shop.fetch", func(_ context.Context, req *FetchRequest) (any, error) {
+		return m.Fetch(req), nil
 	})
 	s.rpc.Handle("shop.domains", func(json.RawMessage) (any, error) {
 		return m.Domains(), nil

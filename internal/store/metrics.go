@@ -10,7 +10,8 @@ import (
 // and latency per method, error counts, and rows returned by selects. A
 // nil *Metrics disables instrumentation.
 type Metrics struct {
-	reg          *obs.Registry
+	queries      *obs.Series[obs.Counter]   // by method
+	querySeconds *obs.Series[obs.Histogram] // by method
 	queryErrors  *obs.Counter
 	rowsReturned *obs.Counter
 }
@@ -18,7 +19,12 @@ type Metrics struct {
 // NewMetrics builds the store metric bundle.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		reg:          reg,
+		queries: obs.NewSeries(func(method string) *obs.Counter {
+			return reg.Counter("sheriff_store_queries_total", "method", method)
+		}),
+		querySeconds: obs.NewSeries(func(method string) *obs.Histogram {
+			return reg.Histogram("sheriff_store_query_seconds", "method", method)
+		}),
 		queryErrors:  reg.Counter("sheriff_store_query_errors_total"),
 		rowsReturned: reg.Counter("sheriff_store_rows_returned_total"),
 	}
@@ -30,8 +36,8 @@ func (m *Metrics) observe(method string, t0 time.Time, rows int, err error) {
 	if m == nil {
 		return
 	}
-	m.reg.Counter("sheriff_store_queries_total", "method", method).Inc()
-	m.reg.Histogram("sheriff_store_query_seconds", "method", method).ObserveSince(t0)
+	m.queries.With(method).Inc()
+	m.querySeconds.With(method).ObserveSince(t0)
 	if rows > 0 {
 		m.rowsReturned.Add(int64(rows))
 	}

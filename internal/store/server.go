@@ -23,7 +23,7 @@ type Server struct {
 }
 
 // handle registers an RPC handler wrapped with per-method metrics; rows
-// returned by selects are counted from the []Row result. A request whose
+// returned by selects are counted from the *rowList result. A request whose
 // propagated deadline already expired is not executed at all.
 func (s *Server) handle(method string, h func(json.RawMessage) (any, error)) {
 	s.rpc.HandleCtx("store."+method, func(ctx context.Context, raw json.RawMessage) (any, error) {
@@ -33,8 +33,8 @@ func (s *Server) handle(method string, h func(json.RawMessage) (any, error)) {
 		t0 := time.Now()
 		out, err := h(raw)
 		rows := 0
-		if rs, ok := out.([]Row); ok {
-			rows = len(rs)
+		if rs, ok := out.(*rowList); ok {
+			rows = len(*rs)
 		}
 		s.Metrics.observe(method, t0, rows, err)
 		return out, err
@@ -50,11 +50,7 @@ func handleWired[Req any](s *Server, method string, h func(req *Req) (any, error
 		}
 		t0 := time.Now()
 		out, err := h(req)
-		rows := 0
-		if rs, ok := out.([]Row); ok {
-			rows = len(rs)
-		}
-		s.Metrics.observe(method, t0, rows, err)
+		s.Metrics.observe(method, t0, 0, err)
 		return out, err
 	})
 }
@@ -168,7 +164,7 @@ func NewServer(db *DB, lis transport.Listener) *Server {
 		if rows == nil {
 			rows = []Row{}
 		}
-		return rows, nil
+		return (*rowList)(&rows), nil
 	})
 	s.handle("call", func(raw json.RawMessage) (any, error) {
 		var req callReq
@@ -320,7 +316,7 @@ func (c *Client) Select(q Query) ([]Row, error) {
 // SelectCtx is Select bounded by a context.
 func (c *Client) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
 	var rows []Row
-	if err := c.pool.CallCtx(ctx, "store.select", q, &rows); err != nil {
+	if err := c.pool.CallCtx(ctx, "store.select", q, (*rowList)(&rows)); err != nil {
 		return nil, err
 	}
 	return rows, nil

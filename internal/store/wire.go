@@ -8,7 +8,8 @@ import (
 )
 
 // Hand-written binary codecs for the store's hot frames: single-row and
-// batched inserts plus their responses. Row values are the JSON-surviving
+// batched inserts plus their responses, and the row list a select answers
+// with. Row values are the JSON-surviving
 // scalar set (string/float64/bool/nil); anything else rides as a JSON
 // sub-blob, mirroring what the legacy encoding would have produced.
 
@@ -18,6 +19,7 @@ const (
 	wireTagInsertResp      = 5
 	wireTagInsertBatchReq  = 6
 	wireTagInsertBatchResp = 7
+	wireTagRowList         = 23
 )
 
 func init() {
@@ -25,6 +27,7 @@ func init() {
 	transport.RegisterWire(wireTagInsertResp, "store.insert_response", func() transport.WireMessage { return new(insertResp) })
 	transport.RegisterWire(wireTagInsertBatchReq, "store.insert_batch_request", func() transport.WireMessage { return new(insertBatchReq) })
 	transport.RegisterWire(wireTagInsertBatchResp, "store.insert_batch_response", func() transport.WireMessage { return new(insertBatchResp) })
+	transport.RegisterWire(wireTagRowList, "store.row_list", func() transport.WireMessage { return new(rowList) })
 }
 
 // Row value type markers.
@@ -203,6 +206,32 @@ func (r *insertBatchResp) DecodeWire(d *transport.WireDec) error {
 		for i := range r.IDs {
 			r.IDs[i] = d.Varint()
 		}
+	}
+	return d.Err()
+}
+
+// rowList is the store.select answer: a JSON array of rows on the legacy
+// encoding, a counted list on the binary one.
+type rowList []Row
+
+// WireTag implements transport.WireMessage.
+func (l *rowList) WireTag() uint8 { return wireTagRowList }
+
+// AppendWire implements transport.WireMessage.
+func (l *rowList) AppendWire(b []byte) []byte {
+	b = transport.AppendUvarint(b, uint64(len(*l)))
+	for _, row := range *l {
+		b = appendRow(b, row)
+	}
+	return b
+}
+
+// DecodeWire implements transport.WireMessage. The list is never nil, as
+// the JSON answer is never null.
+func (l *rowList) DecodeWire(d *transport.WireDec) error {
+	*l = make(rowList, d.ElemLen(1))
+	for i := range *l {
+		(*l)[i] = decodeRow(d)
 	}
 	return d.Err()
 }

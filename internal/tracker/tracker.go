@@ -10,6 +10,7 @@ package tracker
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -43,6 +44,9 @@ func (t *Tracker) Observe(cookie, site, category string) string {
 			cookie = fmt.Sprintf("%s-%06d", t.Domain, t.nextID)
 		}
 		if t.profiles[cookie] == nil {
+			// The key outlives the request the cookie arrived in, which
+			// over the binary wire is a view of that request's frame.
+			cookie = strings.Clone(cookie)
 			t.profiles[cookie] = make(map[string]int)
 		}
 	}

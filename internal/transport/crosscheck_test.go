@@ -50,6 +50,7 @@ var wireSamples = map[string]string{
 	"store.insert_response":       `{"id": -7}`,
 	"store.insert_batch_request":  `{"table": "responses", "rows": [{"a": "x"}, null, {"b": 2.5}]}`,
 	"store.insert_batch_response": `{"ids": [1, 2, 30000]}`,
+	"store.row_list":              `[{"id": 7, "job_id": "job-42", "html_diff": "[]", "ok": true}, null, {"amount": 19.99}]`,
 	"ha.vote_request":             `{"term": 9, "candidate": "r2", "last_index": 41, "last_term": 8}`,
 	"ha.vote_response":            `{"term": 9, "granted": true}`,
 	"ha.append_request": `{
@@ -70,7 +71,23 @@ var wireSamples = map[string]string{
 	"coord.heartbeat_request": `{"addr": "ms-addr", "pending": 4, "shedding": true}`,
 	"coord.job_ref":           `{"job_id": "job-42"}`,
 	"coord.ring_state":        `{"version": 3, "ring": {"version": 3, "seed": 9, "vnodes": 64, "members": [{"id": "shard-0", "addr": "inproc-1"}]}}`,
-	"transport_test.echo":     `{"name": "hello", "n": 3}`,
+	"coord.peer_list": `[
+		{"id": "ppc-1", "ip": "10.0.0.7", "country": "ES", "region": "MD", "city": "Madrid"},
+		{"id": "ppc-2", "ip": "10.0.1.9", "country": "ES", "region": "", "city": ""}]`,
+	"shop.fetch_request": `{
+		"url": "http://shop.example/p/1", "ip": "10.1.2.3",
+		"cookies": {"shop.example": "sess-1", "tracker.example": "t-000007"},
+		"user_agent": "sheriff-ipc/1.0", "day": 12.5, "nonce": 18446744073709551615,
+		"logged_in": true}`,
+	"shop.fetch_response": `{
+		"status": 200, "html": "<html><body><span class=\"price\">€ 19,99</span></body></html>",
+		"set_cookies": {"shop.example": "sess-1", "tracker.example": "t-000007"}}`,
+	"peer.page_request": `{"url": "http://shop.example/p/1", "day": 3.25}`,
+	"peer.page_response": `{
+		"status": 200, "html": "<html><body>x</body></html>",
+		"mode": "doppelganger", "peer_id": "ppc-3"}`,
+	"transport_test.echo": `{"name": "hello", "n": 3}`,
+	"transport_test.page": `{"url": "u", "peer": "p", "mode": "own", "cookie": "c", "note": "", "html": "<html/>", "status": -3}`,
 }
 
 // TestWireJSONBinaryCrossCheck proves the hand-written binary codecs and

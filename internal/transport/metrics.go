@@ -22,6 +22,7 @@ type Metrics struct {
 	wireBin     *obs.Counter
 	wireJSON    *obs.Counter
 	preAdvert   *obs.Counter
+	jsonBody    *obs.Counter
 }
 
 // NewMetrics builds the transport metric bundle for one fabric label
@@ -38,6 +39,7 @@ func NewMetrics(reg *obs.Registry, fabric string) *Metrics {
 		wireBin:     reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "binary"),
 		wireJSON:    reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "json"),
 		preAdvert:   reg.Counter("sheriff_transport_wire_fallback_total", "fabric", fabric, "reason", "pre_advert"),
+		jsonBody:    reg.Counter("sheriff_transport_wire_fallback_total", "fabric", fabric, "reason", "json_body"),
 	}
 }
 
@@ -88,6 +90,20 @@ func (m *Metrics) sent(n int, t0 time.Time) {
 	m.framesSent.Inc()
 	m.bytesSent.Add(int64(n))
 	m.sendSeconds.ObserveSince(t0)
+}
+
+// sentFrame is sent for a frame that went out on a connection that
+// negotiated the binary codec. It also counts the degraded path such a
+// connection can still take: an envelope whose body rode as JSON because
+// its type has no registered wire codec.
+func (m *Metrics) sentFrame(v any, n int, t0 time.Time) {
+	if m == nil {
+		return
+	}
+	if e, ok := v.(*Envelope); ok && e.wmsg == nil && e.binTag == 0 && len(e.Body) > 0 {
+		m.jsonBody.Inc()
+	}
+	m.sent(n, t0)
 }
 
 func (m *Metrics) received(n int, t0 time.Time) {

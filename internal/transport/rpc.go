@@ -103,10 +103,22 @@ type Envelope struct {
 	// Binary-codec body state (unexported: never serialized by the JSON
 	// path). wmsg is a pending outgoing typed body, encoded inline by
 	// appendEnvelope; binTag/binBody hold an inbound binary body awaiting
-	// its typed decode.
+	// its typed decode (a view of the frame's private copy), or a
+	// pre-encoded outgoing request body living in the pooled bodyBuf until
+	// releaseBody.
 	wmsg    WireMessage
 	binTag  uint8
 	binBody []byte
+	bodyBuf *[]byte
+}
+
+// releaseBody recycles a pre-encoded request body once the frame carrying
+// it has been written.
+func (e *Envelope) releaseBody() {
+	if e.bodyBuf != nil {
+		putBuf(e.bodyBuf)
+		e.bodyBuf, e.binBody = nil, nil
+	}
 }
 
 // Handler serves one RPC method: it unmarshals its own request type from
@@ -508,9 +520,15 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 		if wm, ok := req.(WireMessage); ok && connBinary(c.conn) {
 			// Pre-encode synchronously: the send may be abandoned at the
 			// caller's deadline while the write goroutine keeps going, so
-			// the envelope must not alias caller-owned memory by then.
+			// the envelope must not alias caller-owned memory by then. The
+			// body goes into a pooled buffer (a batch of HTML rows would
+			// otherwise double its way up from nothing) that the write
+			// goroutine — which always finishes the write, abandoned call
+			// or not — releases.
 			env.binTag = wm.WireTag()
-			env.binBody = wm.AppendWire(make([]byte, 0, 128))
+			env.bodyBuf = getBuf()
+			*env.bodyBuf = wm.AppendWire(*env.bodyBuf)
+			env.binBody = *env.bodyBuf
 		} else {
 			body, err := json.Marshal(req)
 			if err != nil {
@@ -529,6 +547,7 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 	c.mu.Lock()
 	if c.broken {
 		c.mu.Unlock()
+		env.releaseBody()
 		return ErrClosed
 	}
 	c.nextID++
@@ -541,7 +560,11 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 	// Send from a goroutine so a wedged write (chaos hang, full buffer)
 	// cannot outlive the caller's budget.
 	sent := make(chan error, 1)
-	go func() { sent <- c.conn.Send(env) }()
+	go func() {
+		err := c.conn.Send(env)
+		env.releaseBody()
+		sent <- err
+	}()
 	select {
 	case err := <-sent:
 		if err != nil {

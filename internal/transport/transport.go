@@ -191,16 +191,15 @@ func (c *tcpConn) Send(v any) error {
 // flagged header is backfilled so header and payload go out in a single
 // write.
 func (c *tcpConn) sendBinary(v any, t0 time.Time) error {
-	buf := getBuf()
-	buf = append(buf, 0, 0, 0, 0)
-	buf, tag, err := appendFrame(buf, v)
+	bp := getBuf()
+	defer putBuf(bp)
+	buf, tag, err := appendFrame(append(*bp, 0, 0, 0, 0), v)
+	*bp = buf
 	if err != nil {
-		putBuf(buf)
 		return err
 	}
 	n := len(buf) - 4
 	if n > MaxBinaryFrame {
-		putBuf(buf)
 		return &FrameTooLargeError{Size: n, Tag: tag}
 	}
 	buf[0] = frameFlagBinary
@@ -208,11 +207,10 @@ func (c *tcpConn) sendBinary(v any, t0 time.Time) error {
 	c.wmu.Lock()
 	_, err = c.c.Write(buf)
 	c.wmu.Unlock()
-	putBuf(buf)
 	if err != nil {
 		return err
 	}
-	c.m.sent(n+4, t0)
+	c.m.sentFrame(v, n+4, t0)
 	return nil
 }
 
@@ -250,13 +248,12 @@ func (c *tcpConn) Recv(v any) error {
 		}
 		n = int(n32)
 	}
-	buf := getBuf()
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
+	bp := getBuf()
+	defer putBuf(bp)
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
 	}
-	defer putBuf(buf)
+	buf := (*bp)[:n]
 	if _, err := io.ReadFull(c.c, buf); err != nil {
 		return err
 	}
@@ -319,8 +316,11 @@ type inprocPipe struct {
 func (p *inprocPipe) close() { p.once.Do(func() { close(p.closed) }) }
 
 type inprocConn struct {
-	out  chan []byte
-	in   chan []byte
+	// Frames travel as buffer holders: in binary mode the holder is a
+	// pooled one whose ownership passes to the receiver on delivery (it
+	// recycles the buffer after decoding).
+	out  chan *[]byte
+	in   chan *[]byte
 	pipe *inprocPipe
 	peer string
 	m    *Metrics
@@ -360,8 +360,8 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
 	bin := wantBinary(n.Wire)
-	a2b := make(chan []byte, 64)
-	b2a := make(chan []byte, 64)
+	a2b := make(chan *[]byte, 64)
+	b2a := make(chan *[]byte, 64)
 	pipe := &inprocPipe{closed: make(chan struct{})}
 	client := &inprocConn{out: a2b, in: b2a, pipe: pipe, peer: addr, m: n.Metrics, bin: bin}
 	server := &inprocConn{out: b2a, in: a2b, pipe: pipe, peer: "dialer", m: n.Metrics, bin: bin}
@@ -403,23 +403,19 @@ func (c *inprocConn) WireBinary() bool { return c.bin }
 
 func (c *inprocConn) Send(v any) error {
 	t0 := time.Now()
-	var data []byte
+	var data *[]byte
 	if c.bin {
-		// Pooled frame buffer: ownership passes to the receiver on
-		// delivery (it recycles the buffer after decoding).
-		buf := getBuf()
-		var tag string
-		var err error
-		buf, tag, err = appendFrame(buf, v)
+		data = getBuf()
+		buf, tag, err := appendFrame(*data, v)
+		*data = buf
 		if err != nil {
-			putBuf(buf)
+			putBuf(data)
 			return err
 		}
 		if len(buf) > MaxFrame {
-			putBuf(buf)
+			putBuf(data)
 			return &FrameTooLargeError{Size: len(buf), Tag: tag}
 		}
-		data = buf
 	} else {
 		d, err := json.Marshal(v)
 		if err != nil {
@@ -428,13 +424,18 @@ func (c *inprocConn) Send(v any) error {
 		if len(d) > MaxFrame {
 			return &FrameTooLargeError{Size: len(d), Tag: frameTag(v)}
 		}
-		data = d
+		data = &d
 	}
+	n := len(*data) // the receiver owns data the moment it is delivered
 	expire, cancel := c.expiry()
 	defer cancel()
 	select {
 	case c.out <- data:
-		c.m.sent(len(data), t0)
+		if c.bin {
+			c.m.sentFrame(v, n, t0)
+		} else {
+			c.m.sent(n, t0)
+		}
 		return nil
 	case <-expire:
 		if c.bin {
@@ -471,15 +472,15 @@ func (c *inprocConn) expiry() (<-chan time.Time, func()) {
 	return timer.C, func() { timer.Stop() }
 }
 
-func (c *inprocConn) decode(data []byte, v any) error {
+func (c *inprocConn) decode(data *[]byte, v any) error {
 	t0 := time.Now()
-	n := len(data)
+	n := len(*data)
 	var err error
 	if c.bin {
-		err = decodeFrame(data, v)
+		err = decodeFrame(*data, v)
 		putBuf(data) // decoded values never alias the frame buffer
 	} else {
-		err = json.Unmarshal(data, v)
+		err = json.Unmarshal(*data, v)
 	}
 	if err != nil {
 		return fmt.Errorf("transport: unmarshal frame from %s: %w", c.RemoteAddr(), err)

@@ -22,13 +22,15 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/json" // lint:allow — the frameJSON fallback and the pre-PR-15 span blob
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"pricesheriff/internal/obs"
 )
@@ -118,6 +120,12 @@ func AppendBytes(b []byte, p []byte) []byte {
 	return append(b, p...)
 }
 
+// AppendSpans appends a span batch in its binary layout (see
+// obs.AppendWireSpans), length-prefixed so a decoder can skip it whole.
+func AppendSpans(b []byte, spans []obs.WireSpan) []byte {
+	return AppendSized(b, func(b []byte) []byte { return obs.AppendWireSpans(b, spans) })
+}
+
 // AppendBool appends a bool as one byte.
 func AppendBool(b []byte, v bool) []byte {
 	if v {
@@ -131,20 +139,22 @@ func AppendFloat(b []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// WireDec is a bounds-checked sequential decoder over one frame payload.
-// The first malformed read poisons the decoder; every later read returns
-// zero values, so decode methods can run unconditionally and check Err
-// once. Accessors copy what they return — a decoded message never aliases
-// the (pooled, reused) receive buffer.
+// WireDec is a bounds-checked sequential decoder over one frame payload
+// that it owns: the bytes handed to NewWireDec must never be written
+// again, because String and Bytes return views of them rather than
+// copies. The framing layer makes that true by taking exactly one private
+// copy of every received frame (decodeFrame) — the pooled receive buffer
+// is recycled, the copy is what a decoded message is made of. The first
+// malformed read poisons the decoder; every later read returns zero
+// values, so decode methods can run unconditionally and check Err once.
 type WireDec struct {
 	buf []byte
-	str string // buf converted once, on the first String(); see String
-	cvt bool
 	off int
 	err error
 }
 
-// NewWireDec wraps payload bytes for decoding.
+// NewWireDec wraps payload bytes for decoding and takes ownership of
+// them: everything decoded aliases b, so b must not be modified afterwards.
 func NewWireDec(b []byte) *WireDec { return &WireDec{buf: b} }
 
 // Fail poisons the decoder with err (the first failure wins).
@@ -236,38 +246,63 @@ func (d *WireDec) ElemLen(minSize int) int {
 	return int(n)
 }
 
-// String reads a length-prefixed string. The first call copies the whole
-// frame into one immutable string; every string field then slices that
-// copy, so a message with many string fields costs one allocation rather
-// than one per field, and never aliases the pooled receive buffer. The
-// flip side: every returned string keeps the whole frame copy alive, so a
-// caller that stores one beyond the request it arrived in (a map key, a
-// cached row) must strings.Clone it at that point.
+// String reads a length-prefixed string as a view of the decoder's
+// buffer: no copy, whatever the number of string fields. The flip side:
+// every returned string keeps the whole frame copy alive, so a caller that
+// stores one beyond the request it arrived in (a map key, a cached row)
+// must strings.Clone it at that point.
 func (d *WireDec) String() string {
 	n := d.Len()
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	if !d.cvt {
-		d.str = string(d.buf)
-		d.cvt = true
-	}
-	s := d.str[d.off : d.off+n]
+	s := unsafe.String(&d.buf[d.off], n)
 	d.off += n
 	return s
 }
 
-// Bytes reads a length-prefixed byte blob (copied out of the buffer).
-// A zero length returns nil.
+// Bytes reads a length-prefixed byte blob as a view of the decoder's
+// buffer (capacity clipped, so an append cannot reach the bytes behind
+// it). The String rule applies: bytes.Clone what outlives the request. A
+// zero length returns nil.
 func (d *WireDec) Bytes() []byte {
 	n := d.Len()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, d.buf[d.off:d.off+n])
+	p := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return p
+}
+
+// Spans reads a length-prefixed binary span batch (see AppendSpans). The
+// spans are decoded from a copy of their own: they are what an importing
+// trace keeps, and must not pin the frame they rode in on.
+func (d *WireDec) Spans() []obs.WireSpan {
+	blob := d.Bytes()
+	if len(blob) == 0 {
+		return nil
+	}
+	spans, err := obs.DecodeWireSpans(blob)
+	if err != nil {
+		d.Fail(fmt.Errorf("%w: span batch: %v", errWireFrame, err))
+	}
+	return spans
+}
+
+// JSONSpans reads the length-prefixed JSON span blob that frames carried
+// before the binary span batch; encoders no longer write it.
+func (d *WireDec) JSONSpans() []obs.WireSpan {
+	blob := d.Bytes()
+	if len(blob) == 0 {
+		return nil
+	}
+	var spans []obs.WireSpan
+	if err := json.Unmarshal(blob, &spans); err != nil {
+		d.Fail(fmt.Errorf("%w: spans blob: %v", errWireFrame, err))
+		return nil
+	}
+	return spans
 }
 
 // Bool reads a one-byte bool.
@@ -289,8 +324,9 @@ func (d *WireDec) Float() float64 {
 // WireMessage is a frame body with a hand-written binary codec. AppendWire
 // must be a pure serialization of in-memory state (it cannot fail);
 // DecodeWire must read exactly what AppendWire wrote, using only the
-// WireDec accessors so the decoded value never aliases the transport's
-// reused buffers. Tag 0 is reserved.
+// WireDec accessors: the decoded value then aliases the frame's one
+// private copy and never the transport's reused buffers. Tag 0 is
+// reserved.
 type WireMessage interface {
 	WireTag() uint8
 	AppendWire(b []byte) []byte
@@ -363,19 +399,23 @@ func wireName(tag uint8) string {
 
 // bufPool recycles frame encode/decode buffers across Sends and Recvs;
 // oversized buffers are dropped so one huge page frame cannot pin memory.
+// Buffers travel as the *[]byte holder the pool handed out, so putting one
+// back allocates nothing.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 const maxPooledBuf = 1 << 20
 
-func getBuf() []byte {
-	return (*(bufPool.Get().(*[]byte)))[:0]
+func getBuf() *[]byte {
+	p := bufPool.Get().(*[]byte)
+	*p = (*p)[:0]
+	return p
 }
 
-func putBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
+func putBuf(p *[]byte) {
+	if cap(*p) > maxPooledBuf {
 		return
 	}
-	bufPool.Put(&b)
+	bufPool.Put(p)
 }
 
 // --- envelope codec ---
@@ -393,6 +433,7 @@ const (
 	envHasErr
 	envHasCode
 	envHasHint
+	envHasJSONSpans // read for old peers, never written
 	envHasSpans
 )
 
@@ -447,7 +488,7 @@ func appendEnvelope(b []byte, e *Envelope) []byte {
 			// Length-prefix the body so a decoder can skip or slice it
 			// without understanding the inner encoding: encode to the end
 			// of the buffer, then splice the length in front.
-			b = appendSized(b, e.wmsg.AppendWire)
+			b = AppendSized(b, e.wmsg.AppendWire)
 		} else {
 			b = append(b, e.binTag)
 			b = AppendBytes(b, e.binBody)
@@ -474,19 +515,16 @@ func appendEnvelope(b []byte, e *Envelope) []byte {
 		b = AppendString(b, e.Hint)
 	}
 	if flags&envHasSpans != 0 {
-		// Spans ride only sampled-trace responses — JSON inside the binary
-		// envelope keeps the hot path free of their codec.
-		blob, err := json.Marshal(e.Spans)
-		if err != nil {
-			blob = nil
-		}
-		b = AppendBytes(b, blob)
+		b = AppendSpans(b, e.Spans)
 	}
 	return b
 }
 
-// appendSized appends fn's output prefixed with its byte length.
-func appendSized(b []byte, fn func([]byte) []byte) []byte {
+// AppendSized appends fn's output prefixed with its byte length — what
+// WireDec.Bytes reads back — without an intermediate buffer: a nested
+// message is encoded in place and a decoder can still skip or slice it
+// without understanding it.
+func AppendSized(b []byte, fn func([]byte) []byte) []byte {
 	start := len(b)
 	b = fn(b)
 	n := len(b) - start
@@ -500,8 +538,13 @@ func appendSized(b []byte, fn func([]byte) []byte) []byte {
 	return b
 }
 
-// decodeEnvelope decodes a binary envelope payload into e.
-func decodeEnvelope(d *WireDec, e *Envelope) error {
+// decodeEnvelope decodes a binary envelope payload into e. It takes the
+// frame's one private copy: header strings, the body and — through the
+// decoder the body is later handed to — every string of the inner message
+// alias that copy; payload itself (a pooled receive buffer) is not
+// referenced once decodeEnvelope returns.
+func decodeEnvelope(payload []byte, e *Envelope) error {
+	d := &WireDec{buf: bytes.Clone(payload)}
 	flags := d.Uvarint()
 	e.T = d.String()
 	if flags&envHasID != 0 {
@@ -536,16 +579,11 @@ func decodeEnvelope(d *WireDec, e *Envelope) error {
 	if flags&envHasHint != 0 {
 		e.Hint = d.String()
 	}
+	if flags&envHasJSONSpans != 0 {
+		e.Spans = d.JSONSpans()
+	}
 	if flags&envHasSpans != 0 {
-		blob := d.Bytes()
-		if d.err == nil && len(blob) > 0 {
-			var spans []obs.WireSpan
-			if err := json.Unmarshal(blob, &spans); err != nil {
-				d.Fail(fmt.Errorf("%w: spans blob: %v", errWireFrame, err))
-			} else {
-				e.Spans = spans
-			}
-		}
+		e.Spans = d.Spans()
 	}
 	return d.Err()
 }
@@ -574,7 +612,10 @@ func appendFrame(b []byte, v any) ([]byte, string, error) {
 	}
 }
 
-// decodeFrame decodes one binary-mode frame payload into v.
+// decodeFrame decodes one binary-mode frame payload into v. data is only
+// read: what v ends up holding aliases a private copy of it (or, for a
+// JSON frame, whatever encoding/json allocated), so the caller may recycle
+// data as soon as decodeFrame returns.
 func decodeFrame(data []byte, v any) error {
 	if len(data) == 0 {
 		return fmt.Errorf("%w: empty frame", errWireFrame)
@@ -587,7 +628,7 @@ func decodeFrame(data []byte, v any) error {
 		if !ok {
 			return fmt.Errorf("%w: envelope frame decoded into %T", errWireFrame, v)
 		}
-		return decodeEnvelope(NewWireDec(data[1:]), e)
+		return decodeEnvelope(data[1:], e)
 	case frameMsg:
 		if len(data) < 2 {
 			return fmt.Errorf("%w: message frame without tag", errWireFrame)
@@ -597,7 +638,7 @@ func decodeFrame(data []byte, v any) error {
 		if !ok || m.WireTag() != tag {
 			return fmt.Errorf("%w: frame %s decoded into %T", errWireFrame, wireName(tag), v)
 		}
-		d := NewWireDec(data[2:])
+		d := NewWireDec(bytes.Clone(data[2:])) // the frame's one private copy
 		if err := m.DecodeWire(d); err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -140,6 +141,121 @@ func TestWireDecElemLenRejectsAllocBombs(t *testing.T) {
 	}
 }
 
+// pageMsg is a test-local frame type shaped like the system's largest
+// bodies — a page plus a handful of short strings — registered in the high
+// tag range. It backs the decode allocation bound (alloc_test.go) and the
+// "transport_test.page" cross-check sample.
+type pageMsg struct {
+	URL    string `json:"url"`
+	Peer   string `json:"peer"`
+	Mode   string `json:"mode"`
+	Cookie string `json:"cookie"`
+	Note   string `json:"note"`
+	HTML   string `json:"html"`
+	Status int64  `json:"status"`
+}
+
+func (m *pageMsg) WireTag() uint8 { return 241 }
+
+func (m *pageMsg) AppendWire(b []byte) []byte {
+	b = AppendString(b, m.URL)
+	b = AppendString(b, m.Peer)
+	b = AppendString(b, m.Mode)
+	b = AppendString(b, m.Cookie)
+	b = AppendString(b, m.Note)
+	b = AppendString(b, m.HTML)
+	return AppendVarint(b, m.Status)
+}
+
+func (m *pageMsg) DecodeWire(d *WireDec) error {
+	m.URL = d.String()
+	m.Peer = d.String()
+	m.Mode = d.String()
+	m.Cookie = d.String()
+	m.Note = d.String()
+	m.HTML = d.String()
+	m.Status = d.Varint()
+	return d.Err()
+}
+
+func init() {
+	RegisterWire(241, "transport_test.page", func() WireMessage { return new(pageMsg) })
+}
+
+// TestDecodedFrameNeverAliasesReceiveBuffer: the receive buffer is pooled
+// and rewritten by the next frame; everything a decoded envelope (and the
+// message decoded from its body) holds must live in the frame's private
+// copy.
+func TestDecodedFrameNeverAliasesReceiveBuffer(t *testing.T) {
+	in := fullEnvelope()
+	in.Body = nil
+	in.wmsg = &pageMsg{URL: "http://shop.example/p/1", Peer: "ppc-3", Mode: "own", Cookie: "c", Note: "n", HTML: "<html>page</html>", Status: 200}
+	frame, _, err := appendFrame(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Envelope
+	if err := decodeFrame(frame, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = 0xEE // the pool hands the buffer to the next frame
+	}
+	m, err := decodeRegistered(got.binTag, got.binBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := m.(*pageMsg)
+	if got.T != in.T || got.TraceID != in.TraceID || got.Err != in.Err || got.Hint != in.Hint ||
+		page.URL != "http://shop.example/p/1" || page.HTML != "<html>page</html>" || page.Status != 200 ||
+		len(got.Spans) != 1 || got.Spans[0].Name != "handler" {
+		t.Errorf("decoded envelope changed with the receive buffer: %+v body %+v", got, page)
+	}
+}
+
+// TestEnvelopeSpanBitsInterop covers both directions of the span-encoding
+// change. An old peer's frame — spans as a JSON blob under the old flag
+// bit — must still decode. And a decoder that predates the new bit skips
+// it: the binary batch is the last field of the envelope, so everything
+// else decodes and only the spans are lost.
+func TestEnvelopeSpanBitsInterop(t *testing.T) {
+	spans := []obs.WireSpan{{ID: "s1", Parent: "s0", Name: "handler", Start: 7, End: 9, Attrs: [][2]string{{"proc", "shop"}}}}
+	blob, _ := json.Marshal(spans)
+
+	old := AppendUvarint([]byte{frameEnv}, envHasID|envHasErr|envHasJSONSpans)
+	old = AppendString(old, "shop.fetch")
+	old = AppendUvarint(old, 7)
+	old = AppendString(old, "boom")
+	old = AppendBytes(old, blob)
+	var fromOld Envelope
+	if err := decodeFrame(old, &fromOld); err != nil {
+		t.Fatalf("frame with the old JSON span blob: %v", err)
+	}
+	if fromOld.ID != 7 || fromOld.Err != "boom" || !reflect.DeepEqual(fromOld.Spans, spans) {
+		t.Errorf("old-format frame decoded to %+v", fromOld)
+	}
+
+	cur, _, err := appendFrame(nil, &Envelope{T: "shop.fetch", ID: 7, Err: "boom", Spans: spans})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewWireDec(cur[1:])
+	if flags := d.Uvarint(); flags&envHasJSONSpans != 0 || flags&envHasSpans == 0 {
+		t.Fatalf("encoder wrote flags %b: want the binary span bit and never the JSON one", flags)
+	}
+	// The same frame as a decoder from before the bit sees it: flag unknown,
+	// trailing bytes unread.
+	blind := AppendUvarint([]byte{frameEnv}, envHasID|envHasErr)
+	blind = append(blind, cur[1+len(AppendUvarint(nil, envHasID|envHasErr|envHasSpans)):]...)
+	var fromBlind Envelope
+	if err := decodeFrame(blind, &fromBlind); err != nil {
+		t.Fatalf("decoder ignoring the span bit: %v", err)
+	}
+	if fromBlind.T != "shop.fetch" || fromBlind.ID != 7 || fromBlind.Err != "boom" || fromBlind.Spans != nil {
+		t.Errorf("decoder ignoring the span bit got %+v, want everything but the spans", fromBlind)
+	}
+}
+
 func FuzzWireDecode(f *testing.F) {
 	// Seeds: the three frame kinds, a real envelope, an advert, garbage.
 	env, _, _ := appendFrame(nil, fullEnvelope())
@@ -153,6 +269,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Envelope
 		_ = decodeFrame(data, &e) // error is fine; panic is the bug
+		// Whatever spans come out — of the envelope, or of the bytes read as
+		// a bare span batch — must stitch without hanging or panicking
+		// (duplicate IDs, parent cycles, dangling parents).
+		bare, _ := obs.DecodeWireSpans(data)
+		for _, spans := range [][]obs.WireSpan{e.Spans, bare} {
+			obs.NewRemoteTrace("fuzz").ImportSpans(spans)
+		}
 		// Every registered frame codec must also survive arbitrary bytes.
 		// (Registrations from other packages are linked in via the
 		// external test package's imports.)
