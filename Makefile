@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint test race chaos bench bench-crypto bench-rpc bench-scale bench-store experiments experiments-full fmt vet clean
+.PHONY: build lint test race chaos bench bench-crypto bench-rpc bench-store experiments experiments-full fmt vet clean
 
 build:
 	$(GO) build ./...
@@ -62,7 +62,9 @@ test: lint
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs ./internal/adminui ./internal/transport ./internal/admit ./internal/coordinator ./internal/retry ./internal/chaos ./internal/measurement ./internal/elgamal ./internal/privkmeans ./internal/store ./internal/store/diskengine ./internal/history ./internal/core ./internal/ha ./internal/shard
+	$(GO) test -race $$($(GO) list ./... | grep -v /internal/experiments)
+	$(GO) test -race -short ./internal/experiments
+	cd bench && $(GO) vet . && $(GO) test .
 	$(MAKE) chaos
 
 # The kill/partition chaos suite: boots a three-replica coordinator
@@ -87,11 +89,6 @@ bench-crypto:
 # the JSON ablation) and refresh the machine-readable record.
 bench-rpc:
 	$(GO) run ./cmd/benchtab -rpc -rpc-json BENCH_rpc.json
-
-# Replay the adoption spikes at 100x/1000x users over 1/2/4/8 store
-# shards (virtual time over a calibrated plane) and refresh the record.
-bench-scale:
-	$(GO) run ./cmd/benchtab -scale -scale-json BENCH_scale.json
 
 # Measure the pluggable storage engines (RAM maps vs the disk-resident
 # LSM, cold vs warm block cache) and refresh the machine-readable record.

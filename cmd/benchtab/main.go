@@ -9,7 +9,6 @@
 //	benchtab -list
 //	benchtab -crypto [-crypto-json BENCH_crypto.json]
 //	benchtab -rpc [-rpc-json BENCH_rpc.json]
-//	benchtab -scale [-scale-json BENCH_scale.json]
 //	benchtab -store [-store-json BENCH_store.json]
 package main
 
@@ -33,8 +32,6 @@ func main() {
 		cryptoJSON = flag.String("crypto-json", "BENCH_crypto.json", "machine-readable output for -crypto")
 		rpc        = flag.Bool("rpc", false, "benchmark the wire codec (binary vs JSON ablation) and exit")
 		rpcJSON    = flag.String("rpc-json", "BENCH_rpc.json", "machine-readable output for -rpc")
-		scale      = flag.Bool("scale", false, "replay the adoption spike at 100x/1000x users over 1/2/4/8 store shards and exit")
-		scaleJSON  = flag.String("scale-json", "BENCH_scale.json", "machine-readable output for -scale")
 		storeB     = flag.Bool("store", false, "benchmark the storage engines (RAM maps vs disk LSM, cold vs warm cache) and exit")
 		storeJSON  = flag.String("store-json", "BENCH_store.json", "machine-readable output for -store")
 	)
@@ -55,15 +52,6 @@ func main() {
 		fmt.Println("=== Wire codec: binary protocol vs JSON ablation ===")
 		if err := experiments.RPCBench(runner, os.Stdout, *rpcJSON); err != nil {
 			log.Fatalf("rpc: %v", err)
-		}
-		return
-	}
-
-	if *scale {
-		runner := experiments.NewRunner(experiments.Config{Full: *full, Seed: *seed})
-		fmt.Println("=== Scale replay: adoption spikes over the sharded data plane ===")
-		if err := experiments.ScaleBench(runner, os.Stdout, *scaleJSON); err != nil {
-			log.Fatalf("scale: %v", err)
 		}
 		return
 	}

@@ -54,8 +54,8 @@ func runShards(args []string) {
 	}
 	fmt.Printf("ring v%d — %d shards — %s\n", st.RingVersion, len(st.Shards), state)
 	if lc := st.LastChange; lc != nil {
-		fmt.Printf("last change v%d→v%d: %d keys (%d bytes) moved, %d reaped, %d orphans, %d sources freed\n",
-			lc.FromVersion, lc.ToVersion, lc.KeysMoved, lc.BytesMoved, lc.Reaped, lc.Orphans, lc.SourcesFreed)
+		fmt.Printf("last change v%d→v%d: %d keys (%d bytes) moved, %d strays reaped before, %d sources freed after\n",
+			lc.FromVersion, lc.ToVersion, lc.KeysMoved, lc.BytesMoved, lc.Reaped, lc.SourcesFreed)
 	}
 	for _, m := range st.Shards {
 		fmt.Printf("  %-10s %-22s share %5.1f%%  ops %-8d", m.ID, m.Addr, m.Share*100, m.Ops)

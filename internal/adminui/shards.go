@@ -32,8 +32,8 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprint(w, "</p>\n")
 	if lc := st.LastChange; lc != nil {
-		fmt.Fprintf(w, "<p>last change v%d→v%d: %d keys (%d bytes) moved, %d reaped, %d orphans, %d sources freed</p>\n",
-			lc.FromVersion, lc.ToVersion, lc.KeysMoved, lc.BytesMoved, lc.Reaped, lc.Orphans, lc.SourcesFreed)
+		fmt.Fprintf(w, "<p>last change v%d→v%d: %d keys (%d bytes) moved, %d strays reaped before, %d sources freed after</p>\n",
+			lc.FromVersion, lc.ToVersion, lc.KeysMoved, lc.BytesMoved, lc.Reaped, lc.SourcesFreed)
 	}
 	fmt.Fprint(w, "<table border=\"1\" cellpadding=\"4\">\n<tr><th>shard</th><th>addr</th><th>share</th><th>ops</th><th>keys</th></tr>\n")
 	for _, m := range st.Shards {

@@ -24,7 +24,10 @@ func newShardedUI(t *testing.T) *Server {
 	netw := transport.NewInproc()
 	var members []shard.Member
 	for i := 0; i < 2; i++ {
-		db := store.NewDB()
+		db, err := store.NewPlaneDB(i, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		lis, err := netw.Listen("")
 		if err != nil {
 			t.Fatal(err)
@@ -32,7 +35,7 @@ func newShardedUI(t *testing.T) *Server {
 		srv := store.NewServer(db, lis)
 		go srv.Serve()
 		t.Cleanup(func() { srv.Close() })
-		members = append(members, shard.Member{ID: fmt.Sprintf("shard-%d", i), Addr: srv.Addr()})
+		members = append(members, shard.Member{ID: fmt.Sprintf("shard-%d", i), Addr: srv.Addr(), Ordinal: i})
 	}
 	ring := shard.NewRing(3, 32, members)
 	r, err := shard.NewRouter(netw, ring, shard.Options{PoolSize: 2, Metrics: shard.NewMetrics(ui.Metrics)})

@@ -15,32 +15,50 @@ import (
 
 // extraShard is one RAM-only store engine beyond the durable shard-0.
 type extraShard struct {
-	id  string
-	seq int
-	db  *store.DB
-	srv *store.Server
+	member shard.Member
+	db     *store.DB
+	srv    *store.Server
 }
 
-// newExtraShard boots one more store engine and server on the fabric.
+// ordinalsTable lives on shard-0 (ordinal 0) and gains one row per engine
+// the plane has ever been given: the sequence half of the row's ID is
+// that engine's ordinal. With a data dir the table rides shard-0's WAL,
+// so a restart goes on issuing where the last incarnation stopped and
+// the rows that incarnation's engines minted — the ones that migrated
+// onto shard-0 are still there — never meet a second minter.
+var ordinalsTable = store.TableSpec{Name: "shard_ordinals"}
+
+// newExtraShard boots one more store engine and server on the fabric,
+// under a name that is its position in this incarnation's plane (so the
+// ring places keys the same way after a restart) and a fresh ordinal.
 // Callers hold shardMu (or run during single-threaded boot).
 func (s *System) newExtraShard() (*extraShard, error) {
+	id := fmt.Sprintf("shard-%d", s.shardSeq)
+	rowID, err := s.coreDB.Insert(ordinalsTable.Name, store.Row{"shard": id})
+	if err != nil {
+		return nil, fmt.Errorf("core: issue shard ordinal: %w", err)
+	}
+	ordinal := int(store.Seq(rowID))
+	db, err := store.NewPlaneDB(ordinal, store.Options{})
+	if err != nil {
+		return nil, err
+	}
 	lis, err := s.fabric.Listen("")
 	if err != nil {
 		return nil, err
 	}
-	db := store.NewDB()
 	measurement.RegisterStandardProcs(db)
 	srv := store.NewServer(db, lis)
 	srv.Metrics = s.dbSrv.Metrics
 	go srv.Serve()
-	es := &extraShard{id: fmt.Sprintf("shard-%d", s.shardSeq), seq: s.shardSeq, db: db, srv: srv}
+	es := &extraShard{member: shard.Member{ID: id, Addr: srv.Addr(), Ordinal: ordinal}, db: db, srv: srv}
 	s.shardSeq++
 	return es, nil
 }
 
 // AddStoreShard grows the data plane by one shard: a fresh engine joins
-// the ring, every router of the fleet opens one shared handoff window,
-// and the moved key ranges stream over while live writes dual-write
+// the ring, every router of the fleet opens a handoff window, and the
+// moved key ranges stream over while live writes land on both owners
 // underneath. The new ring is published through the coordinator (and,
 // under HA, the replication log) once the cutover commits.
 func (s *System) AddStoreShard() (*shard.RebalanceReport, error) {
@@ -50,16 +68,16 @@ func (s *System) AddStoreShard() (*shard.RebalanceReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := s.ring.Add(shard.Member{ID: es.id, Addr: es.srv.Addr()})
+	next := s.ring.Add(es.member)
 	rep, err := shard.FleetRebalance(s.baseCtx, s.routers, next)
 	if err != nil {
 		es.srv.Close()
 		return nil, fmt.Errorf("core: add store shard: %w", err)
 	}
 	s.ring = next
-	s.extraShards[es.id] = es
+	s.extraShards[es.member.ID] = es
 	s.publishRing(next)
-	s.log.Info(s.baseCtx, "core: store shard added", "shard", es.id,
+	s.log.Info(s.baseCtx, "core: store shard added", "shard", es.member.ID,
 		"shards", len(next.Members), "keys_moved", rep.KeysMoved)
 	return rep, nil
 }
@@ -72,23 +90,23 @@ func (s *System) RemoveStoreShard() (*shard.RebalanceReport, error) {
 	defer s.shardMu.Unlock()
 	var victim *extraShard
 	for _, es := range s.extraShards {
-		if victim == nil || es.seq > victim.seq {
+		if victim == nil || es.member.Ordinal > victim.member.Ordinal { // ordinals only grow
 			victim = es
 		}
 	}
 	if victim == nil {
 		return nil, fmt.Errorf("core: no extra store shard to remove")
 	}
-	next := s.ring.Remove(victim.id)
+	next := s.ring.Remove(victim.member.ID)
 	rep, err := shard.FleetRebalance(s.baseCtx, s.routers, next)
 	if err != nil {
 		return nil, fmt.Errorf("core: remove store shard: %w", err)
 	}
 	s.ring = next
-	delete(s.extraShards, victim.id)
+	delete(s.extraShards, victim.member.ID)
 	victim.srv.Close()
 	s.publishRing(next)
-	s.log.Info(s.baseCtx, "core: store shard removed", "shard", victim.id,
+	s.log.Info(s.baseCtx, "core: store shard removed", "shard", victim.member.ID,
 		"shards", len(next.Members), "keys_moved", rep.KeysMoved)
 	return rep, nil
 }

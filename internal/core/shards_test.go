@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pricesheriff/internal/history"
 	"pricesheriff/internal/shop"
 	"pricesheriff/internal/store"
 )
@@ -220,5 +221,113 @@ func TestShardScalerGrowsAndShrinks(t *testing.T) {
 	nReq, _ := corpusCounts(t, sys)
 	if nReq != 120 {
 		t.Fatalf("requests = %d after scale cycle, want 120", nReq)
+	}
+}
+
+// TestShardOrdinalsSurviveRestart: an engine's ordinal is spent for good.
+// A durable one-shard deployment grows twice, shrinks back onto shard-0
+// (which keeps the rows the retired engines minted), restarts, and grows
+// again: the second incarnation's engine may not draw an ordinal the
+// first one used, every row keeps the ID it was acked under, and new rows
+// collide with none.
+func TestShardOrdinalsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() *System {
+		t.Helper()
+		mall := shop.NewMall(shop.MallConfig{Seed: 9, NumDomains: 40, NumLocationPD: 12, NumAlexa: 5})
+		sys, err := NewSystem(Config{
+			Mall:               mall,
+			MeasurementServers: 1,
+			IPCCountries:       []string{"US", "DE", "JP"},
+			PPCTimeout:         5 * time.Second,
+			Seed:               9,
+			DataDir:            dir,
+			Fsync:              history.FsyncOff, // Close syncs; nothing here kills -9
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	ctx := context.Background()
+	spent := map[int]string{} // ordinal → the engine that drew it
+	draw := func(sys *System, incarnation int) {
+		t.Helper()
+		for _, m := range sys.ShardRing().Members {
+			who := fmt.Sprintf("%s of incarnation %d", m.ID, incarnation)
+			if m.ID == "shard-0" {
+				if m.Ordinal != 0 {
+					t.Fatalf("shard-0 has ordinal %d", m.Ordinal)
+				}
+				continue
+			}
+			if prev, taken := spent[m.Ordinal]; taken && prev != who {
+				t.Fatalf("ordinal %d reissued: %s, then %s", m.Ordinal, prev, who)
+			}
+			spent[m.Ordinal] = who
+		}
+	}
+	acked := map[int64]string{} // request ID → job
+	insert := func(sys *System, tag string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			job := fmt.Sprintf("%s-%d", tag, i)
+			domain := fmt.Sprintf("shop-%02d.com", i%23)
+			id, err := sys.DB().InsertCtx(ctx, "requests", store.Row{"job_id": job, "url": "http://" + domain + "/p", "domain": domain})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, dup := acked[id]; dup {
+				t.Fatalf("request ID %d acked twice: job %s, then %s", id, prev, job)
+			}
+			acked[id] = job
+		}
+	}
+	verify := func(sys *System, when string) {
+		t.Helper()
+		rows, err := sys.DB().SelectCtx(ctx, store.Query{Table: "requests"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(acked) {
+			t.Fatalf("%s: %d requests, want %d", when, len(rows), len(acked))
+		}
+		for _, row := range rows {
+			id := int64(row[store.ID].(float64))
+			if acked[id] != row["job_id"] {
+				t.Fatalf("%s: request %d is job %v, acked as %q", when, id, row["job_id"], acked[id])
+			}
+		}
+	}
+
+	first := boot()
+	for _, tag := range []string{"a", "b"} {
+		if _, err := first.AddStoreShard(); err != nil {
+			t.Fatal(err)
+		}
+		draw(first, 1)
+		insert(first, tag, 60)
+	}
+	for first.StoreShards() > 1 {
+		if _, err := first.RemoveStoreShard(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify(first, "before restart")
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second := boot()
+	defer second.Close()
+	verify(second, "after restart")
+	if _, err := second.AddStoreShard(); err != nil {
+		t.Fatal(err)
+	}
+	draw(second, 2)
+	insert(second, "c", 90)
+	verify(second, "after regrow")
+	if len(spent) != 3 {
+		t.Fatalf("drew %d distinct ordinals for the 2+1 engines of two incarnations, want 3: %v", len(spent), spent)
 	}
 }

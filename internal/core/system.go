@@ -246,7 +246,7 @@ type System struct {
 	ring         *shard.Ring
 	routers      []*shard.Router
 	extraShards  map[string]*extraShard
-	shardSeq     int // next shard ordinal
+	shardSeq     int // next shard name suffix
 	shardMetrics *shard.Metrics
 
 	metrics     *obs.Registry
@@ -400,7 +400,12 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown store engine %q", cfg.StoreEngine)
 	}
-	coreDB := store.NewDBOptions(storeOpts)
+	// Shard-0 is ordinal 0 of the plane; every later engine draws its
+	// ordinal from ordinalsTable below.
+	coreDB, err := store.NewPlaneDB(0, storeOpts)
+	if err != nil {
+		return nil, err
+	}
 	s.coreDB = coreDB
 	s.histMetrics = history.NewMetrics(cfg.Metrics)
 	if cfg.DataDir != "" {
@@ -425,6 +430,9 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("core: open data dir: %w", err)
 		}
 	}
+	if err := coreDB.CreateTable(ordinalsTable); err != nil && !errors.Is(err, store.ErrTableExists) {
+		return nil, err
+	}
 	measurement.RegisterStandardProcs(coreDB)
 	s.dbSrv = store.NewServer(coreDB, dbLis)
 	s.dbSrv.Metrics = store.NewMetrics(cfg.Metrics)
@@ -445,8 +453,8 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.extraShards[es.id] = es
-		members = append(members, shard.Member{ID: es.id, Addr: es.srv.Addr()})
+		s.extraShards[es.member.ID] = es
+		members = append(members, es.member)
 	}
 	s.ring = shard.NewRing(cfg.Seed+7, cfg.ShardVNodes, members)
 	sysRouter, err := shard.NewRouter(cfg.Fabric, s.ring, shard.Options{PoolSize: 4, Metrics: s.shardMetrics})

@@ -196,15 +196,11 @@ var (
 // EnsureTables creates the recording tables, tolerating pre-existing ones.
 func EnsureTables(db store.Conn) error {
 	for _, spec := range []store.TableSpec{RequestsTable, ResponsesTable} {
-		if err := db.CreateTableCtx(context.Background(), spec); err != nil && !isExists(err) {
+		if err := db.CreateTableCtx(context.Background(), spec); err != nil && !errors.Is(err, store.ErrTableExists) {
 			return err
 		}
 	}
 	return nil
-}
-
-func isExists(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "already exists")
 }
 
 // StartCheck begins processing a price check asynchronously; WaitResults

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"pricesheriff/internal/store"
@@ -15,205 +13,12 @@ import (
 // cross-shard batch.
 const compensateTimeout = 5 * time.Second
 
-// Handoff is the dual-write journal of one ring-change window. Routers
-// record every row written to both its old and new owner; the migration
-// reads the journal to skip already-moved rows, fix up joins, and clean
-// sources after cutover. One Handoff is shared by every router serving
-// the same plane in-process, so all writers see one journal.
-type Handoff struct {
-	mu sync.Mutex
-	// srcToTgt[table][srcMemberID][srcRowID] = target row ID: the acked
-	// identity on the old owner mapped to its copy on the new one.
-	srcToTgt map[string]map[string]map[int64]int64
-	// tgtRows[tgtMemberID][table][rowID]: rows that exist on a member
-	// only as handoff copies — reads skip them until cutover.
-	tgtRows map[string]map[string]map[int64]bool
-	// pending joins: child rows dual-written before their parent's
-	// target ID was known; resolved by the migration's late-join pass.
-	pending []pendingJoin
-}
-
-type pendingJoin struct {
-	table     string
-	srcMember string
-	tgtMember string
-	tgtID     int64
-	parentRef int64 // parent row ID local to srcMember
-}
-
-// NewHandoff creates an empty journal for one window.
-func NewHandoff() *Handoff {
-	return &Handoff{
-		srcToTgt: make(map[string]map[string]map[int64]int64),
-		tgtRows:  make(map[string]map[string]map[int64]bool),
-	}
-}
-
-func (h *Handoff) mapRow(table, srcMemberID string, srcID, tgtID int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	byMember := h.srcToTgt[table]
-	if byMember == nil {
-		byMember = make(map[string]map[int64]int64)
-		h.srcToTgt[table] = byMember
-	}
-	if byMember[srcMemberID] == nil {
-		byMember[srcMemberID] = make(map[int64]int64)
-	}
-	byMember[srcMemberID][srcID] = tgtID
-}
-
-func (h *Handoff) lookup(table, srcMemberID string, srcID int64) (int64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	tgtID, ok := h.srcToTgt[table][srcMemberID][srcID]
-	return tgtID, ok
-}
-
-func (h *Handoff) noteTarget(tgtMemberID, table string, id int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	byTable := h.tgtRows[tgtMemberID]
-	if byTable == nil {
-		byTable = make(map[string]map[int64]bool)
-		h.tgtRows[tgtMemberID] = byTable
-	}
-	if byTable[table] == nil {
-		byTable[table] = make(map[int64]bool)
-	}
-	byTable[table][id] = true
-}
-
-func (h *Handoff) isTarget(memberID, table string, id int64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tgtRows[memberID][table][id]
-}
-
-// filterTargets drops a member's handoff copies from a scattered read so
-// a dual-written row is returned once, from its acked source.
-func (h *Handoff) filterTargets(memberID, table string, rows []store.Row) []store.Row {
-	h.mu.Lock()
-	set := h.tgtRows[memberID][table]
-	h.mu.Unlock()
-	if len(set) == 0 {
-		return rows
-	}
-	out := rows[:0]
-	for _, row := range rows {
-		if id, ok := numericID(row[store.ID]); ok && set[id] {
-			continue
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// isSource reports whether a row is a moved source copy — after cutover
-// it is stale (the target copy is the live one) until freeSources
-// deletes it.
-func (h *Handoff) isSource(table, memberID string, id int64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, ok := h.srcToTgt[table][memberID][id]
-	return ok
-}
-
-// filterSources drops a member's moved source copies from a read taken
-// after cutover but before the post-cutover cleanup deleted them.
-func (h *Handoff) filterSources(memberID, table string, rows []store.Row) []store.Row {
-	h.mu.Lock()
-	set := h.srcToTgt[table][memberID]
-	h.mu.Unlock()
-	if len(set) == 0 {
-		return rows
-	}
-	out := rows[:0]
-	for _, row := range rows {
-		if id, ok := numericID(row[store.ID]); ok {
-			if _, moved := set[id]; moved {
-				continue
-			}
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-func (h *Handoff) notePending(table, srcMember, tgtMember string, tgtID, parentRef int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pending = append(h.pending, pendingJoin{table, srcMember, tgtMember, tgtID, parentRef})
-}
-
-func (h *Handoff) takePending() []pendingJoin {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := h.pending
-	h.pending = nil
-	return out
-}
-
-// sources snapshots srcToTgt: table → source member → moved source row
-// IDs. The post-cutover cleanup deletes exactly these.
-func (h *Handoff) sources() map[string]map[string][]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]map[string][]int64, len(h.srcToTgt))
-	for table, byMember := range h.srcToTgt {
-		out[table] = make(map[string][]int64, len(byMember))
-		for member, ids := range byMember {
-			list := make([]int64, 0, len(ids))
-			for id := range ids {
-				list = append(list, id)
-			}
-			out[table][member] = list
-		}
-	}
-	return out
-}
-
-// orphans returns target copies whose source write never landed (the
-// dual-write errored between the two inserts): tgtRows entries that no
-// srcToTgt mapping points at. They were never acked, so the rebalance
-// deletes them before cutover makes them visible.
-func (h *Handoff) orphans() map[string]map[string][]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	acked := make(map[string]map[int64]bool, len(h.srcToTgt)) // table → target IDs
-	for table, byMember := range h.srcToTgt {
-		set := make(map[int64]bool)
-		for _, ids := range byMember {
-			for _, tgtID := range ids {
-				set[tgtID] = true
-			}
-		}
-		acked[table] = set
-	}
-	out := make(map[string]map[string][]int64)
-	for member, byTable := range h.tgtRows {
-		for table, ids := range byTable {
-			for id := range ids {
-				if acked[table][id] {
-					continue
-				}
-				if out[member] == nil {
-					out[member] = make(map[string][]int64)
-				}
-				out[member][table] = append(out[member][table], id)
-			}
-		}
-	}
-	return out
-}
-
 // BeginUpdate opens a handoff window onto the next ring epoch: new
 // members are dialed, and the exclusive lock acquisition is a barrier —
 // once it returns, every in-flight single-ring write has completed and
-// all subsequent writes dual-write moved keys into the shared journal.
-// Core calls this on every router of the plane (one journal between
-// them) before the lead router migrates.
-func (r *Router) BeginUpdate(next *Ring, h *Handoff) error {
+// all subsequent writes of moved keys land on both owners. Core calls
+// this on every router of the plane before the lead router migrates.
+func (r *Router) BeginUpdate(next *Ring) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.next != nil {
@@ -222,12 +27,16 @@ func (r *Router) BeginUpdate(next *Ring, h *Handoff) error {
 	if next.Version <= r.ring.Version {
 		return fmt.Errorf("shard: stale ring update v%d (have v%d)", next.Version, r.ring.Version)
 	}
+	if err := next.validate(); err != nil {
+		return fmt.Errorf("shard: ring v%d: %w", next.Version, err)
+	}
 	for _, m := range next.Members {
 		if _, ok := r.clients[m.ID]; ok {
 			continue
 		}
 		c, err := store.Dial(r.fabric, m.Addr, r.poolSize)
 		if err != nil {
+			r.releaseClients(r.ring)
 			return fmt.Errorf("shard: dial new member %s (%s): %w", m.ID, m.Addr, err)
 		}
 		r.clients[m.ID] = c
@@ -236,76 +45,55 @@ func (r *Router) BeginUpdate(next *Ring, h *Handoff) error {
 			ctx, cancel := context.WithTimeout(context.Background(), compensateTimeout)
 			err := c.CreateTableCtx(ctx, spec)
 			cancel()
-			if err != nil && !isExistsErr(err) {
+			if err != nil && !errors.Is(err, store.ErrTableExists) {
+				r.releaseClients(r.ring)
 				return fmt.Errorf("shard: create %s on new member %s: %w", spec.Name, m.ID, err)
 			}
 		}
 	}
 	r.next = next
-	r.handoff = h
+	r.strays = true
 	r.metrics.window(true)
 	return nil
 }
 
-// CommitUpdate cuts over to the next ring: the window closes, the next
-// epoch becomes current, and clients of retired members are released.
-// The journal is kept as a drain filter — moved source copies survive
-// until freeSources, and reads must not count them twice — until
-// EndDrain.
-func (r *Router) CommitUpdate() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next == nil {
-		return
-	}
-	r.ring = r.next
-	r.next = nil
-	r.drain = r.handoff
-	r.handoff = nil
-	keep := make(map[string]bool, len(r.ring.Members))
-	for _, m := range r.ring.Members {
-		keep[m.ID] = true
-	}
+// releaseClients closes the clients of members not on keep; callers hold
+// r.mu exclusively.
+func (r *Router) releaseClients(keep *Ring) {
 	for id, c := range r.clients {
-		if !keep[id] {
+		if _, ok := keep.Member(id); !ok {
 			c.Close()
 			delete(r.clients, id)
 		}
 	}
+}
+
+// cutover makes the next ring current and releases the clients of
+// retired members; callers hold r.mu exclusively. The ownership rule now
+// names the copies on the new owners; the old owners' copies are strays
+// until swept.
+func (r *Router) cutover() {
+	if r.next == nil {
+		return
+	}
+	r.ring, r.next = r.next, nil
+	r.releaseClients(r.ring)
 	r.metrics.ring(r.ring)
 	r.metrics.window(false)
 }
 
-// EndDrain drops the post-cutover drain filter once the moved source
-// copies have been deleted.
-func (r *Router) EndDrain() {
-	r.mu.Lock()
-	r.drain = nil
-	r.mu.Unlock()
-}
-
-// AbortUpdate discards an open window: the current ring stays, clients
-// dialed for members that were only on the next ring are released, and
-// any rows already copied to targets are left for the next rebalance's
-// hygiene sweep to reap.
+// AbortUpdate discards an open window: the current ring stays, and
+// clients dialed for members that were only on the next ring are
+// released. Rows already copied onto members of the current ring are
+// strays there — invisible — until a hygiene sweep deletes them.
 func (r *Router) AbortUpdate() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.next == nil {
 		return
 	}
-	keep := make(map[string]bool, len(r.ring.Members))
-	for _, m := range r.ring.Members {
-		keep[m.ID] = true
-	}
-	for id, c := range r.clients {
-		if !keep[id] {
-			c.Close()
-			delete(r.clients, id)
-		}
-	}
 	r.next = nil
-	r.handoff = nil
+	r.releaseClients(r.ring)
 	r.metrics.window(false)
 }
 
@@ -315,9 +103,8 @@ type RebalanceReport struct {
 	ToVersion    int64 `json:"to_version"`
 	KeysMoved    int   `json:"keys_moved"`
 	BytesMoved   int   `json:"bytes_moved"`
-	Reaped       int   `json:"reaped"`        // misplaced rows swept before the window
-	Orphans      int   `json:"orphans"`       // unacked target copies deleted pre-cutover
-	SourcesFreed int   `json:"sources_freed"` // moved source rows deleted post-cutover
+	Reaped       int   `json:"reaped"`        // strays of an earlier window, swept before this one
+	SourcesFreed int   `json:"sources_freed"` // copies left on old owners, swept after cutover
 }
 
 // Rebalance moves the plane from the router's current ring to next. It
@@ -328,13 +115,12 @@ func (r *Router) Rebalance(ctx context.Context, next *Ring) (*RebalanceReport, e
 
 // FleetRebalance moves a plane served by several routers (core runs one
 // per measurement server plus the system's own) to the next ring: sweep
-// leftovers of any earlier aborted window, open one shared handoff
-// window on every router, stream every moved key range source→target
-// through the snapshot export/import machinery (live writes through any
-// router dual-write into the shared journal underneath), resolve joins
-// the window left dangling, cut every router over, and free the moved
-// rows on their old owners. The first router is the lead: it performs
-// the migration; the others only journal.
+// the strays of any earlier aborted window, open a handoff window on
+// every router, copy every row whose owner changes to its new owner
+// under the ID it has (live writes through any router land on both
+// owners underneath), cut every router over at once, and sweep the
+// copies left on the old owners. The first router is the lead: it
+// performs the sweeps and the migration.
 //
 // All routers must serve the same ring epoch and have no open window —
 // the caller serializes ring changes.
@@ -343,49 +129,36 @@ func FleetRebalance(ctx context.Context, routers []*Router, next *Ring) (*Rebala
 		return nil, fmt.Errorf("shard: rebalance with no routers")
 	}
 	lead := routers[0]
-	rep := &RebalanceReport{ToVersion: next.Version}
-	reaped, err := lead.hygieneSweep(ctx)
-	if err != nil {
+	rep := &RebalanceReport{FromVersion: lead.Ring().Version, ToVersion: next.Version}
+	var err error
+	if rep.Reaped, err = sweepFleet(ctx, routers); err != nil {
 		return nil, fmt.Errorf("shard: hygiene sweep: %w", err)
 	}
-	rep.Reaped = reaped
-
-	h := NewHandoff()
-	var begun []*Router
-	abortAll := func() {
-		for _, r := range begun {
+	abort := func(err error) (*RebalanceReport, error) {
+		for _, r := range routers {
 			r.AbortUpdate()
 		}
+		// A failed sweep leaves the routers filtering reads; the next
+		// rebalance starts with another attempt.
+		sweepFleet(ctx, routers)
+		return nil, err
 	}
 	for _, r := range routers {
-		if err := r.BeginUpdate(next, h); err != nil {
-			abortAll()
-			return nil, err
+		if err := r.BeginUpdate(next); err != nil {
+			return abort(err)
 		}
-		begun = append(begun, r)
 	}
-	rep.FromVersion = lead.Ring().Version
-	// barrier quiesces every router of the fleet at once: with all
-	// routing locks held no dual-write is between its two inserts
-	// anywhere, so journal state observed under (or after) the barrier
-	// is complete for everything written before it.
-	barrier := func(f func()) { fleetBarrier(routers, f) }
-	if err := lead.migrate(ctx, next, h, rep, barrier); err != nil {
-		abortAll()
-		return nil, err
+	if err := lead.migrate(ctx, next, rep); err != nil {
+		return abort(err)
 	}
-	if err := lead.fixPendingJoins(ctx, h); err != nil {
-		abortAll()
-		return nil, err
-	}
-	rep.Orphans = lead.reapOrphans(ctx, h, barrier)
-	for _, r := range routers {
-		r.CommitUpdate()
-	}
-	rep.SourcesFreed = lead.freeSources(ctx, h)
-	for _, r := range routers {
-		r.EndDrain()
-	}
+	// One barrier for the whole fleet: no router still reads by the old
+	// ring while another writes by the new one alone.
+	fleetBarrier(routers, func() {
+		for _, r := range routers {
+			r.cutover()
+		}
+	})
+	rep.SourcesFreed, _ = sweepFleet(ctx, routers)
 	lead.countMu.Lock()
 	lead.lastRep = rep
 	lead.countMu.Unlock()
@@ -393,24 +166,41 @@ func FleetRebalance(ctx context.Context, routers []*Router, next *Ring) (*Rebala
 }
 
 // fleetBarrier holds every router's exclusive routing lock at once,
-// runs f (may be nil), and releases. Lock order follows the slice;
-// nothing else ever holds two routers' locks, so this cannot deadlock.
+// runs f, and releases. Lock order follows the slice; nothing else ever
+// holds two routers' locks, so this cannot deadlock.
 func fleetBarrier(routers []*Router, f func()) {
 	for _, r := range routers {
 		r.mu.Lock()
 	}
-	if f != nil {
-		f()
-	}
+	f()
 	for i := len(routers) - 1; i >= 0; i-- {
 		routers[i].mu.Unlock()
 	}
 }
 
+// sweepFleet has the lead router delete every stray on the current ring
+// and, when that succeeded, tells every router that reads need no
+// ownership check any more.
+func sweepFleet(ctx context.Context, routers []*Router) (int, error) {
+	reaped, err := routers[0].hygieneSweep(ctx)
+	if err != nil {
+		return reaped, err
+	}
+	for _, r := range routers {
+		r.mu.Lock()
+		if r.next == nil {
+			r.strays = false
+		}
+		r.mu.Unlock()
+	}
+	return reaped, nil
+}
+
 // hygieneSweep deletes sharded rows sitting on a member that does not
-// own their key under the current ring — leftovers of a window that
-// aborted or crashed between copying and cutover. Steady state has
-// none, so the sweep is cheap when nothing went wrong.
+// own their key under the current ring: the old owners' copies after a
+// cutover, and whatever a window that aborted or crashed had copied.
+// Writes outside a window go to the key's owner only, so the sweep never
+// races a row being acked. Steady state has no strays.
 func (r *Router) hygieneSweep(ctx context.Context) (int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -423,27 +213,24 @@ func (r *Router) hygieneSweep(ctx context.Context) (int, error) {
 		if err != nil {
 			return reaped, err
 		}
-		snap, err := c.ExportCtx(ctx)
-		if err != nil {
-			return reaped, err
-		}
-		for _, ts := range snap.Tables {
-			if !r.sharded[ts.Spec.Name] {
+		for table := range r.sharded {
+			rows, err := c.SelectCtx(ctx, store.Query{Table: table})
+			if errors.Is(err, store.ErrNoTable) {
 				continue
 			}
+			if err != nil {
+				return reaped, err
+			}
 			var stray []int64
-			for _, row := range ts.Rows {
-				if r.ring.Owner(KeyForRow(ts.Spec.Name, row)).ID == m.ID {
+			for _, row := range rows {
+				if r.owns(m, table, row) {
 					continue
 				}
-				if id, ok := numericID(row[store.ID]); ok {
+				if id := store.RowID(row); id > 0 {
 					stray = append(stray, id)
 				}
 			}
-			if len(stray) == 0 {
-				continue
-			}
-			n, err := c.DeleteBatchCtx(ctx, ts.Spec.Name, stray)
+			n, err := c.DeleteBatchCtx(ctx, table, stray)
 			if err != nil {
 				return reaped, err
 			}
@@ -453,206 +240,54 @@ func (r *Router) hygieneSweep(ctx context.Context) (int, error) {
 	return reaped, nil
 }
 
-// migrate streams every moved key range to its new owner: per source
-// member, export, filter to rows whose owner changes (skipping rows the
-// dual-write journal already moved), rewrite colocated joins, and
-// import-merge into the target. Parent tables migrate before child
-// tables so join rewrites can resolve.
-func (r *Router) migrate(ctx context.Context, next *Ring, h *Handoff, rep *RebalanceReport, barrier func(func())) error {
-	cur := r.Ring()
-	for _, src := range cur.Members {
+// migrate copies every row whose owner changes to its new owner: per
+// current member and sharded table, read the rows the member owns, keep
+// those whose key the next ring gives to someone else, and import them
+// there under their IDs. The import skips IDs already present — rows a
+// dual-write delivered, on which live updates are being mirrored — so
+// re-sending is harmless and nothing needs remembering between steps.
+func (r *Router) migrate(ctx context.Context, next *Ring, rep *RebalanceReport) error {
+	// The routing lock is taken per call, as any operation takes it, not
+	// across the migration: a writer queued behind a long read hold would
+	// stall every router operation behind it.
+	locked := func(f func() error) error {
 		r.mu.RLock()
-		c, err := r.client(src)
-		r.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		snap, err := c.ExportCtx(ctx)
-		if err != nil {
-			return fmt.Errorf("export %s: %w", src.ID, err)
-		}
-		// Barrier: a dual-write whose source insert made the export
-		// registers its journal mapping before releasing its router's
-		// routing lock, so after the fleet-wide acquisition the journal
-		// covers every exported row that was dual-written.
-		barrier(nil)
-		for _, ts := range orderTables(snap.Tables) {
-			if !r.sharded[ts.Spec.Name] {
-				continue
-			}
-			if err := r.migrateTable(ctx, src, next, h, ts, rep); err != nil {
+		defer r.mu.RUnlock()
+		return f()
+	}
+	for _, src := range r.Ring().Members {
+		for table := range r.sharded {
+			var rows []store.Row
+			err := locked(func() (err error) {
+				rows, err = r.selectAt(ctx, src, store.Query{Table: table})
 				return err
-			}
-		}
-	}
-	return nil
-}
-
-// orderTables sorts a snapshot's tables parents-first so child join
-// rewrites find their parent's target IDs in the journal.
-func orderTables(tables []store.TableSnapshot) []store.TableSnapshot {
-	out := append([]store.TableSnapshot(nil), tables...)
-	rank := func(name string) int {
-		if _, isChild := joinColumns[name]; isChild {
-			return 1
-		}
-		return 0
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return rank(out[i].Spec.Name) < rank(out[j].Spec.Name)
-	})
-	return out
-}
-
-// migrateTable ships one table's moved rows off one source member,
-// grouped by target.
-func (r *Router) migrateTable(ctx context.Context, src Member, next *Ring, h *Handoff, ts store.TableSnapshot, rep *RebalanceReport) error {
-	table := ts.Spec.Name
-	j, isChild := joinColumns[table]
-	byTarget := make(map[string][]store.Row)
-	var targetOrder []string
-	for _, row := range ts.Rows {
-		id, ok := numericID(row[store.ID])
-		if !ok {
-			continue
-		}
-		if h.isTarget(src.ID, table, id) {
-			continue // someone else's handoff copy (shrink landed it here)
-		}
-		if _, moved := h.lookup(table, src.ID, id); moved {
-			continue // dual-written after the window opened; already on target
-		}
-		tgt := next.Owner(KeyForRow(table, row))
-		if tgt.ID == src.ID {
-			continue
-		}
-		clean := make(store.Row, len(row))
-		for k, v := range row {
-			clean[k] = v
-		}
-		if isChild {
-			if ref, ok := numericID(clean[j.column]); ok {
-				if tgtRef, ok := h.lookup(j.parent, src.ID, ref); ok {
-					clean[j.column] = float64(tgtRef)
-				}
-			}
-		}
-		if _, ok := byTarget[tgt.ID]; !ok {
-			targetOrder = append(targetOrder, tgt.ID)
-		}
-		byTarget[tgt.ID] = append(byTarget[tgt.ID], clean)
-	}
-	for _, tgtID := range targetOrder {
-		rows := byTarget[tgtID]
-		sub := store.Snapshot{Tables: []store.TableSnapshot{{Spec: ts.Spec, Rows: rows}}}
-		blob, err := json.Marshal(&sub)
-		if err != nil {
-			return err
-		}
-		r.mu.RLock()
-		tgtM, ok := r.ring.Member(tgtID)
-		if !ok {
-			tgtM, ok = Member{}, false
-			for _, m := range next.Members {
-				if m.ID == tgtID {
-					tgtM, ok = m, true
-					break
-				}
-			}
-		}
-		var tc *store.Client
-		if ok {
-			tc, err = r.client(tgtM)
-		} else {
-			err = fmt.Errorf("shard: unknown target %s", tgtID)
-		}
-		r.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		idmap, err := tc.ImportMergeCtx(ctx, blob)
-		if err != nil {
-			return fmt.Errorf("import %s → %s: %w", table, tgtID, err)
-		}
-		for oldID, newID := range idmap[table] {
-			h.mapRow(table, src.ID, oldID, newID)
-			h.noteTarget(tgtID, table, newID)
-		}
-		rep.KeysMoved += len(rows)
-		rep.BytesMoved += len(blob)
-		r.metrics.moved(len(rows), len(blob))
-	}
-	return nil
-}
-
-// fixPendingJoins resolves child rows dual-written before their parent
-// reached the target: the copy phase has since mapped every moved
-// parent, so the dangling references rewrite in place.
-func (r *Router) fixPendingJoins(ctx context.Context, h *Handoff) error {
-	for _, p := range h.takePending() {
-		j, ok := joinColumns[p.table]
-		if !ok {
-			continue
-		}
-		tgtRef, ok := h.lookup(j.parent, p.srcMember, p.parentRef)
-		if !ok {
-			continue // parent never landed (its write failed); nothing to point at
-		}
-		r.mu.RLock()
-		tc, ok := r.clients[p.tgtMember]
-		r.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("shard: no client for member %s", p.tgtMember)
-		}
-		if err := tc.UpdateCtx(ctx, p.table, p.tgtID, store.Row{j.column: float64(tgtRef)}); err != nil {
-			return fmt.Errorf("fix join %s/%d on %s: %w", p.table, p.tgtID, p.tgtMember, err)
-		}
-	}
-	return nil
-}
-
-// reapOrphans deletes unacked target copies (dual-writes that failed
-// between the two inserts) before cutover would make them visible. The
-// orphan set is computed under the fleet barrier: a dual-write caught
-// between its target and source inserts has a journal entry that looks
-// orphaned, so the barrier waits it out; writes starting after the
-// snapshot aren't in the set and can't be misreaped.
-func (r *Router) reapOrphans(ctx context.Context, h *Handoff, barrier func(func())) int {
-	var orphaned map[string]map[string][]int64
-	barrier(func() { orphaned = h.orphans() })
-	reaped := 0
-	for member, byTable := range orphaned {
-		r.mu.RLock()
-		c, ok := r.clients[member]
-		r.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		for table, ids := range byTable {
-			if n, err := c.DeleteBatchCtx(ctx, table, ids); err == nil {
-				reaped += n
-			}
-		}
-	}
-	return reaped
-}
-
-// freeSources deletes moved rows from their old owners after cutover.
-// Retired members are skipped — their engines are torn down whole.
-func (r *Router) freeSources(ctx context.Context, h *Handoff) int {
-	freed := 0
-	for table, byMember := range h.sources() {
-		for member, ids := range byMember {
-			r.mu.RLock()
-			c, ok := r.clients[member]
-			r.mu.RUnlock()
-			if !ok {
+			})
+			if errors.Is(err, store.ErrNoTable) {
 				continue
 			}
-			if n, err := c.DeleteBatchCtx(ctx, table, ids); err == nil {
-				freed += n
+			if err != nil {
+				return fmt.Errorf("read %s on %s: %w", table, src.ID, err)
+			}
+			moving := rows[:0]
+			for _, row := range rows {
+				if next.Owner(KeyForRow(table, row)).ID != src.ID {
+					moving = append(moving, row)
+				}
+			}
+			for _, g := range groupByOwner(next, table, moving) {
+				var n int
+				err := locked(func() (err error) {
+					n, err = r.importAt(ctx, g.member, table, g.rows)
+					return err
+				})
+				if err != nil {
+					return fmt.Errorf("import %s → %s: %w", table, g.member.ID, err)
+				}
+				rep.KeysMoved += len(g.rows)
+				rep.BytesMoved += n
+				r.metrics.moved(len(g.rows), n)
 			}
 		}
 	}
-	return freed
+	return nil
 }

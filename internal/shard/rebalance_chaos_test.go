@@ -20,15 +20,19 @@ import (
 //
 // "SIGKILL" here means: the persister is abandoned without Close (no
 // final sync, no detach — exactly the state a killed process leaves on
-// disk under FsyncAlways), the servers are torn down, and the router,
-// handoff journal, and RAM target shard all vanish with the process.
+// disk under FsyncAlways), the servers are torn down, and the router
+// and the RAM target shard vanish with the process. Nothing the window
+// needs lived in memory: which copy counts follows from the ring.
 func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	dir := t.TempDir()
 	netw := transport.NewInproc()
 	ctx := context.Background()
 
 	// Boot a 1-shard plane whose only member is durable.
-	db0 := store.NewDB()
+	db0, err := store.NewPlaneDB(0, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	measurement.RegisterStandardProcs(db0)
 	pers, err := history.Open(dir, db0, history.Options{
 		WAL: history.WALOptions{Fsync: history.FsyncAlways},
@@ -54,18 +58,21 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var acked []ackedRow
 	insertPair := func(job, domain string) {
 		t.Helper()
 		id, err := r.InsertCtx(ctx, "requests", reqRow(job, domain))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.InsertCtx(ctx, "responses", store.Row{
+		respID, err := r.InsertCtx(ctx, "responses", store.Row{
 			"job_id": job, "request_id": float64(id),
 			"url": "https://" + domain + "/p", "domain": domain,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		acked = append(acked, ackedRow{"requests", id, job}, ackedRow{"responses", respID, job})
 	}
 	jobs := map[string]string{}
 	for i := 0; i < 30; i++ {
@@ -75,7 +82,10 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	}
 
 	// Open a handoff window to a RAM-only second shard and start moving.
-	db1 := store.NewDB()
+	db1, err := store.NewPlaneDB(1, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	measurement.RegisterStandardProcs(db1)
 	lis1, err := netw.Listen("")
 	if err != nil {
@@ -83,14 +93,14 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	}
 	srv1 := store.NewServer(db1, lis1)
 	go srv1.Serve()
-	next := ring.Add(Member{ID: "shard-1", Addr: srv1.Addr()})
-	h := NewHandoff()
-	if err := r.BeginUpdate(next, h); err != nil {
+	next := ring.Add(Member{ID: "shard-1", Addr: srv1.Addr(), Ordinal: 1})
+	if err := r.BeginUpdate(next); err != nil {
 		t.Fatal(err)
 	}
 
-	// Mid-window traffic: dual-written pairs whose acked (source) copy
-	// lands in the WAL; the target copies only ever exist in RAM.
+	// Mid-window traffic: pairs written to both owners, whose copy on the
+	// current owner lands in the WAL — under an ID the RAM member minted;
+	// the copies on that member only ever exist in RAM.
 	for i := 0; i < 10; i++ {
 		job, domain := fmt.Sprintf("mid%d", i), fmt.Sprintf("shop%d.example.com", i)
 		insertPair(job, domain)
@@ -100,15 +110,14 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	// The copy phase runs to completion — rows now sit on both members —
 	// and then the process dies before reaping, cutover, or cleanup.
 	rep := &RebalanceReport{}
-	barrier := func(f func()) { fleetBarrier([]*Router{r}, f) }
-	if err := r.migrate(ctx, next, h, rep, barrier); err != nil {
+	if err := r.migrate(ctx, next, rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.KeysMoved == 0 {
 		t.Fatal("migration copied nothing; the crash point is not mid-move")
 	}
-	// SIGKILL: no pers.Close, no CommitUpdate, no freeSources. The WAL's
-	// file handle is simply abandoned, as a killed process would leave it.
+	// SIGKILL: no pers.Close, no cutover, no sweep. The WAL's file handle
+	// is simply abandoned, as a killed process would leave it.
 	r.Close()
 	srv0.Close()
 	srv1.Close()
@@ -116,7 +125,10 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	// Reboot shard-0 from disk. Replay must restore the full acked
 	// corpus: every pre-window pair and every mid-window source copy,
 	// original IDs intact so the request_id joins still resolve.
-	db0b := store.NewDB()
+	db0b, err := store.NewPlaneDB(0, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	measurement.RegisterStandardProcs(db0b)
 	pers2, err := history.Open(dir, db0b, history.Options{
 		WAL: history.WALOptions{Fsync: history.FsyncAlways},
@@ -131,10 +143,11 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 	}
 
 	p := &testPlane{
-		t:    t,
-		netw: netw,
-		dbs:  map[string]*store.DB{},
-		srvs: map[string]*store.Server{},
+		t:        t,
+		netw:     netw,
+		dbs:      map[string]*store.DB{},
+		srvs:     map[string]*store.Server{},
+		ordinals: 2, // 0 and 1 are spent: the dead member minted IDs that survive on shard-0
 	}
 	t.Cleanup(p.close)
 	lis0b, err := netw.Listen("")
@@ -163,7 +176,19 @@ func TestRebalanceChaosShardKilledMidMigration(t *testing.T) {
 		t.Fatal("post-recovery rebalance moved nothing")
 	}
 	checkExactlyOnce(t, p, next2, jobs, true)
+	checkAcked(t, "after recovery and regrow", r2, p, acked)
 	if n := p.dbs["shard-1"].Counts()["requests"]; n == 0 {
 		t.Fatal("recovered plane's grow put nothing on the new shard")
+	}
+	// The recovered engine resumes above every ID it has seen, including
+	// the ones the dead member minted: a fresh row collides with nothing.
+	id, err := r2.InsertCtx(ctx, "requests", reqRow("post", "shop-post.example.com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range acked {
+		if a.table == "requests" && a.id == id {
+			t.Fatalf("ID %d minted again after recovery (first acked for job %s)", id, a.job)
+		}
 	}
 }

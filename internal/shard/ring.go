@@ -4,8 +4,8 @@
 // Router implements the store client interface over the ring so
 // measurement servers, the coordinator, and the history pipeline are
 // untouched; and ring changes rebalance live, streaming moved key groups
-// through the snapshot Export/Import machinery while dual-writing in the
-// handoff window. Ring state replicates through the HA coordinator log
+// to their new owners under the IDs they already have while writes in the
+// handoff window land on both. Ring state replicates through the HA coordinator log
 // (the ring_update command) so a control-plane failover cannot forget
 // where the data lives.
 package shard
@@ -16,12 +16,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"pricesheriff/internal/store"
 )
 
 // Member is one store server on the ring.
 type Member struct {
 	ID   string `json:"id"`   // stable name, e.g. "shard-0"
 	Addr string `json:"addr"` // dialable store server address
+	// Ordinal is the stripe the member's engine mints row IDs from
+	// (store.NewPlaneDB): unique among all members the plane ever had, so
+	// a row keeps the ID it was acked under wherever it moves.
+	Ordinal int `json:"ordinal"`
 }
 
 // Ring is one immutable placement epoch: a seeded consistent-hash ring
@@ -61,8 +67,14 @@ func NewRing(seed int64, vnodes int, members []Member) *Ring {
 	return r
 }
 
-// DecodeRing unmarshals a ring from its wire form and rebuilds the
-// placement points (which never travel: they are derived state).
+// maxVNodes bounds the virtual nodes a decoded ring may ask for: the
+// points are built eagerly, and a ring_update must not size them.
+const maxVNodes = 1 << 12
+
+// DecodeRing unmarshals a ring from its wire form (the ring_update
+// payload), rejects one no plane could have produced — two members with
+// one ID or one ordinal, an ordinal outside the ID format — and rebuilds
+// the placement points (which never travel: they are derived state).
 func DecodeRing(raw []byte) (*Ring, error) {
 	var r Ring
 	if err := json.Unmarshal(raw, &r); err != nil {
@@ -71,8 +83,37 @@ func DecodeRing(raw []byte) (*Ring, error) {
 	if r.VNodes <= 0 {
 		r.VNodes = DefaultVNodes
 	}
+	if r.VNodes > maxVNodes {
+		return nil, fmt.Errorf("shard: decode ring: %d vnodes (max %d)", r.VNodes, maxVNodes)
+	}
+	if err := r.validate(); err != nil {
+		return nil, fmt.Errorf("shard: decode ring: %w", err)
+	}
+	sort.Slice(r.Members, func(i, j int) bool { return r.Members[i].ID < r.Members[j].ID })
 	r.build()
 	return &r, nil
+}
+
+// validate checks what routing and row identity rest on: member IDs are
+// distinct, and so are ordinals — two engines minting from one stripe
+// hand out the same row ID twice, and the copy that moves second is
+// taken for one already delivered.
+func (r *Ring) validate() error {
+	ids := make(map[string]bool, len(r.Members))
+	ordinals := make(map[int]string, len(r.Members))
+	for _, m := range r.Members {
+		if m.ID == "" || ids[m.ID] {
+			return fmt.Errorf("empty or duplicate member ID %q", m.ID)
+		}
+		if m.Ordinal < 0 || m.Ordinal > store.MaxOrdinal {
+			return fmt.Errorf("member %s has ordinal %d, outside [0, %d]", m.ID, m.Ordinal, store.MaxOrdinal)
+		}
+		if other, taken := ordinals[m.Ordinal]; taken {
+			return fmt.Errorf("members %s and %s share ordinal %d", other, m.ID, m.Ordinal)
+		}
+		ids[m.ID], ordinals[m.Ordinal] = true, m.ID
+	}
+	return nil
 }
 
 // Encode marshals the ring for replication; points are derived and
@@ -200,8 +241,7 @@ func (r *Ring) Remove(id string) *Ring {
 }
 
 // Shares reports each member's fraction of the hash space — the
-// theoretical key share, used by the status page and the scale replay's
-// skew model. Shares sum to 1.
+// theoretical key share, used by the status page. Shares sum to 1.
 func (r *Ring) Shares() map[string]float64 {
 	out := make(map[string]float64, len(r.Members))
 	if len(r.points) == 0 {

@@ -1,15 +1,17 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
 func members(n int) []Member {
 	out := make([]Member, n)
 	for i := range out {
-		out[i] = Member{ID: fmt.Sprintf("shard-%d", i), Addr: fmt.Sprintf("store-%d", i)}
+		out[i] = Member{ID: fmt.Sprintf("shard-%d", i), Addr: fmt.Sprintf("store-%d", i), Ordinal: i}
 	}
 	return out
 }
@@ -55,7 +57,7 @@ func TestRingEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Version != a.Version || b.Seed != a.Seed || b.VNodes != a.VNodes || len(b.Members) != len(a.Members) {
+	if b.Version != a.Version || b.Seed != a.Seed || b.VNodes != a.VNodes || !reflect.DeepEqual(b.Members, a.Members) {
 		t.Fatalf("round trip mangled ring: %+v vs %+v", b, a)
 	}
 	for _, k := range testKeys(200) {
@@ -156,4 +158,42 @@ func TestKeyForRowColocatesJoin(t *testing.T) {
 		t.Fatalf("request and response of one shop key differently: %q vs %q",
 			KeyForRow("requests", req), KeyForRow("responses", resp))
 	}
+}
+
+// FuzzDecodeRing feeds arbitrary bytes to the ring_update payload
+// decoder. Whatever the input it must not panic; a ring it accepts has
+// distinct member IDs and distinct, in-range ordinals (two engines
+// minting from one stripe would hand out the same row ID twice), places
+// keys, and survives Encode → DecodeRing unchanged.
+func FuzzDecodeRing(f *testing.F) {
+	f.Add(NewRing(7, 32, members(3)).Encode())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r, err := DecodeRing(raw)
+		if err != nil {
+			return
+		}
+		ids, ordinals := map[string]bool{}, map[int]bool{}
+		for _, m := range r.Members {
+			if m.ID == "" || ids[m.ID] || ordinals[m.Ordinal] || m.Ordinal < 0 || m.Ordinal >= 1<<16 {
+				t.Fatalf("accepted a ring with a bad or repeated member identity: %+v", r.Members)
+			}
+			ids[m.ID], ordinals[m.Ordinal] = true, true
+		}
+		if len(r.Members) > 0 {
+			if _, ok := r.Member(r.Owner("shop1.example.com").ID); !ok {
+				t.Fatal("decoded ring places a key on a member it does not have")
+			}
+			if r.Home().ID > r.Members[len(r.Members)-1].ID {
+				t.Fatal("Home is not the lowest member ID")
+			}
+		}
+		enc := r.Encode()
+		again, err := DecodeRing(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an encoded ring: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("ring does not round-trip:\n%s\n%s", enc, again.Encode())
+		}
+	})
 }

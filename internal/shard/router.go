@@ -3,9 +3,9 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"pricesheriff/internal/store"
@@ -25,24 +25,20 @@ type Options struct {
 	ShardedTables []string
 }
 
-// join declares a cross-table numeric reference inside one key group.
-// Because KeyForRow colocates parent and child rows on one shard, the
-// reference never dangles across shards — but a rebalance reassigns the
-// parent's row ID on the target, so moved children are rewritten.
-type join struct{ column, parent string }
-
-// joinColumns: responses.request_id → requests._id, the one join of the
-// measurement corpus.
-var joinColumns = map[string]join{
-	"responses": {column: "request_id", parent: "requests"},
-}
-
 // Router implements the store client interface (store.Conn) over a
 // consistent-hash ring of store servers. Keyed writes route to the
 // owner shard; batches split per shard and fan out; keyless range
-// queries scatter-gather. During a ring change (BeginUpdate →
-// CommitUpdate) the router dual-writes moved keys to their old and new
-// owners so the migration can stream history underneath live traffic.
+// queries scatter-gather. Row IDs are minted once, from the stripe of
+// whichever engine first stores the row, and never change: a row that
+// moves to another shard moves under its ID, so references between rows
+// (responses.request_id → requests._id) survive any ring change as
+// written. During a ring change (BeginUpdate → cutover) the router writes
+// moved keys to their old and new owners so the migration can stream
+// history underneath live traffic.
+//
+// One rule decides which copy of a sharded row counts: the one on the
+// owner of the row's key under the router's current ring. Any other copy
+// is invisible to reads and is what the hygiene sweep deletes.
 type Router struct {
 	fabric    transport.Network
 	poolSize  int
@@ -53,11 +49,14 @@ type Router struct {
 	// mu guards the routing epoch. Every operation holds it shared for
 	// the whole call, so BeginUpdate's exclusive acquisition is a
 	// barrier: once it returns, no in-flight single-ring write remains.
-	mu      sync.RWMutex
-	ring    *Ring
-	next    *Ring    // non-nil while a handoff window is open
-	handoff *Handoff // shared dual-write journal during the window
-	drain   *Handoff // after cutover, until moved source copies are freed
+	mu   sync.RWMutex
+	ring *Ring
+	next *Ring // non-nil while a handoff window is open
+	// strays is set while members of the current ring may hold copies
+	// they do not own — a window is open, or a cutover or abort has not
+	// been swept yet — and reads apply the ownership rule. Steady state
+	// has no such copies and skips the check.
+	strays  bool
 	clients map[string]*store.Client
 	specs   []store.TableSpec // tables created through this router, in order
 
@@ -77,6 +76,9 @@ func NewRouter(fabric transport.Network, ring *Ring, opts Options) (*Router, err
 	tables := opts.ShardedTables
 	if tables == nil {
 		tables = DefaultShardedTables
+	}
+	if err := ring.validate(); err != nil {
+		return nil, fmt.Errorf("shard: ring v%d: %w", ring.Version, err)
 	}
 	r := &Router{
 		fabric:    fabric,
@@ -163,15 +165,17 @@ func retryable(ctx context.Context, err error) bool {
 	return err != nil && ctx.Err() == nil && !transport.IsRemote(err)
 }
 
+// owns applies the ownership rule: m holds the copy of row that counts
+// when m owns the row's key under the current ring. Callers hold r.mu.
+func (r *Router) owns(m Member, table string, row store.Row) bool {
+	return r.ring.Owner(KeyForRow(table, row)).ID == m.ID
+}
+
 // CreateTableCtx creates the table on every shard of the current (and,
 // mid-handoff, the next) ring, tolerating shards that already have it.
 func (r *Router) CreateTableCtx(ctx context.Context, spec store.TableSpec) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.createTableLocked(ctx, spec)
-}
-
-func (r *Router) createTableLocked(ctx context.Context, spec store.TableSpec) error {
 	known := false
 	for _, s := range r.specs {
 		if s.Name == spec.Name {
@@ -183,7 +187,7 @@ func (r *Router) createTableLocked(ctx context.Context, spec store.TableSpec) er
 		r.specs = append(r.specs, spec)
 	}
 	for id, c := range r.clients {
-		if err := c.CreateTableCtx(ctx, spec); err != nil && !isExistsErr(err) {
+		if err := c.CreateTableCtx(ctx, spec); err != nil && !errors.Is(err, store.ErrTableExists) {
 			return fmt.Errorf("shard: create %s on %s: %w", spec.Name, id, err)
 		}
 	}
@@ -193,14 +197,8 @@ func (r *Router) createTableLocked(ctx context.Context, spec store.TableSpec) er
 	return nil
 }
 
-func isExistsErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "already exists")
-}
-
 // InsertCtx routes one row to its owner shard. During a handoff window
-// a row whose owner changes is dual-written: target first (so a crash
-// can only orphan an unacked copy, never lose an acked row), source
-// second; the source row ID is the acked identity.
+// a row whose owner changes is written to both (see InsertBatchCtx).
 func (r *Router) InsertCtx(ctx context.Context, table string, row store.Row) (int64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -208,29 +206,15 @@ func (r *Router) InsertCtx(ctx context.Context, table string, row store.Row) (in
 		return r.insertAt(ctx, r.ring.Home(), table, row)
 	}
 	key := KeyForRow(table, row)
-	src := r.ring.Owner(key)
-	if r.next != nil {
-		if tgt := r.next.Owner(key); tgt.ID != src.ID {
-			trow, parentRef, unresolved := r.remapJoin(table, src.ID, row)
-			tid, err := r.insertAt(ctx, tgt, table, trow)
-			if err != nil {
-				return 0, err
-			}
-			r.handoff.noteTarget(tgt.ID, table, tid)
-			if unresolved {
-				r.handoff.notePending(table, src.ID, tgt.ID, tid, parentRef)
-			}
-			sid, err := r.insertAt(ctx, src, table, row)
-			if err != nil {
-				// The target copy is an unacked orphan; the next
-				// rebalance's hygiene sweep reaps it.
-				return 0, err
-			}
-			r.handoff.mapRow(table, src.ID, sid, tid)
-			return sid, nil
+	owner := r.ring.Owner(key)
+	if r.next != nil && r.next.Owner(key).ID != owner.ID {
+		ids, err := r.insertRows(ctx, table, []store.Row{row})
+		if err != nil {
+			return 0, err
 		}
+		return ids[0], nil
 	}
-	return r.insertAt(ctx, src, table, row)
+	return r.insertAt(ctx, owner, table, row)
 }
 
 func (r *Router) insertAt(ctx context.Context, m Member, table string, row store.Row) (int64, error) {
@@ -245,45 +229,6 @@ func (r *Router) insertAt(ctx context.Context, m Member, table string, row store
 		id, err = c.InsertCtx(ctx, table, row)
 	}
 	return id, err
-}
-
-// remapJoin rewrites a child row's parent reference for the target
-// shard: the parent moved with the same key group, and its target copy
-// has a fresh row ID recorded in the handoff journal. When the parent
-// hasn't reached the target yet, the source reference is kept and
-// reported unresolved so the migration's late-join pass can fix it once
-// the parent's target ID is known.
-func (r *Router) remapJoin(table, srcMemberID string, row store.Row) (_ store.Row, parentRef int64, unresolved bool) {
-	j, ok := joinColumns[table]
-	if !ok || r.handoff == nil {
-		return row, 0, false
-	}
-	srcID, ok := numericID(row[j.column])
-	if !ok {
-		return row, 0, false
-	}
-	tgtID, ok := r.handoff.lookup(j.parent, srcMemberID, srcID)
-	if !ok {
-		return row, srcID, true
-	}
-	out := make(store.Row, len(row))
-	for k, v := range row {
-		out[k] = v
-	}
-	out[j.column] = tgtID
-	return out, 0, false
-}
-
-func numericID(v any) (int64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return x, x > 0
-	case int:
-		return int64(x), x > 0
-	case float64:
-		return int64(x), x > 0
-	}
-	return 0, false
 }
 
 // InsertBatchCtx splits a batch by owner shard and fans the pieces out,
@@ -306,138 +251,124 @@ func (r *Router) InsertBatchCtx(ctx context.Context, table string, rows []store.
 		r.recordOp(r.ring.Home().ID, "insert_batch")
 		return c.InsertBatchCtx(ctx, table, rows)
 	}
+	return r.insertRows(ctx, table, rows)
+}
 
-	// Group rows by source owner, remembering input positions.
-	type group struct {
-		member Member
-		rows   []store.Row
-		pos    []int
-	}
-	groups := make(map[string]*group)
-	var order []string
+// rowGroup is the part of a batch bound for one member.
+type rowGroup struct {
+	member Member
+	rows   []store.Row
+	pos    []int // each row's index in the slice that was split
+}
+
+// groupByOwner splits rows by their owner on ring, in first-seen order.
+func groupByOwner(ring *Ring, table string, rows []store.Row) []*rowGroup {
+	byID := make(map[string]*rowGroup)
+	var groups []*rowGroup
 	for i, row := range rows {
-		m := r.ring.Owner(KeyForRow(table, row))
-		g, ok := groups[m.ID]
+		m := ring.Owner(KeyForRow(table, row))
+		g, ok := byID[m.ID]
 		if !ok {
-			g = &group{member: m}
-			groups[m.ID] = g
-			order = append(order, m.ID)
+			g = &rowGroup{member: m}
+			byID[m.ID] = g
+			groups = append(groups, g)
 		}
 		g.rows = append(g.rows, row)
 		g.pos = append(g.pos, i)
 	}
+	return groups
+}
 
-	ids := make([]int64, len(rows))
-	var applied []func() // compensations for applied pieces
-	undo := func() {
-		for _, f := range applied {
-			f()
-		}
+// insertRows writes a batch of sharded rows; callers hold r.mu. Each row
+// is inserted on the owner of its key under the newest ring — the next
+// one while a window is open — whose engine mints its ID. A row whose
+// owner differs on the current ring is then copied there under the same
+// ID, and only then acked: the copy on the current owner is the one reads
+// see until cutover, the other the one they see after, and neither leg
+// ever needs the other's ID translated. A failure on either leg deletes
+// what the call already stored, so an unacked row leaves no copy behind.
+func (r *Router) insertRows(ctx context.Context, table string, rows []store.Row) ([]int64, error) {
+	newest := r.ring
+	if r.next != nil {
+		newest = r.next
 	}
-	for _, gid := range order {
-		g := groups[gid]
-		// Dual-write the moving subset to its new owners first. A grow
-		// window moves a source's keys to one new member, but a shrink
-		// window fans them out across survivors, so moving rows regroup
-		// by target.
-		if r.next != nil {
-			type moveGroup struct {
-				member     Member
-				rows       []store.Row
-				srcIdx     []int   // index into g.rows
-				unresolved []int64 // parent ref per row; 0 = resolved
-			}
-			moves := make(map[string]*moveGroup)
-			var moveOrder []string
-			for i, row := range g.rows {
-				t := r.next.Owner(KeyForRow(table, row))
-				if t.ID == g.member.ID {
-					continue
-				}
-				mg, ok := moves[t.ID]
-				if !ok {
-					mg = &moveGroup{member: t}
-					moves[t.ID] = mg
-					moveOrder = append(moveOrder, t.ID)
-				}
-				trow, parentRef, unresolved := r.remapJoin(table, g.member.ID, row)
-				if !unresolved {
-					parentRef = 0
-				}
-				mg.rows = append(mg.rows, trow)
-				mg.srcIdx = append(mg.srcIdx, i)
-				mg.unresolved = append(mg.unresolved, parentRef)
-			}
-			if len(moves) > 0 {
-				// tids[i] is the target copy ID of g.rows[i] (0 = not moved).
-				tids := make([]int64, len(g.rows))
-				for _, tid := range moveOrder {
-					mg := moves[tid]
-					tc, err := r.client(mg.member)
-					if err != nil {
-						undo()
-						return nil, err
-					}
-					r.recordOp(mg.member.ID, "insert_batch")
-					got, err := tc.InsertBatchCtx(ctx, table, mg.rows)
-					if err != nil {
-						undo()
-						return nil, err
-					}
-					for i, id := range got {
-						r.handoff.noteTarget(mg.member.ID, table, id)
-						tids[mg.srcIdx[i]] = id
-						if ref := mg.unresolved[i]; ref > 0 {
-							r.handoff.notePending(table, g.member.ID, mg.member.ID, id, ref)
-						}
-					}
-					tgtM, gotCopy := mg.member, got
-					applied = append(applied, func() { r.compensate(tgtM, table, gotCopy) })
-				}
-				c, err := r.client(g.member)
-				if err != nil {
-					undo()
-					return nil, err
-				}
-				r.recordOp(g.member.ID, "insert_batch")
-				sids, err := c.InsertBatchCtx(ctx, table, g.rows)
-				if err != nil {
-					undo()
-					return nil, err
-				}
-				for i, sid := range sids {
-					ids[g.pos[i]] = sid
-					if tids[i] > 0 {
-						r.handoff.mapRow(table, g.member.ID, sid, tids[i])
-					}
-				}
-				member, sidsCopy := g.member, sids
-				applied = append(applied, func() { r.compensate(member, table, sidsCopy) })
-				continue
-			}
+	ids := make([]int64, len(rows))
+	type piece struct {
+		member Member
+		ids    []int64
+	}
+	var applied []piece
+	fail := func(err error) ([]int64, error) {
+		for _, p := range applied {
+			r.compensate(p.member, table, p.ids)
 		}
+		return nil, err
+	}
+	for _, g := range groupByOwner(newest, table, rows) {
 		c, err := r.client(g.member)
 		if err != nil {
-			undo()
-			return nil, err
+			return fail(err)
 		}
 		r.recordOp(g.member.ID, "insert_batch")
 		got, err := c.InsertBatchCtx(ctx, table, g.rows)
 		if err != nil {
-			undo()
-			return nil, err
+			return fail(err)
 		}
 		for i, id := range got {
 			ids[g.pos[i]] = id
 		}
-		member, gotCopy := g.member, got
-		applied = append(applied, func() { r.compensate(member, table, gotCopy) })
+		applied = append(applied, piece{g.member, got})
+	}
+	if r.next == nil {
+		return ids, nil
+	}
+	var copies []store.Row // the moving rows, each with the ID it was given
+	var copyIDs []int64
+	for i, row := range rows {
+		key := KeyForRow(table, row)
+		if r.ring.Owner(key).ID == r.next.Owner(key).ID {
+			continue
+		}
+		cp := make(store.Row, len(row)+1)
+		for k, v := range row {
+			cp[k] = v
+		}
+		cp[store.ID] = float64(ids[i])
+		copies, copyIDs = append(copies, cp), append(copyIDs, ids[i])
+	}
+	for _, g := range groupByOwner(r.ring, table, copies) {
+		gids := make([]int64, len(g.pos))
+		for i, p := range g.pos {
+			gids[i] = copyIDs[p]
+		}
+		// Deleting by ID is harmless where the copy never landed, so the
+		// piece counts as applied before the attempt.
+		applied = append(applied, piece{g.member, gids})
+		if _, err := r.importAt(ctx, g.member, table, g.rows); err != nil {
+			return fail(err)
+		}
 	}
 	return ids, nil
 }
 
-// compensate best-effort deletes rows applied by a failed cross-shard
-// batch; the context is fresh because the caller's may already be dead.
+// importAt stores rows on a member under the IDs they carry (absent IDs
+// only), returning the bytes shipped; callers hold r.mu.
+func (r *Router) importAt(ctx context.Context, m Member, table string, rows []store.Row) (int, error) {
+	c, err := r.client(m)
+	if err != nil {
+		return 0, err
+	}
+	blob, err := json.Marshal(rows)
+	if err != nil {
+		return 0, err
+	}
+	r.recordOp(m.ID, "import_rows")
+	_, err = c.ImportRowsCtx(ctx, table, blob)
+	return len(blob), err
+}
+
+// compensate best-effort deletes rows applied by a failed batch; the
+// context is fresh because the caller's may already be dead.
 func (r *Router) compensate(m Member, table string, ids []int64) {
 	c, err := r.client(m)
 	if err != nil {
@@ -448,10 +379,10 @@ func (r *Router) compensate(m Member, table string, ids []int64) {
 	c.DeleteBatchCtx(ctx, table, ids)
 }
 
-// GetCtx fetches a row by ID. Row IDs are shard-local, so the router
-// probes shards in ring order and returns the first owner-side match;
-// probes past the first count as misroutes. Handoff target copies are
-// skipped — the source row is the acked identity until cutover.
+// GetCtx fetches a row by ID. An ID says which engine minted the row, not
+// where it lives now, so the router probes shards in ring order; probes
+// past the first count as misroutes. Nothing in production fetches a
+// sharded row by ID, which is why IDs do not pay for encoding a placement.
 func (r *Router) GetCtx(ctx context.Context, table string, id int64) (store.Row, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -459,7 +390,8 @@ func (r *Router) GetCtx(ctx context.Context, table string, id int64) (store.Row,
 	return row, err
 }
 
-// findRow locates (row, member) by probing; callers hold r.mu.
+// findRow locates (row, member) by probing, skipping copies the
+// ownership rule rules out; callers hold r.mu.
 func (r *Router) findRow(ctx context.Context, table string, id int64) (store.Row, Member, error) {
 	if !r.sharded[table] {
 		m := r.ring.Home()
@@ -471,66 +403,50 @@ func (r *Router) findRow(ctx context.Context, table string, id int64) (store.Row
 		row, err := c.GetCtx(ctx, table, id)
 		return row, m, err
 	}
-	var lastErr error = store.ErrNoRow
 	for probe, m := range r.ring.Members {
-		if r.handoff != nil && r.handoff.isTarget(m.ID, table, id) {
-			continue
-		}
-		if r.drain != nil && r.drain.isSource(table, m.ID, id) {
-			continue // stale moved copy awaiting post-cutover cleanup
-		}
 		c, err := r.client(m)
 		if err != nil {
 			return nil, Member{}, err
 		}
 		r.recordOp(m.ID, "get")
 		row, err := c.GetCtx(ctx, table, id)
-		if err == nil {
+		if err == nil && (!r.strays || r.owns(m, table, row)) {
 			r.metrics.misroute(probe)
 			return row, m, nil
 		}
-		if !isNoRowErr(err) {
+		if err != nil && !errors.Is(err, store.ErrNoRow) {
 			return nil, Member{}, err
 		}
-		lastErr = err
 	}
-	return nil, Member{}, lastErr
-}
-
-func isNoRowErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "no such row")
+	return nil, Member{}, store.ErrNoRow
 }
 
 // UpdateCtx merges updates into a row located by probing (see GetCtx).
-// During a handoff window the update is mirrored onto the row's target
-// copy so the migrated data converges.
+// During a handoff window the update is mirrored onto the row's copy on
+// its next owner so the migrated data converges.
 func (r *Router) UpdateCtx(ctx context.Context, table string, id int64, updates store.Row) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, m, err := r.findRow(ctx, table, id)
-	if err != nil {
-		return err
-	}
-	c, err := r.client(m)
-	if err != nil {
-		return err
-	}
-	r.recordOp(m.ID, "update")
-	if err := c.UpdateCtx(ctx, table, id, updates); err != nil {
-		return err
-	}
-	r.mirror(ctx, table, m.ID, id, func(c *store.Client, tgtID int64) error {
-		return c.UpdateCtx(ctx, table, tgtID, updates)
+	return r.mutate(ctx, "update", table, id, func(c *store.Client) error {
+		return c.UpdateCtx(ctx, table, id, updates)
 	})
-	return nil
 }
 
-// DeleteCtx removes a row located by probing, mirroring onto its target
-// copy during a handoff window.
+// DeleteCtx removes a row located by probing, mirroring onto its next
+// owner's copy during a handoff window.
 func (r *Router) DeleteCtx(ctx context.Context, table string, id int64) error {
+	return r.mutate(ctx, "delete", table, id, func(c *store.Client) error {
+		return c.DeleteCtx(ctx, table, id)
+	})
+}
+
+// mutate applies a by-ID op to the row's authoritative copy and, while a
+// window is open, to the copy under the same ID on the next ring's owner
+// of the row's key. That copy may not exist yet — the migration has not
+// streamed the row — which is not an error: the stream reads the source
+// after this op.
+func (r *Router) mutate(ctx context.Context, method, table string, id int64, op func(*store.Client) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, m, err := r.findRow(ctx, table, id)
+	row, m, err := r.findRow(ctx, table, id)
 	if err != nil {
 		return err
 	}
@@ -538,48 +454,32 @@ func (r *Router) DeleteCtx(ctx context.Context, table string, id int64) error {
 	if err != nil {
 		return err
 	}
-	r.recordOp(m.ID, "delete")
-	if err := c.DeleteCtx(ctx, table, id); err != nil {
+	r.recordOp(m.ID, method)
+	if err := op(c); err != nil {
 		return err
 	}
-	r.mirror(ctx, table, m.ID, id, func(c *store.Client, tgtID int64) error {
-		return c.DeleteCtx(ctx, table, tgtID)
-	})
+	if r.next == nil || !r.sharded[table] {
+		return nil
+	}
+	tgt := r.next.Owner(KeyForRow(table, row))
+	if tgt.ID == m.ID {
+		return nil
+	}
+	tc, err := r.client(tgt)
+	if err != nil {
+		return err
+	}
+	r.recordOp(tgt.ID, method)
+	if err := op(tc); err != nil && !errors.Is(err, store.ErrNoRow) {
+		return fmt.Errorf("shard: mirror %s %s/%d onto %s: %w", method, table, id, tgt.ID, err)
+	}
 	return nil
-}
-
-// mirror applies an op to the target copy of a journaled row; callers
-// hold r.mu.
-func (r *Router) mirror(ctx context.Context, table, srcMemberID string, srcID int64, op func(*store.Client, int64) error) {
-	if r.next == nil || r.handoff == nil {
-		return
-	}
-	tgtID, ok := r.handoff.lookup(table, srcMemberID, srcID)
-	if !ok {
-		return
-	}
-	srcM, ok := r.ring.Member(srcMemberID)
-	if !ok {
-		return
-	}
-	// The target is wherever the row's key lands on the next ring; derive
-	// it from any member change. The journal only holds moved rows, so
-	// the owner on the next ring is by construction not the source.
-	for _, m := range r.next.Members {
-		if m.ID == srcM.ID {
-			continue
-		}
-		if tc, ok := r.clients[m.ID]; ok && r.handoff.isTarget(m.ID, table, tgtID) {
-			op(tc, tgtID)
-			return
-		}
-	}
 }
 
 // SelectCtx routes a keyed query to its owner shard and scatter-gathers
 // keyless ones across the ring, merging with the query's order and
-// limit. During a handoff window scattered reads skip target copies so
-// a dual-written row is never returned twice.
+// limit. While strays may exist, scattered reads keep only the copy the
+// ownership rule names, so a row on two members is never returned twice.
 func (r *Router) SelectCtx(ctx context.Context, q store.Query) ([]store.Row, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -608,23 +508,16 @@ func (r *Router) SelectCtx(ctx context.Context, q store.Query) ([]store.Row, err
 	}
 
 	// Scatter: each shard evaluates the query (shipping its own Limit as
-	// an upper bound), the router merges.
+	// an upper bound — unless strays would eat into it), the router merges.
+	sq := q
+	if r.strays {
+		sq.Limit = 0
+	}
 	var merged []store.Row
 	for _, m := range r.ring.Members {
-		c, err := r.client(m)
+		rows, err := r.selectAt(ctx, m, sq)
 		if err != nil {
 			return nil, err
-		}
-		r.recordOp(m.ID, "select")
-		rows, err := c.SelectCtx(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		if r.handoff != nil {
-			rows = r.handoff.filterTargets(m.ID, q.Table, rows)
-		}
-		if r.drain != nil {
-			rows = r.drain.filterSources(m.ID, q.Table, rows)
 		}
 		merged = append(merged, rows...)
 	}
@@ -632,9 +525,9 @@ func (r *Router) SelectCtx(ctx context.Context, q store.Query) ([]store.Row, err
 		col, desc := q.OrderBy, q.Desc
 		sort.SliceStable(merged, func(i, j int) bool {
 			if desc {
-				return lessRowValues(merged[j][col], merged[i][col])
+				return store.LessValues(merged[j][col], merged[i][col])
 			}
-			return lessRowValues(merged[i][col], merged[j][col])
+			return store.LessValues(merged[i][col], merged[j][col])
 		})
 	}
 	if q.Limit > 0 && len(merged) > q.Limit {
@@ -643,29 +536,25 @@ func (r *Router) SelectCtx(ctx context.Context, q store.Query) ([]store.Row, err
 	return merged, nil
 }
 
-// lessRowValues mirrors the engine's ordering: numbers before strings,
-// missing values first.
-func lessRowValues(a, b any) bool {
-	af, aNum := a.(float64)
-	bf, bNum := b.(float64)
-	switch {
-	case a == nil:
-		return b != nil
-	case b == nil:
-		return false
-	case aNum && bNum:
-		return af < bf
-	case aNum:
-		return true
-	case bNum:
-		return false
+// selectAt runs a query over a sharded table on one member and returns
+// the rows that count there; callers hold r.mu.
+func (r *Router) selectAt(ctx context.Context, m Member, q store.Query) ([]store.Row, error) {
+	c, err := r.client(m)
+	if err != nil {
+		return nil, err
 	}
-	as, aStr := a.(string)
-	bs, bStr := b.(string)
-	if aStr && bStr {
-		return as < bs
+	r.recordOp(m.ID, "select")
+	rows, err := c.SelectCtx(ctx, q)
+	if err != nil || !r.strays {
+		return rows, err
 	}
-	return fmt.Sprintf("%v", a) < fmt.Sprintf("%v", b)
+	kept := rows[:0]
+	for _, row := range rows {
+		if r.owns(m, q.Table, row) {
+			kept = append(kept, row)
+		}
+	}
+	return kept, nil
 }
 
 // MergeFunc folds the per-shard results of a fanned-out stored
@@ -874,18 +763,14 @@ func (r *Router) CountsByShard(ctx context.Context) (map[string]map[string]int, 
 }
 
 // ExportCtx downloads a merged snapshot of the whole plane: unsharded
-// tables from the Home shard, sharded tables concatenated with row IDs
-// reassigned per table and the responses→requests join rewritten per
-// source shard (the same fix-up the admin UI's import applies).
+// tables from the Home shard, sharded tables gathered from every member
+// and put in ID order. Rows keep their IDs, so the joins between them hold
+// in the snapshot as they do in the plane.
 func (r *Router) ExportCtx(ctx context.Context) (*store.Snapshot, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	merged := &store.Snapshot{}
 	tableIdx := make(map[string]int)
-	nextID := make(map[string]int64)
-	// idMap[table][memberID][oldID] = newID, for the join rewrite below.
-	idMap := make(map[string]map[string]map[int64]int64)
-
 	home := r.ring.Home()
 	for _, m := range r.ring.Members {
 		c, err := r.client(m)
@@ -908,54 +793,21 @@ func (r *Router) ExportCtx(ctx context.Context) (*store.Snapshot, error) {
 				tableIdx[name] = ti
 				merged.Tables = append(merged.Tables, store.TableSnapshot{Spec: ts.Spec})
 			}
+			mt := &merged.Tables[ti]
+			if ts.MaxID > mt.MaxID {
+				mt.MaxID = ts.MaxID
+			}
 			for _, row := range ts.Rows {
-				oldID, _ := numericID(row[store.ID])
-				if r.handoff != nil && r.handoff.isTarget(m.ID, name, oldID) {
-					continue // skip in-flight handoff copies
+				if r.strays && r.sharded[name] && !r.owns(m, name, row) {
+					continue
 				}
-				if r.drain != nil && r.drain.isSource(name, m.ID, oldID) {
-					continue // skip moved copies awaiting cleanup
-				}
-				nextID[name]++
-				clean := make(store.Row, len(row))
-				for k, v := range row {
-					clean[k] = v
-				}
-				clean[store.ID] = float64(nextID[name])
-				merged.Tables[ti].Rows = append(merged.Tables[ti].Rows, clean)
-				if oldID > 0 {
-					mm := idMap[name]
-					if mm == nil {
-						mm = make(map[string]map[int64]int64)
-						idMap[name] = mm
-					}
-					if mm[m.ID] == nil {
-						mm[m.ID] = make(map[int64]int64)
-					}
-					mm[m.ID][oldID] = nextID[name]
-					// Tag the row's origin so the join rewrite below can
-					// resolve the shard-local parent ID; stripped after.
-					clean["__shard"] = m.ID
-				}
+				mt.Rows = append(mt.Rows, row)
 			}
 		}
 	}
-	// Rewrite joins: a child's parent ID is local to the shard both rows
-	// came from (key groups colocate), so resolve through that shard's
-	// ID map.
-	for ti := range merged.Tables {
-		name := merged.Tables[ti].Spec.Name
-		j, isChild := joinColumns[name]
-		for _, row := range merged.Tables[ti].Rows {
-			if isChild {
-				if oldRef, ok := numericID(row[j.column]); ok {
-					origin, _ := row["__shard"].(string)
-					if newRef, ok := idMap[j.parent][origin][oldRef]; ok {
-						row[j.column] = float64(newRef)
-					}
-				}
-			}
-			delete(row, "__shard")
+	for _, mt := range merged.Tables {
+		if rows := mt.Rows; r.sharded[mt.Spec.Name] {
+			sort.Slice(rows, func(i, j int) bool { return store.RowID(rows[i]) < store.RowID(rows[j]) })
 		}
 	}
 	return merged, nil

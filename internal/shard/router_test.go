@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -17,10 +18,11 @@ var (
 
 // testPlane is a fleet of store servers on one in-process fabric.
 type testPlane struct {
-	t    *testing.T
-	netw *transport.Inproc
-	dbs  map[string]*store.DB
-	srvs map[string]*store.Server
+	t        *testing.T
+	netw     *transport.Inproc
+	dbs      map[string]*store.DB
+	srvs     map[string]*store.Server
+	ordinals int // next engine ordinal; never reused, as core issues them
 }
 
 func newTestPlane(t *testing.T, ids ...string) (*testPlane, []Member) {
@@ -41,7 +43,12 @@ func newTestPlane(t *testing.T, ids ...string) (*testPlane, []Member) {
 
 func (p *testPlane) addShard(id string) Member {
 	p.t.Helper()
-	db := store.NewDB()
+	m := Member{ID: id, Ordinal: p.ordinals}
+	p.ordinals++
+	db, err := store.NewPlaneDB(m.Ordinal, store.Options{})
+	if err != nil {
+		p.t.Fatal(err)
+	}
 	measurement.RegisterStandardProcs(db)
 	lis, err := p.netw.Listen("")
 	if err != nil {
@@ -51,7 +58,8 @@ func (p *testPlane) addShard(id string) Member {
 	go srv.Serve()
 	p.dbs[id] = db
 	p.srvs[id] = srv
-	return Member{ID: id, Addr: srv.Addr()}
+	m.Addr = srv.Addr()
+	return m
 }
 
 func (p *testPlane) close() {
@@ -75,6 +83,12 @@ func (p *testPlane) router(ring *Ring) *Router {
 		p.t.Fatal(err)
 	}
 	return r
+}
+
+// numericID reads a numeric column as an ID (ok when positive).
+func numericID(v any) (int64, bool) {
+	f, _ := v.(float64)
+	return int64(f), f > 0
 }
 
 func reqRow(job, domain string) store.Row {
@@ -238,14 +252,18 @@ func TestRouterProcFanoutMerges(t *testing.T) {
 	}
 }
 
-func TestRouterExportMergeRewritesJoin(t *testing.T) {
+// TestRouterExportPreservesIDsAndJoins: a merged export carries every row
+// under the ID it was acked under, in ID order, so the responses →
+// requests join holds in the snapshot exactly as it was written.
+func TestRouterExportPreservesIDsAndJoins(t *testing.T) {
 	p, ms := newTestPlane(t, "shard-0", "shard-1")
 	ring := NewRing(42, 32, ms)
 	r := p.router(ring)
 	ctx := context.Background()
 
-	type pair struct{ reqID, respID int64 }
-	pairs := map[string]pair{}
+	reqJob := map[int64]string{}  // acked request ID → job
+	respJob := map[int64]string{} // acked response ID → job
+	reqOf := map[string]int64{}
 	for i := 0; i < 10; i++ {
 		job := fmt.Sprintf("j%d", i)
 		domain := fmt.Sprintf("shop%d.example.com", i)
@@ -260,37 +278,72 @@ func TestRouterExportMergeRewritesJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs[job] = pair{reqID, respID}
+		if reqJob[reqID] != "" || respJob[respID] != "" {
+			t.Fatalf("two shards minted the same ID: request %d / response %d", reqID, respID)
+		}
+		reqJob[reqID], respJob[respID], reqOf[job] = job, job, reqID
 	}
 
 	snap, err := r.ExportCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqByNewID := map[int64]string{} // merged request ID → job
-	var respRows []store.Row
 	for _, ts := range snap.Tables {
-		switch ts.Spec.Name {
-		case "requests":
-			for _, row := range ts.Rows {
-				id, _ := numericID(row[store.ID])
-				reqByNewID[id] = row["job_id"].(string)
+		want := map[string]map[int64]string{"requests": reqJob, "responses": respJob}[ts.Spec.Name]
+		if want == nil {
+			continue
+		}
+		if len(ts.Rows) != len(want) {
+			t.Fatalf("merged export has %d %s, want %d", len(ts.Rows), ts.Spec.Name, len(want))
+		}
+		var prev int64
+		for _, row := range ts.Rows {
+			id, _ := numericID(row[store.ID])
+			if want[id] != row["job_id"] {
+				t.Fatalf("%s row %d exported as job %v, acked as %q", ts.Spec.Name, id, row["job_id"], want[id])
 			}
-		case "responses":
-			respRows = append(respRows, ts.Rows...)
+			if id <= prev {
+				t.Fatalf("%s export out of ID order: %d after %d", ts.Spec.Name, id, prev)
+			}
+			prev = id
+			if ts.Spec.Name == "responses" {
+				if ref, _ := numericID(row["request_id"]); ref != reqOf[want[id]] {
+					t.Fatalf("response of %s references request %d, written as %d", want[id], ref, reqOf[want[id]])
+				}
+			}
 		}
 	}
-	if len(reqByNewID) != 10 || len(respRows) != 10 {
-		t.Fatalf("merged export has %d requests / %d responses, want 10/10", len(reqByNewID), len(respRows))
+}
+
+// TestRouterKeepsStoreErrorIdentity: the store's sentinels match with
+// errors.Is after crossing the RPC boundary and the router.
+func TestRouterKeepsStoreErrorIdentity(t *testing.T) {
+	p, ms := newTestPlane(t, "shard-0", "shard-1")
+	r := p.router(NewRing(42, 32, ms))
+	ctx := context.Background()
+
+	if _, err := r.InsertCtx(ctx, "requests", reqRow("dup", "shop1.example.com")); err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range respRows {
-		ref, ok := numericID(row["request_id"])
-		if !ok {
-			t.Fatalf("response %v lost its request_id", row)
+	_, dupErr := r.InsertCtx(ctx, "requests", reqRow("dup", "shop1.example.com"))
+	_, rowErr := r.GetCtx(ctx, "requests", 1<<40)
+	_, tableErr := r.InsertCtx(ctx, "no_such_table", store.Row{"x": 1})
+	for _, c := range []struct {
+		name      string
+		got, want error
+	}{
+		{"duplicate unique key", dupErr, store.ErrDupUnique},
+		{"missing row", rowErr, store.ErrNoRow},
+		{"missing table", tableErr, store.ErrNoTable},
+		{"existing table", r.CreateTableCtx(ctx, reqSpec), store.ErrTableExists},
+	} {
+		if !errors.Is(c.got, c.want) {
+			t.Errorf("%s: got %v, want errors.Is %v", c.name, c.got, c.want)
 		}
-		if reqByNewID[ref] != row["job_id"] {
-			t.Fatalf("join broken in merged export: response job %v references request job %v",
-				row["job_id"], reqByNewID[ref])
+		for _, other := range []error{store.ErrDupUnique, store.ErrNoRow, store.ErrNoTable, store.ErrTableExists} {
+			if other != c.want && errors.Is(c.got, other) {
+				t.Errorf("%s: %v also matches %v", c.name, c.got, other)
+			}
 		}
 	}
 }

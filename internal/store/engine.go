@@ -55,8 +55,13 @@ type Engine interface {
 	Scan(from, to int64, fn func(id int64, row Row) bool) error
 	// Count returns the live row count.
 	Count() int64
-	// MaxID returns the highest ID ever stored (0 when none) — the
-	// auto-increment watermark a reopened table resumes from.
+	// MaxID returns the highest ID ever stored under this table (0 when
+	// none), whether this engine minted it or it arrived with a row from
+	// another shard, and whether or not that row is still here. A
+	// reopened table mints above it, so deleting or moving a row away
+	// never frees its ID: a persistent engine must keep the value with its
+	// files; a RAM engine gets it back from WAL replay and the
+	// checkpoint's max_id.
 	MaxID() int64
 	// Flush makes every applied mutation durable (no-op for RAM engines).
 	Flush() error

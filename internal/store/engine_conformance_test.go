@@ -302,7 +302,7 @@ func TestConformanceSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A disk-origin snapshot must import cleanly into a RAM-only DB
-		// (the router's import_merge path onto an extra shard).
+		// (a foreign snapshot landing on a RAM-only deployment).
 		dst := store.NewDB()
 		defer dst.Close()
 		if _, err := dst.Import(strings.NewReader(buf.String())); err != nil {

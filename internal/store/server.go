@@ -98,11 +98,12 @@ type (
 	countsResp struct {
 		Tables map[string]int `json:"tables"`
 	}
-	importMergeReq struct {
-		Snapshot json.RawMessage `json:"snapshot"`
+	importRowsReq struct {
+		Table string          `json:"table"`
+		Rows  json.RawMessage `json:"rows"`
 	}
-	importMergeResp struct {
-		IDs IDMap `json:"ids"`
+	importRowsResp struct {
+		Stored int `json:"stored"`
 	}
 )
 
@@ -187,16 +188,20 @@ func NewServer(db *DB, lis transport.Listener) *Server {
 	s.handle("counts", func(json.RawMessage) (any, error) {
 		return &countsResp{Tables: db.Counts()}, nil
 	})
-	s.handle("import_merge", func(raw json.RawMessage) (any, error) {
-		var req importMergeReq
+	s.handle("import_rows", func(raw json.RawMessage) (any, error) {
+		var req importRowsReq
 		if err := json.Unmarshal(raw, &req); err != nil {
 			return nil, err
 		}
-		idmap, err := db.ImportMerge(bytes.NewReader(req.Snapshot))
+		var rows []Row
+		if err := json.Unmarshal(req.Rows, &rows); err != nil {
+			return nil, err
+		}
+		n, err := db.ImportRows(req.Table, rows)
 		if err != nil {
 			return nil, err
 		}
-		return &importMergeResp{IDs: idmap}, nil
+		return &importRowsResp{Stored: n}, nil
 	})
 	s.handle("export", func(json.RawMessage) (any, error) {
 		var buf bytes.Buffer
@@ -388,16 +393,16 @@ func (c *Client) ExportCtx(ctx context.Context) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// ImportMergeCtx merges a snapshot (the Export JSON form) into the
-// server's database, returning the per-table old→new row ID assignment.
-// The shard rebalancer streams moved key ranges through this call.
-func (c *Client) ImportMergeCtx(ctx context.Context, snapshot []byte) (IDMap, error) {
-	req := importMergeReq{Snapshot: snapshot}
-	var resp importMergeResp
-	if err := c.pool.CallCtx(ctx, "store.import_merge", req, &resp); err != nil {
-		return nil, err
+// ImportRowsCtx mirrors DB.ImportRows for rows already encoded as a JSON
+// array (the caller counts the bytes it ships): each lands under the ID
+// it carries unless that ID is present. The shard router's dual-writes
+// and the rebalance stream move rows between a plane's engines with it.
+func (c *Client) ImportRowsCtx(ctx context.Context, table string, rowsJSON []byte) (int, error) {
+	var resp importRowsResp
+	if err := c.pool.CallCtx(ctx, "store.import_rows", &importRowsReq{Table: table, Rows: rowsJSON}, &resp); err != nil {
+		return 0, err
 	}
-	return resp.IDs, nil
+	return resp.Stored, nil
 }
 
 // Close releases the connection pool.

@@ -17,10 +17,13 @@ type Snapshot struct {
 	Tables []TableSnapshot `json:"tables"`
 }
 
-// TableSnapshot is one table's spec and rows.
+// TableSnapshot is one table's spec and rows. MaxID is the highest ID the
+// table ever stored: rows that were deleted or moved to another shard are
+// not in Rows, and ImportReplay must not mint their IDs again.
 type TableSnapshot struct {
-	Spec TableSpec `json:"spec"`
-	Rows []Row     `json:"rows"`
+	Spec  TableSpec `json:"spec"`
+	MaxID int64     `json:"max_id,omitempty"`
+	Rows  []Row     `json:"rows"`
 }
 
 // IDMap records how an import reassigned row IDs: table → old ID → new
@@ -76,6 +79,7 @@ func (db *DB) export(w io.Writer, skipDiskRows bool) error {
 			continue
 		}
 		spec := t.spec
+		maxID := t.eng.MaxID()
 		skipRows := skipDiskRows && spec.Engine == EngineDisk
 		db.mu.RUnlock()
 
@@ -91,7 +95,7 @@ func (db *DB) export(w io.Writer, skipDiskRows bool) error {
 		if err := enc.Encode(&spec); err != nil {
 			return err
 		}
-		if _, err := io.WriteString(w, `,"rows":[`); err != nil {
+		if _, err := fmt.Fprintf(w, `,"max_id":%d,"rows":[`, maxID); err != nil {
 			return err
 		}
 		if !skipRows {
@@ -260,6 +264,11 @@ func (db *DB) ImportReplay(r io.Reader) error {
 				return fmt.Errorf("store: replay %s: %w", ts.Spec.Name, err)
 			}
 		}
+		db.mu.Lock()
+		if t := db.tables[ts.Spec.Name]; ts.MaxID >= t.nextID {
+			t.nextID = db.idAfter(ts.MaxID)
+		}
+		db.mu.Unlock()
 	}
 	return nil
 }

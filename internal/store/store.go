@@ -28,15 +28,25 @@ type Row map[string]any
 // table.
 const ID = "_id"
 
-// Errors returned by the engine.
+// Errors returned by the engine. Each carries a wire code
+// (transport.RPCCoder), so errors.Is matches it on the far side of a
+// store RPC — and through the shard router — as it does in process.
 var (
-	ErrNoTable     = errors.New("store: no such table")
-	ErrTableExists = errors.New("store: table already exists")
-	ErrNoRow       = errors.New("store: no such row")
-	ErrDupUnique   = errors.New("store: unique index violation")
-	ErrNoProc      = errors.New("store: no such stored procedure")
-	ErrBadQuery    = errors.New("store: bad query")
+	ErrNoTable     error = &codedError{"store: no such table", "store_no_table"}
+	ErrTableExists error = &codedError{"store: table already exists", "store_table_exists"}
+	ErrNoRow       error = &codedError{"store: no such row", "store_no_row"}
+	ErrDupUnique   error = &codedError{"store: unique index violation", "store_dup_unique"}
+	ErrNoProc            = errors.New("store: no such stored procedure")
+	ErrBadQuery          = errors.New("store: bad query")
+	// ErrIDExhausted reports that a table's ID sequence ran out (see
+	// NewPlaneDB for the budget). IDs never wrap.
+	ErrIDExhausted = errors.New("store: row ID sequence exhausted")
 )
+
+type codedError struct{ msg, code string }
+
+func (e *codedError) Error() string   { return e.msg }
+func (e *codedError) RPCCode() string { return e.code }
 
 // TableSpec declares a table: its name, optional secondary indexes and
 // optional unique indexes (all single-column), and optionally which
@@ -134,7 +144,26 @@ type DB struct {
 	hook   CommitHook
 	opts   Options
 	disk   map[string]bool // Options.DiskTables, as a set
+	// IDs this engine mints are seq*stride + ordinal, seq = 1, 2, 3, …: a
+	// standalone DB is (stride 1, ordinal 0) and mints 1, 2, 3; the
+	// engines of one plane share planeStride and differ in ordinal, so
+	// no two of them ever mint the same ID (see NewPlaneDB).
+	stride, ordinal int64
 }
+
+// A plane engine's IDs keep the ordinal in the low ordinalBits bits and
+// the per-table sequence above them, below 2^53 because IDs travel as
+// float64 in a Row: 65,535 engines ever added to a plane, and 2^37
+// (1.4e11) IDs per table — the sequence of every engine follows the
+// highest ID it has stored, so that is a bound on rows ever inserted
+// into one table across the plane, not per engine.
+const (
+	ordinalBits = 16
+	planeStride = 1 << ordinalBits
+	// MaxOrdinal is the highest ordinal a plane engine can take.
+	MaxOrdinal = planeStride - 1
+	maxRowID   = 1<<53 - 1
+)
 
 // SetCommitHook installs (or, with nil, removes) the commit observer.
 func (db *DB) SetCommitHook(h CommitHook) {
@@ -160,11 +189,36 @@ func NewDBOptions(opts Options) *DB {
 		procs:  make(map[string]Proc),
 		opts:   opts,
 		disk:   make(map[string]bool, len(opts.DiskTables)),
+		stride: 1,
 	}
 	for _, name := range opts.DiskTables {
 		db.disk[name] = true
 	}
 	return db
+}
+
+// NewPlaneDB creates the engine of one member of a sharded plane. The
+// ordinal is the member's identity in every ID it mints: it must be
+// unique among all engines the plane has ever had, including retired
+// ones, because their rows live on wherever they migrated.
+func NewPlaneDB(ordinal int, opts Options) (*DB, error) {
+	if ordinal < 0 || ordinal > MaxOrdinal {
+		return nil, fmt.Errorf("store: plane ordinal %d out of range [0, %d]: the plane's engine budget is spent", ordinal, MaxOrdinal)
+	}
+	db := NewDBOptions(opts)
+	db.stride, db.ordinal = planeStride, int64(ordinal)
+	return db, nil
+}
+
+// Seq returns the sequence half of an ID minted by a plane engine: 1 for
+// the first row of a table, 2 for the second, whatever the ordinal.
+func Seq(id int64) int64 { return id >> ordinalBits }
+
+// idAfter returns the ID this engine mints once max is the highest ID
+// its table has stored: the first of its own stripe in the next sequence
+// step, so it is above every ID seen, minted here or not.
+func (db *DB) idAfter(max int64) int64 {
+	return (max/db.stride+1)*db.stride + db.ordinal
 }
 
 // openEngine resolves and opens the engine for a new table: an explicit
@@ -217,7 +271,7 @@ func (db *DB) CreateTable(spec TableSpec) error {
 	t := &table{
 		spec:    spec,
 		eng:     eng,
-		nextID:  eng.MaxID() + 1,
+		nextID:  db.idAfter(eng.MaxID()),
 		indexes: make(map[string]map[string][]int64),
 		unique:  make(map[string]map[string]int64),
 	}
@@ -361,11 +415,14 @@ func (db *DB) Insert(tableName string, row Row) (int64, error) {
 		}
 	}
 	id := t.nextID
+	if id > maxRowID {
+		return 0, fmt.Errorf("%w: table %s", ErrIDExhausted, tableName)
+	}
 	r[ID] = float64(id)
 	if _, err := t.eng.Put(id, r); err != nil {
 		return 0, err
 	}
-	t.nextID++
+	t.nextID += db.stride
 	t.addToIndexes(id, r, false)
 	db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: copyRow(r)})
 	return id, nil
@@ -410,6 +467,9 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 			seen[key] = true
 		}
 	}
+	if t.nextID+int64(len(norm)-1)*db.stride > maxRowID {
+		return nil, fmt.Errorf("%w: table %s", ErrIDExhausted, tableName)
+	}
 	ids := make([]int64, len(norm))
 	for i, r := range norm {
 		id := t.nextID
@@ -417,7 +477,7 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 		if _, err := t.eng.Put(id, r); err != nil {
 			return nil, err
 		}
-		t.nextID++
+		t.nextID += db.stride
 		t.addToIndexes(id, r, false)
 		ids[i] = id
 		db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: copyRow(r)})
@@ -425,32 +485,85 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 	return ids, nil
 }
 
-// InsertWithID adds a row under an explicit ID — the WAL-replay path,
-// where preserving original IDs keeps cross-table references intact. A
-// row already stored under the ID is replaced (replay is idempotent); a
-// unique-index conflict with a *different* row is still an error.
+// InsertWithID stores a row under an ID that was minted before — by this
+// engine (WAL replay) or by another engine of the same plane (a row
+// moving between shards) — so the row keeps its identity and every
+// reference to it stays valid. A row already stored under the ID is
+// replaced (replay is idempotent); a unique-index conflict with a
+// *different* row is still an error. The table's watermark rises past
+// the ID, so this engine never mints an ID at or below one it has seen.
 func (db *DB) InsertWithID(tableName string, id int64, row Row) error {
-	if id <= 0 {
-		return fmt.Errorf("%w: id %d", ErrBadQuery, id)
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[tableName]
 	if !ok {
 		return ErrNoTable
 	}
+	_, err := db.putWithID(t, id, row, true)
+	return err
+}
+
+// ImportRows stores rows under the IDs they carry unless a row with that
+// ID is already present — how rows arrive from another engine of the
+// plane: the second leg of a dual-write, and the rebalance stream, which
+// may re-send what a dual-write already delivered and must not overwrite
+// the copy live updates are being mirrored onto. It returns how many rows
+// were stored. Rows before a failing one stay applied (callers delete by
+// ID to compensate; re-sending is harmless).
+func (db *DB) ImportRows(tableName string, rows []Row) (int, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t, ok := db.tables[tableName]
+	if !ok {
+		return 0, ErrNoTable
+	}
+	stored := 0
+	for _, row := range rows {
+		ok, err := db.putWithID(t, RowID(row), row, false)
+		if err != nil {
+			return stored, fmt.Errorf("store: import %s: %w", tableName, err)
+		}
+		if ok {
+			stored++
+		}
+	}
+	return stored, nil
+}
+
+// RowID reads a row's ID column (0 when absent or not a number).
+func RowID(r Row) int64 {
+	switch x := r[ID].(type) {
+	case float64:
+		return int64(x)
+	case int64:
+		return x
+	case int:
+		return int64(x)
+	}
+	return 0
+}
+
+// putWithID is InsertWithID under the write lock; with replace false an
+// occupied ID is left as it is and reported as not stored.
+func (db *DB) putWithID(t *table, id int64, row Row, replace bool) (bool, error) {
+	if id <= 0 || id > maxRowID {
+		return false, fmt.Errorf("%w: id %d", ErrBadQuery, id)
+	}
+	old, existed, err := t.eng.Get(id)
+	if err != nil {
+		return false, err
+	}
+	if existed && !replace {
+		return false, nil
+	}
 	r := normalize(row)
 	delete(r, ID)
 	for col, idx := range t.unique {
 		if v, ok := r[col]; ok {
 			if other, dup := idx[canon(v)]; dup && other != id {
-				return fmt.Errorf("%w: %s=%v", ErrDupUnique, col, v)
+				return false, fmt.Errorf("%w: %s=%v", ErrDupUnique, col, v)
 			}
 		}
-	}
-	old, existed, err := t.eng.Get(id)
-	if err != nil {
-		return err
 	}
 	if existed {
 		// Replace: unhook the old row from every index.
@@ -458,14 +571,14 @@ func (db *DB) InsertWithID(tableName string, id int64, row Row) error {
 	}
 	r[ID] = float64(id)
 	if _, err := t.eng.Put(id, r); err != nil {
-		return err
+		return false, err
 	}
 	if id >= t.nextID {
-		t.nextID = id + 1
+		t.nextID = db.idAfter(id)
 	}
 	t.addToIndexes(id, r, true)
-	db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: copyRow(r)})
-	return nil
+	db.commit(Op{Kind: OpInsert, Table: t.spec.Name, ID: id, Row: copyRow(r)})
+	return true, nil
 }
 
 // Get fetches a row by ID; the returned row is a copy.
@@ -770,9 +883,9 @@ func (db *DB) Select(q Query) ([]Row, error) {
 	if q.OrderBy != "" {
 		col := q.OrderBy
 		sort.SliceStable(out, func(i, j int) bool {
-			less := lessValues(out[i][col], out[j][col])
+			less := LessValues(out[i][col], out[j][col])
 			if q.Desc {
-				return lessValues(out[j][col], out[i][col])
+				return LessValues(out[j][col], out[i][col])
 			}
 			return less
 		})
@@ -824,9 +937,9 @@ func inRanges(r Row, num map[string]Range) bool {
 	return true
 }
 
-// lessValues orders numbers before strings, numbers numerically, strings
-// lexicographically; missing values sort first.
-func lessValues(a, b any) bool {
+// LessValues is the ordering of OrderBy: numbers before strings, numbers
+// numerically, strings lexicographically; missing values sort first.
+func LessValues(a, b any) bool {
 	af, aNum := a.(float64)
 	bf, bNum := b.(float64)
 	switch {
