@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build lint test race chaos bench bench-crypto bench-rpc bench-store experiments experiments-full fmt vet clean
+.PHONY: build lint test race chaos bench bench-hot bench-crypto bench-rpc bench-store experiments experiments-full fmt vet clean
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Micro-benchmarks of the three per-copy stages of a check (parse a page
+# copy, diff it against the initiator's page, store its row). Supporting
+# evidence only: they say where a change acts, not what it buys — that is
+# the whole-check benchmark's call (bench/, BENCHMARK.json).
+bench-hot:
+	$(GO) test -run '^$$' -bench 'ParseMallPage|Diff|InsertBatch' -benchmem -count 5 ./internal/htmlx ./internal/measurement ./internal/store
 
 # Measure the crypto substrate (fixed-base / multi-exp fast paths vs the
 # scalar ablation) and refresh the machine-readable record.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pricesheriff/internal/store"
 	"pricesheriff/internal/store/diskengine"
+	"pricesheriff/internal/transport"
 )
 
 // diskDB builds a DB whose "points" table lives on the disk engine under
@@ -149,5 +151,80 @@ func TestDiskTableCrashReplayIdempotent(t *testing.T) {
 	}
 	if r, err := db2.Get("points", 8); err != nil || r["n"] != float64(7) {
 		t.Fatalf("row 8 = %v, %v", r, err)
+	}
+}
+
+// TestWALFromStoredRowsReplays: the commit hook is shown the stored row
+// itself — for a row that arrived in a request frame, the very map the
+// frame was decoded into — and has marshalled it by the time it returns.
+// The log written that way must rebuild the same rows on either engine,
+// also for rows updated or deleted after the hook saw them.
+func TestWALFromStoredRowsReplays(t *testing.T) {
+	for _, tc := range []struct{ engine, table string }{{"mem", "hot"}, {"disk", "points"}} {
+		t.Run(tc.engine, func(t *testing.T) {
+			dir := t.TempDir()
+			db := diskDB(dir)
+			p, err := Open(dir, db, Options{WAL: WALOptions{Fsync: FsyncOff}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CreateTable(store.TableSpec{Name: tc.table, Index: []string{"job_id"}}); err != nil {
+				t.Fatal(err)
+			}
+			netw := transport.NewInproc()
+			lis, _ := netw.Listen("")
+			srv := store.NewServer(db, lis)
+			go srv.Serve()
+			defer srv.Close()
+			cli, err := store.Dial(netw, srv.Addr(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+
+			var batch []store.Row
+			for i := 0; i < 5; i++ {
+				batch = append(batch, store.Row{"job_id": "job-1", "source": fmt.Sprintf("ipc-%d", i), "request_id": int64(7), "amount": 9.5 + float64(i)})
+			}
+			ids, err := cli.InsertBatch(tc.table, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Insert(tc.table, store.Row{"job_id": "job-2", "source": "ppc", "ok": true, "note": nil}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Insert(tc.table, store.Row{"job_id": "job-2", "source": "local", "n": 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cli.Update(tc.table, ids[1], store.Row{"amount": 1.25}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cli.Delete(tc.table, ids[3]); err != nil {
+				t.Fatal(err)
+			}
+			want, err := db.Select(store.Query{Table: tc.table})
+			if err != nil || len(want) != 6 {
+				t.Fatalf("live rows: %d, err %v", len(want), err)
+			}
+			// Crash: the log is closed, the engines are not flushed.
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db2 := diskDB(dir)
+			p2, err := Open(dir, db2, Options{WAL: WALOptions{Fsync: FsyncOff}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p2.Close()
+			defer db2.Close()
+			got, err := db2.Select(store.Query{Table: tc.table})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("replayed rows differ from the rows that were logged:\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }

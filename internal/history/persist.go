@@ -155,6 +155,8 @@ func applyOp(db *store.DB, op store.Op) error {
 
 // onCommit runs synchronously under the DB's write lock, giving the log
 // the same total order as the store. It must not call back into the DB.
+// op.Row is the stored row, lent for the length of the call
+// (store.CommitHook): it is marshalled here and not referenced afterwards.
 func (p *Persister) onCommit(op store.Op) {
 	payload, err := json.Marshal(op)
 	if err != nil {

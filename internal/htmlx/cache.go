@@ -10,8 +10,8 @@ import (
 //
 //   - parsed DOMs, keyed by (domain, content hash) — pages fetched from
 //     different vantage points frequently share the store's template
-//     byte-for-byte, and every vantage answer for the same product is
-//     parsed by both the extraction and the diff stage;
+//     byte-for-byte, so one extraction parse serves every such copy of a
+//     check and of the checks that follow it;
 //   - Tags-Path resolution tiers, keyed by (domain, path fingerprint) —
 //     once a store's template is known to resolve on the relaxed or
 //     fingerprint tier, later checks skip the walks that are known to
@@ -22,10 +22,20 @@ import (
 type Cache struct {
 	mu   sync.Mutex
 	seed maphash.Seed
-	docs *lruMap[uint64, *Node]
+	docs *lruMap[uint64, cachedDoc]
 	tier *lruMap[uint64, int]
 
 	stats CacheStats
+}
+
+// cachedDoc is a parsed page together with the bytes it was parsed from.
+// The hash only finds the entry; a hit is an entry whose source equals the
+// request's (a tree is a function of its source alone), so a hash
+// collision is a miss and never another page's tree. The source costs
+// nothing to keep: the tree's strings are views of it.
+type cachedDoc struct {
+	src string
+	doc *Node
 }
 
 // CacheStats counts cache traffic; read a snapshot via Stats.
@@ -48,7 +58,7 @@ func NewCache(docCap, tierCap int) *Cache {
 	}
 	return &Cache{
 		seed: maphash.MakeSeed(),
-		docs: newLRUMap[uint64, *Node](docCap),
+		docs: newLRUMap[uint64, cachedDoc](docCap),
 		tier: newLRUMap[uint64, int](tierCap),
 	}
 }
@@ -90,10 +100,10 @@ func (c *Cache) Parse(domain, src string) *Node {
 	}
 	k := c.key(domain, src)
 	c.mu.Lock()
-	if doc, ok := c.docs.get(k); ok {
+	if e, ok := c.docs.get(k); ok && e.src == src {
 		c.stats.DocHits++
 		c.mu.Unlock()
-		return doc
+		return e.doc
 	}
 	c.stats.DocMisses++
 	c.mu.Unlock()
@@ -101,7 +111,7 @@ func (c *Cache) Parse(domain, src string) *Node {
 	// parse on a race is harmless (last writer wins).
 	doc := Parse(src)
 	c.mu.Lock()
-	c.docs.put(k, doc)
+	c.docs.put(k, cachedDoc{src: src, doc: doc})
 	c.mu.Unlock()
 	return doc
 }

@@ -41,3 +41,14 @@ func TestCacheHitPathZeroAlloc(t *testing.T) {
 		t.Errorf("tier-hinted Locate allocates %.1f times, want 0", locateAllocs)
 	}
 }
+
+// TestParseMallPageAllocs: a parse is its three slabs plus the document's
+// own needs (entity-decoded strings, an attribute list past the inline
+// scratch), not an allocation per node.
+func TestParseMallPageAllocs(t *testing.T) {
+	page := mallPages(t)[0]
+	allocs := testing.AllocsPerRun(100, func() { Parse(page) })
+	if allocs > 12 {
+		t.Errorf("Parse of a %d-byte mall page allocates %.1f times, want <= 12", len(page), allocs)
+	}
+}

@@ -139,12 +139,61 @@ var impliedEnd = map[string][]string{
 
 // Parse builds a DOM tree from src. It never fails: malformed input
 // degrades into text nodes and auto-closed elements.
+//
+// The tree is built out of three per-document slabs, sized exactly by a
+// counting pass over the tokens: every Node, every Attr and every
+// Children window live in one allocation each. A tree is immutable once
+// returned; Attrs and Children are capacity-clipped, so a caller that
+// appends to one gets a copy instead of a neighbour's slots. Holding any
+// node keeps the whole document (and src, which Tag, Text and attribute
+// strings are views of) reachable.
 func Parse(src string) *Node {
-	doc := &Node{Type: DocumentNode}
-	stack := []*Node{doc}
-	top := func() *Node { return stack[len(stack)-1] }
+	var attrBuf [8]Attr
+	z := Tokenizer{src: src, scratch: attrBuf[:0]}
+	nNodes, nAttrs := 1, 0 // the document node
+	for {
+		tok, ok := z.Next()
+		if !ok {
+			break
+		}
+		switch tok.Type {
+		case TextToken:
+			if tok.Data != "" {
+				nNodes++
+			}
+		case CommentToken:
+			nNodes++
+		case StartTagToken, SelfClosingTagToken:
+			nNodes++
+			nAttrs += len(tok.Attrs)
+		}
+	}
+	nodes := make([]Node, 1, nNodes)
+	attrs := make([]Attr, 0, nAttrs)
+	kids := make([]*Node, nNodes-1)
 
-	z := NewTokenizer(src)
+	doc := &nodes[0]
+	doc.Type = DocumentNode
+	var stackBuf [32]*Node
+	stack := append(stackBuf[:0], doc)
+	// add places a node under the innermost open element. Nodes land in
+	// the slab in document order; until the tree is linked below,
+	// len(Children) is only a child count (the window it is taken over is a
+	// placeholder).
+	add := func(typ NodeType, tag, text string, tokAttrs []Attr) *Node {
+		p := stack[len(stack)-1]
+		p.Children = kids[:len(p.Children)+1]
+		nodes = append(nodes, Node{Type: typ, Tag: tag, Text: text, Parent: p})
+		n := &nodes[len(nodes)-1]
+		if len(tokAttrs) > 0 {
+			at := len(attrs)
+			attrs = append(attrs, tokAttrs...)
+			n.Attrs = attrs[at:len(attrs):len(attrs)]
+		}
+		return n
+	}
+
+	z = Tokenizer{src: src, scratch: z.scratch}
 	for {
 		tok, ok := z.Next()
 		if !ok {
@@ -155,29 +204,23 @@ func Parse(src string) *Node {
 			if tok.Data == "" {
 				continue
 			}
-			top().Children = append(top().Children, &Node{
-				Type: TextNode, Text: tok.Data, Parent: top(),
-			})
+			add(TextNode, "", tok.Data, nil)
 		case CommentToken:
-			top().Children = append(top().Children, &Node{
-				Type: CommentNode, Text: tok.Data, Parent: top(),
-			})
+			add(CommentNode, "", tok.Data, nil)
 		case DoctypeToken:
 			// dropped: the tree does not model doctypes
 		case SelfClosingTagToken:
-			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			top().Children = append(top().Children, el)
+			add(ElementNode, tok.Data, "", tok.Attrs)
 		case StartTagToken:
 			if closes, ok := impliedEnd[tok.Data]; ok {
 				for _, c := range closes {
-					if top().Tag == c {
+					if stack[len(stack)-1].Tag == c {
 						stack = stack[:len(stack)-1]
 						break
 					}
 				}
 			}
-			el := &Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs, Parent: top()}
-			top().Children = append(top().Children, el)
+			el := add(ElementNode, tok.Data, "", tok.Attrs)
 			if !voidTags[tok.Data] {
 				stack = append(stack, el)
 			}
@@ -191,6 +234,20 @@ func Parse(src string) *Node {
 				}
 			}
 		}
+	}
+
+	// Link: give every parent its exact window of the child slab, then fill
+	// the windows in document order.
+	off := 0
+	for i := range nodes {
+		if k := len(nodes[i].Children); k > 0 {
+			nodes[i].Children = kids[off : off : off+k]
+			off += k
+		}
+	}
+	for i := 1; i < len(nodes); i++ {
+		p := nodes[i].Parent
+		p.Children = append(p.Children, &nodes[i])
 	}
 	return doc
 }

@@ -6,7 +6,8 @@ import (
 
 // FuzzParse exercises the tokenizer and tree builder on arbitrary bytes:
 // the watchdog parses pages served by parties it does not control, so
-// Parse must be total — no panics, and render/parse must preserve text.
+// Parse must be total — no panics, render/parse must preserve text, and
+// the slab-built tree must equal the reference builder's node for node.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -27,6 +28,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		doc := Parse(src)
+		sameTree(t, src, doc, referenceParse(src), nil)
 		re := Parse(Render(doc))
 		if doc.InnerText() != re.InnerText() {
 			t.Fatalf("render/parse text mismatch for %q", src)

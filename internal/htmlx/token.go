@@ -82,6 +82,11 @@ type Tokenizer struct {
 	// pending raw-text element name; when set, the next token is everything
 	// up to its close tag.
 	rawTag string
+	// scratch, when non-nil, backs the Attrs of every token, so a token's
+	// Attrs are only good until the next call. Parse sets it and copies
+	// the attributes out; NewTokenizer leaves it nil, and tokens handed
+	// out by the public API never alias each other.
+	scratch []Attr
 }
 
 // NewTokenizer returns a Tokenizer over src.
@@ -287,7 +292,10 @@ func (z *Tokenizer) tag() Token {
 		selfClosing = true
 		inner = inner[:len(inner)-1]
 	}
-	name, attrs := parseTagBody(inner)
+	name, attrs := parseTagBody(inner, z.scratch)
+	if z.scratch != nil {
+		z.scratch = attrs[:0] // keep the grown buffer
+	}
 	if name == "" {
 		// "<>" or "< 3": not a tag; emit as text to stay lossless.
 		return Token{Type: TextToken, Data: "<" + inner + ">"}
@@ -306,17 +314,16 @@ func (z *Tokenizer) tag() Token {
 }
 
 // parseTagBody splits the inside of <...> into a lowercase tag name and
-// attribute list.
-func parseTagBody(s string) (string, []Attr) {
+// attribute list, appended to attrs (empty; nil allocates a fresh list).
+func parseTagBody(s string, attrs []Attr) (string, []Attr) {
 	i := 0
 	for i < len(s) && !isSpace(s[i]) {
 		i++
 	}
 	name := strings.ToLower(s[:i])
 	if !validTagName(name) {
-		return "", nil
+		return "", attrs
 	}
-	var attrs []Attr
 	for i < len(s) {
 		for i < len(s) && isSpace(s[i]) {
 			i++

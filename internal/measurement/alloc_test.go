@@ -7,6 +7,7 @@
 package measurement
 
 import (
+	"strings"
 	"testing"
 
 	"pricesheriff/internal/htmlx"
@@ -89,5 +90,24 @@ func TestCheckRequestDecodeAllocBound(t *testing.T) {
 	})
 	if allocs > 20 {
 		t.Errorf("CheckRequest decode allocates %.1f times per frame, want <= 20", allocs)
+	}
+}
+
+// TestDiffAllocBounds: a copy that differs from the initiator's page in one
+// line costs its ops, the split of that one line and a four-cell table —
+// not a split of both pages and a table over all of them — and a copy equal
+// to it costs the "=N" op alone.
+func TestDiffAllocBounds(t *testing.T) {
+	page := mallPages(t)[0][0]
+	base := strings.Split(page, "\n")
+	changed := strings.Replace(page, `<span class="price">`, `<span class="price">~`, 1)
+	if changed == page {
+		t.Fatal("mall page has no price span to change")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { diffLines(base, changed) }); allocs > 8 {
+		t.Errorf("one-line-changed diff allocates %.1f times, want <= 8", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { diffLines(base, page) }); allocs > 2 {
+		t.Errorf("identical-copy diff allocates %.1f times, want <= 2", allocs)
 	}
 }

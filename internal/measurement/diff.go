@@ -14,6 +14,13 @@ import (
 	"strings"
 )
 
+// maxDiffCells bounds the longest-common-subsequence table of one diff
+// (int32 cells, so 4 MiB): a check diffs every vantage's copy at once, and
+// page sizes are the shop's to choose. Two copies whose differing middles
+// multiply past it — over a thousand changed lines against over a thousand
+// — are stored as skip-the-middle plus literal lines instead.
+const maxDiffCells = 1 << 20
+
 // Diff encodes other relative to base as a compact line-based edit script
 // (the DiffStorage module of Sect. 10.5: the initiator's page is stored in
 // full; every proxy copy is stored as its difference). The script is a
@@ -23,36 +30,96 @@ import (
 //	-N   skip the next N lines of base
 //	+txt append the literal line txt
 //
-// Apply(base, Diff(base, other)) == other for all inputs.
+// Apply(base, Diff(base, other)) == other for all inputs, and below
+// maxDiffCells the script copies as many base lines as any script can.
 func Diff(base, other string) []string {
-	a := strings.Split(base, "\n")
-	b := strings.Split(other, "\n")
-	// LCS table; product pages are a few hundred lines, so O(n·m) is fine.
-	n, m := len(a), len(b)
-	lcs := make([][]int32, n+1)
-	for i := range lcs {
-		lcs[i] = make([]int32, m+1)
+	return diffLines(strings.Split(base, "\n"), other)
+}
+
+// diffLines is Diff against a base already split into lines — a check
+// splits the initiator's page once and diffs every copy against it. Copies
+// of one product page differ from the base in a few lines, so the lines
+// they share at the front and at the back are matched in place, without
+// splitting other, and only the middle that is left goes through the
+// quadratic longest-common-subsequence table.
+func diffLines(a []string, other string) []string {
+	n, m := len(a), strings.Count(other, "\n")+1
+
+	// Common prefix: other[off:] starts at line pre.
+	pre, off := 0, 0
+	for pre < n && pre < m {
+		end := strings.IndexByte(other[off:], '\n')
+		if end < 0 {
+			end = len(other) - off
+		}
+		if other[off:off+end] != a[pre] {
+			break
+		}
+		pre++
+		off = min(off+end+1, len(other))
 	}
+	// Common suffix of what the prefix left: other[off:stop] is the middle.
+	suf, stop := 0, len(other)
+	for suf < n-pre && suf < m-pre {
+		start := off + strings.LastIndexByte(other[off:stop], '\n') + 1
+		if other[start:stop] != a[n-1-suf] {
+			break
+		}
+		suf++
+		stop = max(start-1, off)
+	}
+	am, bm := n-pre-suf, m-pre-suf
+
+	script := make([]string, 0, 2+am+bm)
+	if pre > 0 {
+		script = append(script, "="+strconv.Itoa(pre))
+	}
+	if am > 0 || bm > 0 {
+		var b []string
+		if bm > 0 {
+			b = strings.Split(other[off:stop], "\n")
+		}
+		script = appendMiddle(script, a[pre:pre+am], b)
+	}
+	if suf > 0 {
+		script = append(script, "="+strconv.Itoa(suf))
+	}
+	return script
+}
+
+// appendMiddle appends the edit script that turns lines a into lines b,
+// which share neither their first nor their last line.
+func appendMiddle(script, a, b []string) []string {
+	n, m := len(a), len(b)
+	if n == 0 || m == 0 || m > maxDiffCells/n {
+		// Nothing to align, or too much to afford aligning.
+		if n > 0 {
+			script = append(script, "-"+strconv.Itoa(n))
+		}
+		for _, line := range b {
+			script = append(script, "+"+line)
+		}
+		return script
+	}
+	// lcs[i*w+j] is the length of the longest common subsequence of a[i:]
+	// and b[j:].
+	w := m + 1
+	lcs := make([]int32, (n+1)*w)
 	for i := n - 1; i >= 0; i-- {
+		row, below := lcs[i*w:(i+1)*w], lcs[(i+1)*w:(i+2)*w]
 		for j := m - 1; j >= 0; j-- {
 			if a[i] == b[j] {
-				lcs[i][j] = lcs[i+1][j+1] + 1
-			} else if lcs[i+1][j] >= lcs[i][j+1] {
-				lcs[i][j] = lcs[i+1][j]
+				row[j] = below[j+1] + 1
+			} else if below[j] >= row[j+1] {
+				row[j] = below[j]
 			} else {
-				lcs[i][j] = lcs[i][j+1]
+				row[j] = row[j+1]
 			}
 		}
 	}
-	var script []string
-	flushCopy := func(k int) {
+	flush := func(op byte, k int) {
 		if k > 0 {
-			script = append(script, "="+strconv.Itoa(k))
-		}
-	}
-	flushSkip := func(k int) {
-		if k > 0 {
-			script = append(script, "-"+strconv.Itoa(k))
+			script = append(script, string(op)+strconv.Itoa(k))
 		}
 	}
 	i, j := 0, 0
@@ -60,30 +127,27 @@ func Diff(base, other string) []string {
 	for i < n && j < m {
 		switch {
 		case a[i] == b[j]:
-			flushSkip(skipRun)
+			flush('-', skipRun)
 			skipRun = 0
 			copyRun++
 			i++
 			j++
-		case lcs[i+1][j] >= lcs[i][j+1]:
-			flushCopy(copyRun)
+		case lcs[(i+1)*w+j] >= lcs[i*w+j+1]:
+			flush('=', copyRun)
 			copyRun = 0
 			skipRun++
 			i++
 		default:
-			flushCopy(copyRun)
+			flush('=', copyRun)
 			copyRun = 0
-			flushSkip(skipRun)
+			flush('-', skipRun)
 			skipRun = 0
 			script = append(script, "+"+b[j])
 			j++
 		}
 	}
-	flushCopy(copyRun)
-	flushSkip(skipRun)
-	if i < n {
-		script = append(script, "-"+strconv.Itoa(n-i))
-	}
+	flush('=', copyRun)
+	flush('-', skipRun+n-i)
 	for ; j < m; j++ {
 		script = append(script, "+"+b[j])
 	}

@@ -364,21 +364,6 @@ func TestExtractRowFailures(t *testing.T) {
 	}
 }
 
-func BenchmarkDiff(b *testing.B) {
-	m := shop.NewMall(shop.MallConfig{Seed: 7, NumDomains: 20, NumLocationPD: 5, NumAlexa: 5})
-	s, _ := m.Shop("jcpenney.com")
-	url := s.ProductURL("jcp-bag")
-	ip, _ := m.World.RandomIP(rand.New(rand.NewSource(2)), "ES", "")
-	a := m.Fetch(&shop.FetchRequest{URL: url, IP: ip.String(), Nonce: 1}).HTML
-	bb := m.Fetch(&shop.FetchRequest{URL: url, IP: ip.String(), Nonce: 3}).HTML
-	b.SetBytes(int64(len(a)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Diff(a, bb)
-	}
-}
-
 func BenchmarkExtractRow(b *testing.B) {
 	m := shop.NewMall(shop.MallConfig{Seed: 7, NumDomains: 20, NumLocationPD: 5, NumAlexa: 5})
 	s, _ := m.Shop("chegg.com")

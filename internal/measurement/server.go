@@ -480,9 +480,15 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 	// store as one insert_batch round trip before the job reports done.
 	// The UnbatchedWrites ablation (and stragglers racing the flush) fall
 	// back to the old one-insert-per-vantage path.
-	var batch *respBatch
-	if s.DB != nil && !s.UnbatchedWrites {
-		batch = &respBatch{}
+	var rec *recorder
+	if s.DB != nil {
+		rec = &recorder{
+			jobID: req.JobID, requestID: reqRowID, domain: domain,
+			base: strings.Split(req.InitiatorHTML, "\n"),
+		}
+		if !s.UnbatchedWrites {
+			rec.batch = &respBatch{}
+		}
 	}
 
 	// Time budgets: the whole check is bounded by the deadline (after
@@ -532,7 +538,7 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 			}
 			row := s.extractRow(req, domain, resp.HTML, base)
 			s.addRow(req.JobID, row)
-			s.record(obs.WithSpan(context.Background(), sp), batch, req, domain, reqRowID, row, resp.HTML)
+			s.record(obs.WithSpan(context.Background(), sp), rec, row, resp.HTML)
 			sp.End()
 		}(ipc)
 	}
@@ -575,7 +581,7 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 					base.Mode = strings.Clone(resp.Mode)
 					row := s.extractRow(req, domain, resp.HTML, base)
 					s.addRow(req.JobID, row)
-					s.record(obs.WithSpan(context.Background(), sp), batch, req, domain, reqRowID, row, resp.HTML)
+					s.record(obs.WithSpan(context.Background(), sp), rec, row, resp.HTML)
 					sp.End()
 				}(p)
 			}
@@ -601,7 +607,7 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 		s.Log.Warn(ctx, "check partial", "job", req.JobID, "cause", causeLabel(ctx))
 	}
 	fanout.End()
-	s.flushBatch(batch, tr)
+	s.flushBatch(rec, tr)
 	// markDone wakes the waiting submitter at once, so everything it may
 	// look at next — counters, the latency exemplar, the log record — is
 	// published first.
@@ -767,22 +773,33 @@ func (b *respBatch) take() []store.Row {
 	return rows
 }
 
+// recorder is what the stored response rows of one check share: the
+// batch they are queued on (nil = insert one by one), the initiator's page
+// split into lines — the base every copy is diffed against — and the three
+// column values that are the same in every row, converted to interface
+// values once per check instead of once per row.
+type recorder struct {
+	batch                    *respBatch
+	base                     []string
+	jobID, requestID, domain any
+}
+
 // record persists one proxy response: metadata plus the page as a diff
 // against the initiator copy (DiffStorage). With a live batch the row is
 // queued for the check's single insert_batch; otherwise (ablation, or a
-// straggler racing the flush) it is inserted directly. ctx carries the
-// vantage span for tracing only — recording stays unbounded so a row
-// gathered in time is never lost to a dying vantage budget.
-func (s *Server) record(ctx context.Context, batch *respBatch, req *CheckRequest, domain string, reqRowID int64, row ResultRow, html string) {
-	if s.DB == nil {
+// straggler racing the flush) it is inserted directly. A nil recorder (no
+// database) records nothing. ctx carries the vantage span for tracing
+// only — recording stays unbounded so a row gathered in time is never
+// lost to a dying vantage budget.
+func (s *Server) record(ctx context.Context, rec *recorder, row ResultRow, html string) {
+	if rec == nil {
 		return
 	}
-	script := Diff(req.InitiatorHTML, html)
-	blob, _ := json.Marshal(script)
+	blob, _ := json.Marshal(diffLines(rec.base, html))
 	r := store.Row{
-		"job_id":     req.JobID,
-		"request_id": reqRowID,
-		"domain":     domain,
+		"job_id":     rec.jobID,
+		"request_id": rec.requestID,
+		"domain":     rec.domain,
 		"source":     row.Source,
 		"kind":       row.Kind,
 		"peer_id":    row.PeerID,
@@ -797,7 +814,7 @@ func (s *Server) record(ctx context.Context, batch *respBatch, req *CheckRequest
 		"err":        row.Err,
 		"html_diff":  string(blob),
 	}
-	if batch != nil && batch.add(r) {
+	if rec.batch != nil && rec.batch.add(r) {
 		return
 	}
 	s.DB.InsertCtx(ctx, "responses", r)
@@ -806,11 +823,11 @@ func (s *Server) record(ctx context.Context, batch *respBatch, req *CheckRequest
 // flushBatch writes the check's queued response rows in one batched
 // insert before the job reports done. A failed batch degrades to per-row
 // inserts so a transient transport error costs round trips, not data.
-func (s *Server) flushBatch(batch *respBatch, tr *obs.Trace) {
-	if batch == nil {
+func (s *Server) flushBatch(rec *recorder, tr *obs.Trace) {
+	if rec == nil || rec.batch == nil {
 		return
 	}
-	rows := batch.take()
+	rows := rec.batch.take()
 	if len(rows) == 0 {
 		return
 	}

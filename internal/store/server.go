@@ -118,15 +118,19 @@ func NewServer(db *DB, lis transport.Listener) *Server {
 		}
 		return nil, db.CreateTable(spec)
 	})
+	// The rows of an insert or insert_batch request were decoded for this
+	// call and belong to nobody else, and both decoders (decodeRow,
+	// encoding/json) produce every number as a float64: they are normalized
+	// rows already, and are stored as decoded instead of being copied again.
 	handleWired(s, "insert", func(req *insertReq) (any, error) {
-		id, err := db.Insert(req.Table, req.Row)
+		id, err := db.insert(req.Table, req.Row)
 		if err != nil {
 			return nil, err
 		}
 		return &insertResp{ID: id}, nil
 	})
 	handleWired(s, "insert_batch", func(req *insertBatchReq) (any, error) {
-		ids, err := db.InsertBatch(req.Table, req.Rows)
+		ids, err := db.insertBatch(req.Table, req.Rows)
 		if err != nil {
 			return nil, err
 		}

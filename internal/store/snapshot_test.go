@@ -264,7 +264,10 @@ func TestImportMergeRejectedLeavesDBUntouched(t *testing.T) {
 func TestCommitHookObservesMutationsInOrder(t *testing.T) {
 	db := NewDB()
 	var ops []Op
-	db.SetCommitHook(func(op Op) { ops = append(ops, op) })
+	db.SetCommitHook(func(op Op) {
+		op.Row = copyRow(op.Row) // the hook may not keep the stored row
+		ops = append(ops, op)
+	})
 	db.CreateTable(TableSpec{Name: "t", Index: []string{"k"}})
 	id, _ := db.Insert("t", Row{"k": "v"})
 	db.Update("t", id, Row{"k": "w"})

@@ -109,6 +109,11 @@ type Op struct {
 // crash after the hook returns can never have acknowledged an unlogged
 // write — the contract the WAL in internal/history builds on. Keep it
 // fast: the whole engine stalls while it runs.
+//
+// An insert op's Row is the stored row itself, not a copy: the hook may
+// read it until it returns and must neither keep a reference to it (or to
+// the Op) past that nor change it. A hook that needs the row later
+// serializes or copies it before returning, as the WAL does.
 type CommitHook func(Op)
 
 type table struct {
@@ -344,10 +349,12 @@ func canon(v any) string {
 	}
 }
 
-// normalize coerces integer values to float64 so that in-process use and
-// over-the-wire use index identically.
+// normalize copies a caller's row, coercing integer values to float64 so
+// that in-process use and over-the-wire use index identically. The copy is
+// what gets stored (with room for the ID column): exported methods never
+// keep or change the map they were handed.
 func normalize(r Row) Row {
-	out := make(Row, len(r))
+	out := make(Row, len(r)+1)
 	for k, v := range r {
 		switch x := v.(type) {
 		case int:
@@ -397,15 +404,23 @@ func (t *table) dropFromIndexes(id int64, r Row) {
 	}
 }
 
-// Insert adds a row and returns its ID.
+// Insert adds a copy of row and returns its ID.
 func (db *DB) Insert(tableName string, row Row) (int64, error) {
+	return db.insert(tableName, normalize(row))
+}
+
+// insert stores r itself — a normalized row the caller gives up (nil: an
+// empty one).
+func (db *DB) insert(tableName string, r Row) (int64, error) {
+	if r == nil {
+		r = Row{}
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[tableName]
 	if !ok {
 		return 0, ErrNoTable
 	}
-	r := normalize(row)
 	// Unique checks first, so a violation leaves no trace.
 	for col, idx := range t.unique {
 		if v, ok := r[col]; ok {
@@ -424,7 +439,7 @@ func (db *DB) Insert(tableName string, row Row) (int64, error) {
 	}
 	t.nextID += db.stride
 	t.addToIndexes(id, r, false)
-	db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: copyRow(r)})
+	db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
 	return id, nil
 }
 
@@ -435,9 +450,20 @@ func (db *DB) Insert(tableName string, row Row) (int64, error) {
 // violations, against the table or within the batch itself, are detected
 // before any row is applied. Each applied row still reports its own
 // commit Op, so the WAL stream is indistinguishable from row-at-a-time
-// inserts and replay needs no new op kind.
+// inserts and replay needs no new op kind. The rows are copied, as in
+// Insert.
 func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
-	if len(rows) == 0 {
+	norm := make([]Row, len(rows))
+	for i, row := range rows {
+		norm[i] = normalize(row)
+	}
+	return db.insertBatch(tableName, norm)
+}
+
+// insertBatch stores the rows of norm themselves — normalized rows the
+// caller gives up (nil: an empty one).
+func (db *DB) insertBatch(tableName string, norm []Row) ([]int64, error) {
+	if len(norm) == 0 {
 		return nil, nil
 	}
 	db.mu.Lock()
@@ -445,10 +471,6 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 	t, ok := db.tables[tableName]
 	if !ok {
 		return nil, ErrNoTable
-	}
-	norm := make([]Row, len(rows))
-	for i, row := range rows {
-		norm[i] = normalize(row)
 	}
 	for col, idx := range t.unique {
 		var seen map[string]bool
@@ -472,6 +494,9 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 	}
 	ids := make([]int64, len(norm))
 	for i, r := range norm {
+		if r == nil {
+			r = Row{}
+		}
 		id := t.nextID
 		r[ID] = float64(id)
 		if _, err := t.eng.Put(id, r); err != nil {
@@ -480,7 +505,7 @@ func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 		t.nextID += db.stride
 		t.addToIndexes(id, r, false)
 		ids[i] = id
-		db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: copyRow(r)})
+		db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
 	}
 	return ids, nil
 }
@@ -577,7 +602,7 @@ func (db *DB) putWithID(t *table, id int64, row Row, replace bool) (bool, error)
 		t.nextID = db.idAfter(id)
 	}
 	t.addToIndexes(id, r, true)
-	db.commit(Op{Kind: OpInsert, Table: t.spec.Name, ID: id, Row: copyRow(r)})
+	db.commit(Op{Kind: OpInsert, Table: t.spec.Name, ID: id, Row: r})
 	return true, nil
 }
 
@@ -648,7 +673,7 @@ func (db *DB) Update(tableName string, id int64, updates Row) error {
 	if _, err := t.eng.Put(id, merged); err != nil {
 		return err
 	}
-	db.commit(Op{Kind: OpUpdate, Table: tableName, ID: id, Row: copyRow(up)})
+	db.commit(Op{Kind: OpUpdate, Table: tableName, ID: id, Row: up})
 	return nil
 }
 

@@ -119,8 +119,8 @@ func decodeRow(d *transport.WireDec) Row {
 	if d.Byte() == 0 {
 		return nil
 	}
-	n := d.ElemLen(2) // a row entry is ≥ 2 bytes (key length + type marker)
-	r := make(Row, n)
+	n := d.ElemLen(2)   // a row entry is ≥ 2 bytes (key length + type marker)
+	r := make(Row, n+1) // an inserted row is stored as decoded, plus its ID column
 	for i := 0; i < n; i++ {
 		k := d.String()
 		v := decodeValue(d)
