@@ -2,18 +2,15 @@
 
 GO ?= go
 
-.PHONY: build lint test race chaos bench bench-hot bench-crypto bench-rpc bench-store experiments experiments-full fmt vet clean
+.PHONY: build lint test race chaos bench bench-hot bench-crypto experiments experiments-full loc fmt vet clean
 
 build:
 	$(GO) build ./...
 
-# Request-path packages must propagate contexts instead of sleeping or
-# using the legacy fixed-timeout RPC entry points, and must wait on events
-# instead of polling for them on a ticker. The compat shims in
-# internal/transport/compat.go are the one sanctioned exception to the
-# former; heartbeats, reapers and scalers carry a `lint:allow` marker for
-# the latter. Mark a deliberate new exception with a `lint:allow` comment
-# on the same line.
+# Request-path packages must propagate contexts instead of sleeping, and
+# must wait on events instead of polling for them on a ticker; heartbeats,
+# reapers and scalers carry a `lint:allow` marker for the latter. Mark a
+# deliberate new exception with a `lint:allow` comment on the same line.
 LINT_REQUEST_PATH = internal/transport internal/store internal/coordinator internal/measurement internal/peer internal/core
 
 # Instrumented packages must log through the trace-correlated obs.Logger,
@@ -22,20 +19,19 @@ LINT_REQUEST_PATH = internal/transport internal/store internal/coordinator inter
 # exception with a `lint:allow` comment on the same line.
 LINT_LOGGED = $(LINT_REQUEST_PATH) internal/adminui internal/history cmd
 
-# The wire codecs of the packages a price check's frames belong to are
-# hand-written: no reflective JSON rides inside a binary frame. The JSON
-# legs that remain by design (the frameJSON fallback, -wire=json peers, the
-# span blob old peers still send) carry a `lint:allow` marker on their
-# import line.
-LINT_WIRE = internal/transport/wire.go internal/measurement/wire.go internal/peer/wire.go internal/shop/wire.go
+# The connection layer and the wire codecs of the packages a price check's
+# frames belong to are hand-written: no reflective JSON frames a connection
+# or rides inside a registered frame. The JSON legs that remain by design
+# (a frame or a relayed payload whose type has no registered codec) carry a
+# `lint:allow` marker on their import line.
+LINT_WIRE = internal/transport/transport.go internal/transport/wire.go internal/measurement/wire.go internal/peer/wire.go internal/shop/wire.go
 
 lint:
-	@bad=$$(grep -rn --include='*.go' -E 'CallTimeout\(|time\.Sleep\(' $(LINT_REQUEST_PATH) \
+	@bad=$$(grep -rn --include='*.go' -E 'time\.Sleep\(' $(LINT_REQUEST_PATH) \
 		| grep -v '_test.go' \
-		| grep -v '^internal/transport/compat.go' \
 		| grep -v 'lint:allow' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: blocking timeout/sleep in request-path code (thread a context instead; see DESIGN.md):"; \
+		echo "lint: sleep in request-path code (thread a context instead; see DESIGN.md):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -E 'time\.NewTicker\(|time\.Tick\(' $(LINT_REQUEST_PATH) \
@@ -92,16 +88,6 @@ bench-hot:
 bench-crypto:
 	$(GO) run ./cmd/benchtab -crypto -crypto-json BENCH_crypto.json
 
-# Measure the request-plane frame codec (hand-written binary protocol vs
-# the JSON ablation) and refresh the machine-readable record.
-bench-rpc:
-	$(GO) run ./cmd/benchtab -rpc -rpc-json BENCH_rpc.json
-
-# Measure the pluggable storage engines (RAM maps vs the disk-resident
-# LSM, cold vs warm block cache) and refresh the machine-readable record.
-bench-store:
-	$(GO) run ./cmd/benchtab -store -store-json BENCH_store.json
-
 # Regenerate every table and figure of the paper (quick scale).
 experiments:
 	$(GO) run ./cmd/benchtab
@@ -109,6 +95,10 @@ experiments:
 # Paper-scale sweeps (minutes; Fig 8c runs real crypto at k up to 200).
 experiments-full:
 	$(GO) run ./cmd/benchtab -full
+
+# Non-test Go outside the benchmark: the number a deletion pass moves.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 fmt:
 	gofmt -w .

@@ -8,8 +8,6 @@
 //	benchtab [-exp table5] [-full] [-seed 2017]
 //	benchtab -list
 //	benchtab -crypto [-crypto-json BENCH_crypto.json]
-//	benchtab -rpc [-rpc-json BENCH_rpc.json]
-//	benchtab -store [-store-json BENCH_store.json]
 package main
 
 import (
@@ -30,10 +28,6 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		crypto     = flag.Bool("crypto", false, "benchmark the crypto substrate (fast vs naive) and exit")
 		cryptoJSON = flag.String("crypto-json", "BENCH_crypto.json", "machine-readable output for -crypto")
-		rpc        = flag.Bool("rpc", false, "benchmark the wire codec (binary vs JSON ablation) and exit")
-		rpcJSON    = flag.String("rpc-json", "BENCH_rpc.json", "machine-readable output for -rpc")
-		storeB     = flag.Bool("store", false, "benchmark the storage engines (RAM maps vs disk LSM, cold vs warm cache) and exit")
-		storeJSON  = flag.String("store-json", "BENCH_store.json", "machine-readable output for -store")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -43,24 +37,6 @@ func main() {
 		fmt.Println("=== Crypto substrate: fast paths vs scalar ablation ===")
 		if err := experiments.CryptoBench(runner, os.Stdout, *cryptoJSON); err != nil {
 			log.Fatalf("crypto: %v", err)
-		}
-		return
-	}
-
-	if *rpc {
-		runner := experiments.NewRunner(experiments.Config{Full: *full, Seed: *seed})
-		fmt.Println("=== Wire codec: binary protocol vs JSON ablation ===")
-		if err := experiments.RPCBench(runner, os.Stdout, *rpcJSON); err != nil {
-			log.Fatalf("rpc: %v", err)
-		}
-		return
-	}
-
-	if *storeB {
-		runner := experiments.NewRunner(experiments.Config{Full: *full, Seed: *seed})
-		fmt.Println("=== Storage engines: RAM maps vs disk LSM ===")
-		if err := experiments.StoreBench(runner, os.Stdout, *storeJSON); err != nil {
-			log.Fatalf("store: %v", err)
 		}
 		return
 	}

@@ -26,7 +26,6 @@ func runCluster(args []string) {
 	peers := fs.String("peers", "", "comma-separated coordinator replica addresses (required)")
 	asJSON := fs.Bool("json", false, "print the raw per-replica Status records")
 	timeout := fs.Duration("timeout", 3*time.Second, "per-replica RPC deadline")
-	wire := fs.String("wire", transport.WireBinary, "frame codec: binary (negotiated) or json")
 	fs.Parse(args[1:])
 
 	var addrs []string
@@ -44,7 +43,7 @@ func runCluster(args []string) {
 		Status *ha.Status `json:"status,omitempty"`
 		Err    string     `json:"err,omitempty"`
 	}
-	fabric := transport.TCP{Wire: *wire}
+	fabric := transport.TCP{}
 	rows := make([]row, len(addrs))
 	for i, addr := range addrs {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)

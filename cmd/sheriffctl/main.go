@@ -103,7 +103,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 3*time.Minute, "overall deadline for the price check (0 = none)")
 		serve      = flag.Duration("serve", 0, "stay connected serving remote requests for this long after the check")
 		showTrace  = flag.Bool("trace", false, "run the check under a distributed trace and print the assembled span tree")
-		wire       = flag.String("wire", transport.WireBinary, "frame codec: binary (negotiated) or json (ablation)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -114,7 +113,7 @@ func main() {
 	if *coordAddr == "" || *shopsAddr == "" || *brokerAddr == "" {
 		log.Fatal("need -coord, -shops and -broker (sheriffd prints them)")
 	}
-	fabric := transport.TCP{Wire: *wire}
+	fabric := transport.TCP{}
 
 	fetcher, err := shop.DialFetcher(fabric, *shopsAddr, 2)
 	if err != nil {

@@ -100,7 +100,7 @@ func ctlCall(t *testing.T, ctlAddr, method, target string) {
 	}
 	defer cli.Close()
 	var out string
-	if err := cli.Call(method, map[string]string{"addr": target}, &out); err != nil {
+	if err := cli.CallCtx(context.Background(), method, map[string]string{"addr": target}, &out); err != nil {
 		t.Fatalf("%s(%s) via %s: %v", method, target, ctlAddr, err)
 	}
 }

@@ -79,7 +79,6 @@ func main() {
 		debug    = flag.Bool("debug", false, "expose /debug/pprof and /debug/vars on the admin UI")
 		dump     = flag.String("dump", "", "write the collected dataset to this JSON file on shutdown")
 		logLevel = flag.String("log-level", "info", "minimum structured log level: debug, info, warn, error")
-		wire     = flag.String("wire", transport.WireBinary, "frame codec: binary (negotiated, falls back per peer) or json (ablation)")
 
 		checkDeadline = flag.Duration("check-deadline", 2*time.Minute, "whole-check deadline; expired checks complete with partial rows")
 		vantageBudget = flag.Duration("vantage-budget", 0, "per-vantage fetch budget incl. retries (0 = check deadline)")
@@ -111,9 +110,6 @@ func main() {
 	)
 	flag.Parse()
 	log.SetFlags(log.Ltime)
-	if *wire != transport.WireBinary && *wire != transport.WireJSON {
-		log.Fatalf("-wire must be %q or %q", transport.WireBinary, transport.WireJSON)
-	}
 
 	// Structured, trace-correlated logging: JSON lines on stderr plus a
 	// bounded in-memory ring served at the admin UI's /logs.
@@ -150,7 +146,6 @@ func main() {
 			admin:     *admin,
 			chaosCtl:  *chaosCtl,
 			chaosSeed: *chaosSeed,
-			wire:      *wire,
 			logger:    logger,
 		})
 		return
@@ -168,7 +163,7 @@ func main() {
 
 	// The fabric, optionally behind the chaos injector. Injection is held
 	// off until the system has booted so start-up dials never fault.
-	var fabric transport.Network = transport.TCP{Metrics: transport.NewMetrics(reg, "tcp"), Wire: *wire}
+	var fabric transport.Network = transport.TCP{Metrics: transport.NewMetrics(reg, "tcp")}
 	var fab *chaos.Fabric
 	chaosOn := *chaosErr > 0 || *chaosHang > 0 || *chaosDrop > 0 || *chaosLatency > 0
 	if chaosOn {

@@ -29,7 +29,6 @@ type replicaOpts struct {
 	admin     string
 	chaosCtl  bool
 	chaosSeed int64
-	wire      string
 	logger    *obs.Logger
 }
 
@@ -45,7 +44,7 @@ func runCoordReplica(ctx context.Context, o replicaOpts) {
 
 	// The replica's outbound fabric, optionally behind a partition
 	// injector steered over the chaos control RPC.
-	var fabric transport.Network = transport.TCP{Metrics: transport.NewMetrics(reg, "tcp"), Wire: o.wire}
+	var fabric transport.Network = transport.TCP{Metrics: transport.NewMetrics(reg, "tcp")}
 	var fab *chaos.Fabric
 	if o.chaosCtl {
 		fab = chaos.NewFabric(fabric, chaos.Config{Seed: o.chaosSeed})

@@ -356,17 +356,6 @@ func (c *chaosConn) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// WireBinary forwards the negotiated wire codec of the wrapped
-// connection, so the RPC layer picks binary bodies through the chaos
-// layer too.
-func (c *chaosConn) WireBinary() bool {
-	type wired interface{ WireBinary() bool }
-	if wc, ok := c.conn.(wired); ok {
-		return wc.WireBinary()
-	}
-	return false
-}
-
 // --- page fetcher ---
 
 // Fetcher wraps a shop.Fetcher with fault injection: the vantage point

@@ -139,7 +139,7 @@ func TestFabricCleanPassThrough(t *testing.T) {
 	}
 	defer cli.Close()
 	var out string
-	if err := cli.Call("echo", "hi", &out); err != nil || out != "hi" {
+	if err := cli.CallCtx(context.Background(), "echo", "hi", &out); err != nil || out != "hi" {
 		t.Fatalf("echo through clean fabric: %q, %v", out, err)
 	}
 }
@@ -155,7 +155,7 @@ func TestFabricInjectsErrors(t *testing.T) {
 	defer cli.Close()
 	fab.SetEnabled(true)
 	var out string
-	if err := cli.Call("echo", "hi", &out); !errors.Is(err, ErrInjected) {
+	if err := cli.CallCtx(context.Background(), "echo", "hi", &out); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if s := fab.Stats(); s.Errors == 0 {
@@ -199,7 +199,7 @@ func TestFabricHangRespectsCallTimeout(t *testing.T) {
 	defer cli.Close()
 	fab.SetEnabled(true)
 	done := make(chan error, 1)
-	go func() { done <- cli.Call("echo", "hi", nil) }()
+	go func() { done <- cli.CallCtx(context.Background(), "echo", "hi", nil) }()
 	select {
 	case err := <-done:
 		t.Fatalf("hung call returned early: %v", err)
@@ -245,8 +245,9 @@ func TestFabricDeadlineForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.Timeout = 40 * time.Millisecond
-	if err := cli.Call("echo", "hi", nil); !errors.Is(err, transport.ErrCallTimeout) {
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	defer cancel()
+	if err := cli.CallCtx(ctx, "echo", "hi", nil); !errors.Is(err, transport.ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
 	}
 }

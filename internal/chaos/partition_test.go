@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -31,7 +32,7 @@ func mustPing(t *testing.T, netw transport.Network, addr string) {
 	}
 	defer cli.Close()
 	var out string
-	if err := cli.Call("ping", nil, &out); err != nil || out != "pong" {
+	if err := cli.CallCtx(context.Background(), "ping", nil, &out); err != nil || out != "pong" {
 		t.Fatalf("ping %s = %q, %v", addr, out, err)
 	}
 }
@@ -48,7 +49,7 @@ func TestBlockCutsNewDialsAndLiveConns(t *testing.T) {
 	}
 	defer pre.Close()
 	var out string
-	if err := pre.Call("ping", nil, &out); err != nil {
+	if err := pre.CallCtx(context.Background(), "ping", nil, &out); err != nil {
 		t.Fatalf("pre-cut call: %v", err)
 	}
 
@@ -56,7 +57,7 @@ func TestBlockCutsNewDialsAndLiveConns(t *testing.T) {
 	if !fab.Blocked("srv-a") {
 		t.Fatal("Blocked() = false after Block")
 	}
-	if err := pre.Call("ping", nil, &out); err == nil {
+	if err := pre.CallCtx(context.Background(), "ping", nil, &out); err == nil {
 		t.Error("call over a severed connection succeeded")
 	}
 	if _, err := fab.Dial("srv-a"); !errors.Is(err, ErrPartitioned) {

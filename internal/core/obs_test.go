@@ -115,16 +115,16 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	if reg.Counter("sheriff_store_queries_total", "method", "insert").Value() == 0 {
 		t.Error("no store inserts counted")
 	}
-	// The degraded-path counter exists from boot (zero on this fabric: no
-	// advert exchange in process), so a dashboard can alert on its rate.
+	// The degraded-path counter exists from boot, so a dashboard can alert
+	// on its rate.
 	found := false
 	for _, p := range snap.Counters {
-		if p.Series == `sheriff_transport_wire_fallback_total{fabric="inproc",reason="pre_advert"}` {
+		if p.Series == `sheriff_transport_wire_fallback_total{fabric="inproc",reason="json_body"}` {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no sheriff_transport_wire_fallback_total{reason=pre_advert} series in registry: %v", series)
+		t.Errorf("no sheriff_transport_wire_fallback_total{reason=json_body} series in registry: %v", series)
 	}
 	if reg.Gauge("sheriff_peer_relay_sessions").Value() == 0 {
 		t.Error("relay session gauge is zero with connected peers")

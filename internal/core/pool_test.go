@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -31,10 +32,6 @@ func newPoolSystem(t *testing.T, fabric transport.Network, servers int) (*System
 
 func msDials(sys *System) int64 {
 	return sys.Metrics().Counter("sheriff_core_ms_dials_total").Value()
-}
-
-func preAdvertFrames(sys *System) int64 {
-	return sys.Metrics().Counter("sheriff_transport_wire_fallback_total", "fabric", "tcp", "reason", "pre_advert").Value()
 }
 
 // TestPooledClientRedialsAfterServerRestart: a Measurement server that
@@ -90,8 +87,7 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 	sys, users := newPoolSystem(t, transport.TCP{}, 2)
 	url := productURL(t, sys, "steampowered.com", 0)
 
-	// First use dials each server once; one round trip later its connection
-	// has read the peer's advert and speaks binary.
+	// First use dials each server once.
 	sys.mu.Lock()
 	fronts := append([]*measurement.RPCServer(nil), sys.measRPC...)
 	sys.mu.Unlock()
@@ -100,14 +96,13 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cli.Results("no-such-job", 0); err == nil {
+		if _, err := cli.ResultsCtx(context.Background(), "no-such-job", 0); err == nil {
 			t.Fatal("poll of an unknown job succeeded")
 		}
 	}
 	if n := msDials(sys); n != 2 {
 		t.Fatalf("dials after first use of 2 servers = %d, want 2", n)
 	}
-	preAdvertWarm := preAdvertFrames(sys)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
@@ -129,11 +124,6 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 	wg.Wait()
 	if n := msDials(sys); n != 2 {
 		t.Errorf("dials after 64 concurrent checks over 2 servers = %d, want still 2", n)
-	}
-	// Dialed per check, every submit — the largest frame in the system —
-	// left before the peer's advert was read and rode reflective JSON.
-	if n := preAdvertFrames(sys) - preAdvertWarm; n != 0 {
-		t.Errorf("%d frames of 64 checks on pooled connections were sent pre-advert, want 0", n)
 	}
 
 	sys.msMu.Lock()

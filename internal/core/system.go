@@ -56,17 +56,6 @@ type Config struct {
 	// Fabric carries all control traffic; default is a fresh in-process
 	// network. Use transport.TCP{} for a real-socket deployment.
 	Fabric transport.Network
-	// Wire selects the frame codec of a default-constructed fabric (and
-	// of a caller-supplied one whose Wire field is unset): "" /
-	// transport.WireBinary for the negotiated binary protocol,
-	// transport.WireJSON for the length-prefixed JSON ablation.
-	Wire string
-	// UnbatchedWrites restores one store insert per vantage row — the
-	// ablation knob for the measurement plane's batched recording.
-	UnbatchedWrites bool
-	// NoParseCache disables the shared DOM/Tags-Path cache of the
-	// measurement pool — the ablation knob for hot-path parse caching.
-	NoParseCache bool
 	// Mall is the e-commerce world; default is a small synthetic mall.
 	Mall *shop.Mall
 	// MeasurementServers is the initial pool size (default 2).
@@ -221,7 +210,6 @@ type System struct {
 	ppcTimeout    time.Duration
 	maxInflight   int // per-server admission cap; <0 disables
 	parseCache    *htmlx.Cache
-	unbatched     bool
 	stopReaper    func()
 
 	baseCtx context.Context
@@ -315,23 +303,16 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.MaxInflightChecks == 0 {
 		cfg.MaxInflightChecks = DefaultMaxInflightChecks
 	}
-	// Attach frame/byte accounting and the wire-codec choice to the
-	// fabric if the caller didn't.
+	// Attach frame/byte accounting to the fabric if the caller didn't.
 	switch f := cfg.Fabric.(type) {
 	case transport.TCP:
 		if f.Metrics == nil {
 			f.Metrics = transport.NewMetrics(cfg.Metrics, "tcp")
+			cfg.Fabric = f
 		}
-		if f.Wire == "" {
-			f.Wire = cfg.Wire
-		}
-		cfg.Fabric = f
 	case *transport.Inproc:
 		if f.Metrics == nil {
 			f.Metrics = transport.NewMetrics(cfg.Metrics, "inproc")
-		}
-		if f.Wire == "" {
-			f.Wire = cfg.Wire
 		}
 	}
 
@@ -356,12 +337,9 @@ func NewSystem(cfg Config) (*System, error) {
 		ppcTimeout:    cfg.PPCTimeout,
 		maxInflight:   cfg.MaxInflightChecks,
 		baseCtx:       cfg.BaseContext,
-		unbatched:     cfg.UnbatchedWrites,
-	}
-	if !cfg.NoParseCache {
 		// One cache for the whole measurement pool: vantage copies of a
 		// shop template hit it regardless of which server drew the job.
-		s.parseCache = htmlx.NewCache(0, 0)
+		parseCache: htmlx.NewCache(0, 0),
 	}
 
 	// The web: shops behind one server.
@@ -618,7 +596,6 @@ func (s *System) addMeasurementServer(fleet []*measurement.IPC, ppcTimeout time.
 	ms.VantageBudget = s.vantageBudget
 	ms.Retry = s.retrier
 	ms.Cache = s.parseCache
-	ms.UnbatchedWrites = s.unbatched
 	if s.maxInflight > 0 {
 		label := fmt.Sprintf("ms-%d", idx)
 		ms.Admit = admit.New(admit.Config{Limit: s.maxInflight}, admit.NewMetrics(s.metrics, label))

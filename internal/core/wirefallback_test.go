@@ -12,10 +12,9 @@ func jsonBodyFrames(sys *System, fabric string) int64 {
 
 // TestCheckPathNeverFallsBackToJSONBodies: once the deployment is warm
 // (registrations, ring fetches and catalog lookups are allowed their
-// reflective JSON), a price check moves no envelope whose body rides JSON
-// on a connection that negotiated the binary codec. The next frame added
-// to the check path without a wire codec fails here instead of turning up
-// in a heap profile.
+// reflective JSON), a price check moves no envelope whose body rides
+// JSON. The next frame added to the check path without a wire codec fails
+// here instead of turning up in a heap profile.
 func TestCheckPathNeverFallsBackToJSONBodies(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -42,7 +41,7 @@ func TestCheckPathNeverFallsBackToJSONBodies(t *testing.T) {
 				}
 			}
 			// Warm-up: every user and both measurement servers have carried
-			// a check, so every connection the path uses has negotiated.
+			// a check, so every connection the path uses is dialed.
 			for i := 0; i < 2*len(users); i++ {
 				check(i)
 			}

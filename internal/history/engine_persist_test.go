@@ -1,6 +1,7 @@
 package history
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -186,20 +187,20 @@ func TestWALFromStoredRowsReplays(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				batch = append(batch, store.Row{"job_id": "job-1", "source": fmt.Sprintf("ipc-%d", i), "request_id": int64(7), "amount": 9.5 + float64(i)})
 			}
-			ids, err := cli.InsertBatch(tc.table, batch)
+			ids, err := cli.InsertBatchCtx(context.Background(), tc.table, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cli.Insert(tc.table, store.Row{"job_id": "job-2", "source": "ppc", "ok": true, "note": nil}); err != nil {
+			if _, err := cli.InsertCtx(context.Background(), tc.table, store.Row{"job_id": "job-2", "source": "ppc", "ok": true, "note": nil}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db.Insert(tc.table, store.Row{"job_id": "job-2", "source": "local", "n": 3}); err != nil {
 				t.Fatal(err)
 			}
-			if err := cli.Update(tc.table, ids[1], store.Row{"amount": 1.25}); err != nil {
+			if err := cli.UpdateCtx(context.Background(), tc.table, ids[1], store.Row{"amount": 1.25}); err != nil {
 				t.Fatal(err)
 			}
-			if err := cli.Delete(tc.table, ids[3]); err != nil {
+			if err := cli.DeleteCtx(context.Background(), tc.table, ids[3]); err != nil {
 				t.Fatal(err)
 			}
 			want, err := db.Select(store.Query{Table: tc.table})

@@ -269,11 +269,11 @@ func TestRecordingToStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reqs, err := db.Select(store.Query{Table: "requests", Eq: map[string]any{"job_id": "job-db"}})
+	reqs, err := db.SelectCtx(context.Background(), store.Query{Table: "requests", Eq: map[string]any{"job_id": "job-db"}})
 	if err != nil || len(reqs) != 1 {
 		t.Fatalf("requests = %v, %v", reqs, err)
 	}
-	resps, err := db.Select(store.Query{Table: "responses", Eq: map[string]any{"job_id": "job-db"}})
+	resps, err := db.SelectCtx(context.Background(), store.Query{Table: "responses", Eq: map[string]any{"job_id": "job-db"}})
 	if err != nil || len(resps) != 2 {
 		t.Fatalf("responses = %d, %v", len(resps), err)
 	}
@@ -314,17 +314,19 @@ func TestOverWireCheckAndPoll(t *testing.T) {
 	}
 	defer cli.Close()
 	req, _ := buildCheck(t, m, "suitsupply.com", "job-wire")
-	if err := cli.Check(req); err != nil {
+	if err := cli.CheckCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := cli.WaitResults("job-wire", 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rows, err := cli.WaitResultsCtx(ctx, "job-wire")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 {
 		t.Errorf("rows = %d", len(rows))
 	}
-	if err := cli.Check(req); err == nil || !transport.IsRemote(err) {
+	if err := cli.CheckCtx(context.Background(), req); err == nil || !transport.IsRemote(err) {
 		t.Errorf("duplicate over wire = %v", err)
 	}
 }

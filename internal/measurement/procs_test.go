@@ -1,6 +1,7 @@
 package measurement
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -36,7 +37,7 @@ func seedStudy(t *testing.T, cli *store.Client) {
 		{"j3", "http://amazon.com/product/cam"},
 	}
 	for _, r := range rows {
-		if _, err := cli.Insert("requests", store.Row{"job_id": r.job, "url": r.url, "domain": "chegg.com"}); err != nil {
+		if _, err := cli.InsertCtx(context.Background(), "requests", store.Row{"job_id": r.job, "url": r.url, "domain": "chegg.com"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +50,7 @@ func seedStudy(t *testing.T, cli *store.Client) {
 		{"j3", "amazon.com", 500},
 	}
 	for _, r := range resps {
-		if _, err := cli.Insert("responses", store.Row{"job_id": r.job, "domain": r.domain, "converted": r.converted}); err != nil {
+		if _, err := cli.InsertCtx(context.Background(), "responses", store.Row{"job_id": r.job, "domain": r.domain, "converted": r.converted}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +62,7 @@ func TestProcsOverWire(t *testing.T) {
 	seedStudy(t, cli)
 
 	var counts map[string]int
-	if err := cli.Call("responses_by_domain", nil, &counts); err != nil {
+	if err := cli.CallProcCtx(context.Background(), "responses_by_domain", nil, &counts); err != nil {
 		t.Fatal(err)
 	}
 	if counts["chegg.com"] != 4 || counts["amazon.com"] != 1 {
@@ -69,14 +70,14 @@ func TestProcsOverWire(t *testing.T) {
 	}
 
 	var spread SpreadResult
-	if err := cli.Call("price_spread", "j1", &spread); err != nil {
+	if err := cli.CallProcCtx(context.Background(), "price_spread", "j1", &spread); err != nil {
 		t.Fatal(err)
 	}
 	if spread.Responses != 3 || spread.MinEUR != 10 || spread.MaxEUR != 12 {
 		t.Errorf("spread = %+v", spread)
 	}
 	// Unknown job: empty result, no error.
-	if err := cli.Call("price_spread", "nope", &spread); err != nil || spread.Responses != 0 {
+	if err := cli.CallProcCtx(context.Background(), "price_spread", "nope", &spread); err != nil || spread.Responses != 0 {
 		t.Errorf("unknown job: %+v %v", spread, err)
 	}
 }
@@ -87,27 +88,27 @@ func TestScrubPIIRemovesTaintedJobs(t *testing.T) {
 	seedStudy(t, cli)
 
 	var report ScrubReport
-	if err := cli.Call("scrub_pii", []string{"account", "profile"}, &report); err != nil {
+	if err := cli.CallProcCtx(context.Background(), "scrub_pii", []string{"account", "profile"}, &report); err != nil {
 		t.Fatal(err)
 	}
 	if report.RequestsDeleted != 1 || report.ResponsesDeleted != 1 {
 		t.Errorf("report = %+v", report)
 	}
 	// The tainted job is gone, everything else survives.
-	reqs, _ := cli.Select(store.Query{Table: "requests"})
+	reqs, _ := cli.SelectCtx(context.Background(), store.Query{Table: "requests"})
 	if len(reqs) != 2 {
 		t.Errorf("requests left = %d", len(reqs))
 	}
-	resps, _ := cli.Select(store.Query{Table: "responses", Eq: map[string]any{"job_id": "j2"}})
+	resps, _ := cli.SelectCtx(context.Background(), store.Query{Table: "responses", Eq: map[string]any{"job_id": "j2"}})
 	if len(resps) != 0 {
 		t.Errorf("tainted responses left = %d", len(resps))
 	}
-	resps, _ = cli.Select(store.Query{Table: "responses", Eq: map[string]any{"job_id": "j1"}})
+	resps, _ = cli.SelectCtx(context.Background(), store.Query{Table: "responses", Eq: map[string]any{"job_id": "j1"}})
 	if len(resps) != 3 {
 		t.Errorf("clean responses damaged: %d", len(resps))
 	}
 	// Idempotent.
-	if err := cli.Call("scrub_pii", []string{"account"}, &report); err != nil || report.RequestsDeleted != 0 {
+	if err := cli.CallProcCtx(context.Background(), "scrub_pii", []string{"account"}, &report); err != nil || report.RequestsDeleted != 0 {
 		t.Errorf("second scrub = %+v %v", report, err)
 	}
 }

@@ -58,7 +58,7 @@ func TestRequestPlaneMetrics(t *testing.T) {
 	defer cli.Close()
 
 	// The hog takes the single admission slot and parks on its fetch.
-	if err := cli.Check(&CheckRequest{JobID: "job-hog", URL: "http://shop.es/p/1", InitiatorHTML: "<html></html>"}); err != nil {
+	if err := cli.CheckCtx(context.Background(), &CheckRequest{JobID: "job-hog", URL: "http://shop.es/p/1", InitiatorHTML: "<html></html>"}); err != nil {
 		t.Fatalf("Check(hog): %v", err)
 	}
 	<-bf.started

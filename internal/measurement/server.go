@@ -135,9 +135,6 @@ type Server struct {
 	// checks of the same shop template (nil disables; share one per
 	// server pool). See htmlx.NewCache.
 	Cache *htmlx.Cache
-	// UnbatchedWrites restores the one-insert-per-vantage recording path
-	// — the ablation knob for the batched-writes optimization.
-	UnbatchedWrites bool
 
 	mu         sync.Mutex
 	checks     map[string]*checkState
@@ -478,16 +475,12 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 
 	// Batched recording: vantage rows accumulate here and land in the
 	// store as one insert_batch round trip before the job reports done.
-	// The UnbatchedWrites ablation (and stragglers racing the flush) fall
-	// back to the old one-insert-per-vantage path.
+	// A straggler racing the flush falls back to its own insert.
 	var rec *recorder
 	if s.DB != nil {
 		rec = &recorder{
 			jobID: req.JobID, requestID: reqRowID, domain: domain,
 			base: strings.Split(req.InitiatorHTML, "\n"),
-		}
-		if !s.UnbatchedWrites {
-			rec.batch = &respBatch{}
 		}
 	}
 
@@ -774,23 +767,22 @@ func (b *respBatch) take() []store.Row {
 }
 
 // recorder is what the stored response rows of one check share: the
-// batch they are queued on (nil = insert one by one), the initiator's page
-// split into lines — the base every copy is diffed against — and the three
-// column values that are the same in every row, converted to interface
-// values once per check instead of once per row.
+// batch they are queued on, the initiator's page split into lines — the
+// base every copy is diffed against — and the three column values that are
+// the same in every row, converted to interface values once per check
+// instead of once per row.
 type recorder struct {
-	batch                    *respBatch
+	batch                    respBatch
 	base                     []string
 	jobID, requestID, domain any
 }
 
 // record persists one proxy response: metadata plus the page as a diff
-// against the initiator copy (DiffStorage). With a live batch the row is
-// queued for the check's single insert_batch; otherwise (ablation, or a
-// straggler racing the flush) it is inserted directly. A nil recorder (no
-// database) records nothing. ctx carries the vantage span for tracing
-// only — recording stays unbounded so a row gathered in time is never
-// lost to a dying vantage budget.
+// against the initiator copy (DiffStorage). The row is queued for the
+// check's single insert_batch; a straggler racing the flush is inserted
+// directly. A nil recorder (no database) records nothing. ctx carries the
+// vantage span for tracing only — recording stays unbounded so a row
+// gathered in time is never lost to a dying vantage budget.
 func (s *Server) record(ctx context.Context, rec *recorder, row ResultRow, html string) {
 	if rec == nil {
 		return
@@ -814,7 +806,7 @@ func (s *Server) record(ctx context.Context, rec *recorder, row ResultRow, html 
 		"err":        row.Err,
 		"html_diff":  string(blob),
 	}
-	if rec.batch != nil && rec.batch.add(r) {
+	if rec.batch.add(r) {
 		return
 	}
 	s.DB.InsertCtx(ctx, "responses", r)
@@ -824,7 +816,7 @@ func (s *Server) record(ctx context.Context, rec *recorder, row ResultRow, html 
 // insert before the job reports done. A failed batch degrades to per-row
 // inserts so a transient transport error costs round trips, not data.
 func (s *Server) flushBatch(rec *recorder, tr *obs.Trace) {
-	if rec == nil || rec.batch == nil {
+	if rec == nil {
 		return
 	}
 	rows := rec.batch.take()
@@ -878,8 +870,7 @@ type RPCServer struct {
 
 // resultsReq asks for the rows past Since. With Wait set the server parks
 // the request until the job finishes (or the request's context dies)
-// instead of answering at once; without it, it is the AJAX poll shape. A
-// peer that predates Wait ignores it and answers at once.
+// instead of answering at once; without it, it is the AJAX poll shape.
 type resultsReq struct {
 	JobID string `json:"job_id"`
 	Since int    `json:"since"`
@@ -969,24 +960,14 @@ func DialMeasurement(netw transport.Network, addr string) (*Client, error) {
 	return &Client{rpc: rpc}, nil
 }
 
-// Check submits a price check (step 3).
-func (c *Client) Check(req *CheckRequest) error {
-	return c.CheckCtx(context.Background(), req)
-}
-
-// CheckCtx submits a price check under a context: the deadline rides the
-// wire, so a doomed submission is shed by the server's admission control
-// before any work starts.
+// CheckCtx submits a price check (step 3) under a context: the deadline
+// rides the wire, so a doomed submission is shed by the server's admission
+// control before any work starts.
 func (c *Client) CheckCtx(ctx context.Context, req *CheckRequest) error {
 	return c.rpc.CallCtx(ctx, "ms.check", req, nil)
 }
 
-// Results polls for rows once (the AJAX surface of step 5).
-func (c *Client) Results(jobID string, since int) (ResultsResponse, error) {
-	return c.ResultsCtx(context.Background(), jobID, since)
-}
-
-// ResultsCtx is Results under a context.
+// ResultsCtx polls for rows once (the AJAX surface of step 5).
 func (c *Client) ResultsCtx(ctx context.Context, jobID string, since int) (ResultsResponse, error) {
 	return c.results(ctx, &resultsReq{JobID: jobID, Since: since})
 }
@@ -1003,32 +984,22 @@ func (c *Client) Cancel(ctx context.Context, jobID string) error {
 	return c.rpc.CallCtx(ctx, "ms.cancel", &resultsReq{JobID: jobID}, nil)
 }
 
-// WaitResults waits until the job finishes or timeout elapses.
-func (c *Client) WaitResults(jobID string, timeout time.Duration) ([]ResultRow, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return c.WaitResultsCtx(ctx, jobID)
-}
-
-// Pacing of the degraded paths of WaitResultsCtx.
-const (
-	// legacyPollInterval spaces re-asks to a server that predates the wait
-	// flag and answers not-done at once: the pair degrades to the 2 ms
-	// poll both sides spoke before instead of spinning.
-	legacyPollInterval = 2 * time.Millisecond
-	// partialFetchBudget bounds the one plain poll that collects the rows
-	// gathered so far once the caller's context is dead.
-	partialFetchBudget = 2 * time.Second
-)
+// partialFetchBudget bounds the one plain poll of WaitResultsCtx that
+// collects the rows gathered so far once the caller's context is dead.
+const partialFetchBudget = 2 * time.Second
 
 // WaitResultsCtx is one waiting call: the server parks it and answers all
 // rows the instant the job finishes — by completion, deadline cut or
 // cancel. ctx bounds the wait (its deadline rides the wire); when it dies
 // first, one plain poll under a short fresh context collects the rows
 // gathered so far, returned alongside the context's cause so an
-// interrupted caller still prints partial results. When the context
-// carries a trace (obs.WithTrace), the server-side spans shipped with the
-// final answer are stitched into it, completing the distributed trace.
+// interrupted caller still prints partial results. The deadline crosses
+// the wire at millisecond grain, so the server's copy can run out a tick
+// before ctx and answer not-done: the call is then simply made again —
+// the server parks every ask until its own deadline, so nothing spins —
+// and ctx decides. When the context carries a trace (obs.WithTrace), the
+// server-side spans shipped with the final answer are stitched into it,
+// completing the distributed trace.
 func (c *Client) WaitResultsCtx(ctx context.Context, jobID string) ([]ResultRow, error) {
 	var rows []ResultRow
 	for ctx.Err() == nil {
@@ -1043,12 +1014,6 @@ func (c *Client) WaitResultsCtx(ctx context.Context, jobID string) ([]ResultRow,
 		if resp.Done {
 			obs.TraceFrom(ctx).ImportSpans(resp.Spans)
 			return rows, nil
-		}
-		pause := time.NewTimer(legacyPollInterval)
-		select {
-		case <-pause.C:
-		case <-ctx.Done():
-			pause.Stop()
 		}
 	}
 	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), partialFetchBudget)

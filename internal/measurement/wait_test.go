@@ -229,7 +229,7 @@ func TestAbandonedWaitsReturnPartialRowsAndFreeHandlers(t *testing.T) {
 		gf := newGatedFetcher("/held")
 		fx := newWaitFixture(t, transport.NewInproc(), gf)
 		cli := fx.dial(t)
-		if err := cli.Check(checkFor("job-held", "http://shop.es/held/1")); err != nil {
+		if err := cli.CheckCtx(context.Background(), checkFor("job-held", "http://shop.es/held/1")); err != nil {
 			t.Fatal(err)
 		}
 		<-gf.started
@@ -263,7 +263,7 @@ func TestAbandonedWaitsReturnPartialRowsAndFreeHandlers(t *testing.T) {
 	t.Run("dropped_connection", func(t *testing.T) {
 		gf := newGatedFetcher("/held")
 		fx := newWaitFixture(t, transport.NewInproc(), gf)
-		if err := fx.dial(t).Check(checkFor("job-held", "http://shop.es/held/1")); err != nil {
+		if err := fx.dial(t).CheckCtx(context.Background(), checkFor("job-held", "http://shop.es/held/1")); err != nil {
 			t.Fatal(err)
 		}
 		<-gf.started
@@ -470,105 +470,120 @@ func TestResultsReqCodecAcrossVersions(t *testing.T) {
 	}
 }
 
-// TestWaitInteropMixedVersions runs the waiting protocol against a peer
-// from before it, in both directions, over every pairing of binary and
-// JSON endpoints on real TCP.
+// TestWaitInteropMixedVersions: a caller that polls without the wait flag
+// (the AJAX shape; here as a frame that ends before the flag) is never
+// parked by the server, over real TCP.
 func TestWaitInteropMixedVersions(t *testing.T) {
-	wires := []string{transport.WireBinary, transport.WireJSON}
-	for _, srvWire := range wires {
-		for _, cliWire := range wires {
-			name := fmt.Sprintf("client=%s_server=%s", cliWire, srvWire)
-
-			// A current client waiting on a server that ignores the flag
-			// and answers not-done at once: same rows in the end, and the
-			// re-asks are paced like the old poll, not spun.
-			t.Run("old_server/"+name, func(t *testing.T) {
-				gf := newGatedFetcher("")
-				gf.delay = 40 * time.Millisecond
-				srv := New("", nil)
-				srv.IPCs = []*IPC{{ID: "ipc-00-ES", IP: "10.0.0.9", Country: "ES", Fetcher: gf}}
-				lis, err := transport.TCP{Wire: srvWire}.Listen("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				old := transport.NewServer(lis)
-				transport.HandleTyped(old, "ms.check", func(ctx context.Context, req *CheckRequest) (any, error) {
-					return nil, srv.StartCheckCtx(ctx, req)
-				})
-				var asks atomic.Int32
-				transport.HandleTyped(old, "ms.results", func(_ context.Context, req *resultsReq) (any, error) {
-					asks.Add(1)
-					resp, err := srv.Results(req.JobID, req.Since) // req.Wait: never heard of it
-					return &resp, err
-				})
-				go old.Serve()
-				defer old.Close()
-
-				cli, err := DialMeasurement(transport.TCP{Wire: cliWire}, lis.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cli.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := cli.CheckCtx(ctx, checkFor("job-old-srv", "http://shop.es/p/1")); err != nil {
-					t.Fatal(err)
-				}
-				t0 := time.Now()
-				rows, err := cli.WaitResultsCtx(ctx, "job-old-srv")
-				elapsed := time.Since(t0)
-				if err != nil || len(rows) != 2 {
-					t.Fatalf("rows = %d, err = %v", len(rows), err)
-				}
-				if n := asks.Load(); n < 2 || time.Duration(n-2)*legacyPollInterval > elapsed {
-					t.Errorf("%d results requests in %v: want a poll paced at %v", n, elapsed, legacyPollInterval)
-				}
-			})
-
-			// A client from before the flag polling a current server: its
-			// frames carry no flag, so the server never parks it.
-			t.Run("old_client/"+name, func(t *testing.T) {
-				gf := newGatedFetcher("/held")
-				fx := newWaitFixture(t, transport.TCP{Wire: srvWire}, gf)
-				rpc, err := transport.DialClient(transport.TCP{Wire: cliWire}, fx.front.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rpc.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := rpc.CallCtx(ctx, "ms.check", checkFor("job-old-cli", "http://shop.es/held/1"), nil); err != nil {
-					t.Fatal(err)
-				}
-				<-gf.started
-				var rows []ResultRow
-				poll := func() ResultsResponse {
-					var resp ResultsResponse
-					if err := rpc.CallCtx(ctx, "ms.results", &legacyResultsReq{JobID: "job-old-cli", Since: len(rows)}, &resp); err != nil {
-						t.Fatal(err)
-					}
-					rows = append(rows, resp.Rows...)
-					return resp
-				}
-				t0 := time.Now()
-				if resp := poll(); resp.Done || len(rows) != 1 {
-					t.Fatalf("first poll: done = %v, rows = %d; want the initiator row, not done", resp.Done, len(rows))
-				}
-				if elapsed := time.Since(t0); elapsed > 2*time.Second {
-					t.Errorf("a flagless poll of a running job took %v: the server parked it", elapsed)
-				}
-				close(gf.release)
-				for !poll().Done {
-					if ctx.Err() != nil {
-						t.Fatal("job never finished")
-					}
-					time.Sleep(legacyPollInterval)
-				}
-				if len(rows) != 2 {
-					t.Errorf("rows = %d, want 2", len(rows))
-				}
-			})
+	t.Run("old_client/client=binary_server=binary", func(t *testing.T) {
+		gf := newGatedFetcher("/held")
+		fx := newWaitFixture(t, transport.TCP{}, gf)
+		rpc, err := transport.DialClient(transport.TCP{}, fx.front.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer rpc.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := rpc.CallCtx(ctx, "ms.check", checkFor("job-old-cli", "http://shop.es/held/1"), nil); err != nil {
+			t.Fatal(err)
+		}
+		<-gf.started
+		var rows []ResultRow
+		poll := func() ResultsResponse {
+			var resp ResultsResponse
+			if err := rpc.CallCtx(ctx, "ms.results", &legacyResultsReq{JobID: "job-old-cli", Since: len(rows)}, &resp); err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, resp.Rows...)
+			return resp
+		}
+		t0 := time.Now()
+		if resp := poll(); resp.Done || len(rows) != 1 {
+			t.Fatalf("first poll: done = %v, rows = %d; want the initiator row, not done", resp.Done, len(rows))
+		}
+		if elapsed := time.Since(t0); elapsed > 2*time.Second {
+			t.Errorf("a flagless poll of a running job took %v: the server parked it", elapsed)
+		}
+		close(gf.release)
+		for !poll().Done {
+			if ctx.Err() != nil {
+				t.Fatal("job never finished")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if len(rows) != 2 {
+			t.Errorf("rows = %d, want 2", len(rows))
+		}
+	})
+}
+
+// TestWaitNotDoneAnswerReturnsPartialRowsAtDeadline: the caller's deadline
+// crosses the wire at millisecond grain, so the server's copy can expire
+// first and answer a waiting call not-done while the caller's context is
+// still alive. WaitResultsCtx must neither report that as completion nor
+// spin or sleep on it: it asks again (the server parks each ask until its
+// own deadline), and when the context dies returns the rows gathered so
+// far with the context's cause. The front-end here makes the race certain:
+// its copy of the first ask's deadline runs out after 20 ms.
+func TestWaitNotDoneAnswerReturnsPartialRowsAtDeadline(t *testing.T) {
+	gf := newGatedFetcher("/held")
+	defer close(gf.release)
+	srv := New("", nil)
+	srv.CheckDeadline = 30 * time.Second
+	srv.IPCs = []*IPC{{ID: "ipc-00-ES", IP: "10.0.0.9", Country: "ES", Fetcher: gf}}
+	netw := transport.NewInproc()
+	lis, err := netw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := transport.NewServer(lis)
+	transport.HandleTyped(front, "ms.check", func(ctx context.Context, req *CheckRequest) (any, error) {
+		return nil, srv.StartCheckCtx(ctx, req)
+	})
+	var waits atomic.Int32
+	transport.HandleTyped(front, "ms.results", func(ctx context.Context, req *resultsReq) (any, error) {
+		if !req.Wait {
+			resp, err := srv.Results(req.JobID, req.Since)
+			return &resp, err
+		}
+		if waits.Add(1) == 1 {
+			early, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+			defer cancel()
+			ctx = early
+		}
+		resp, err := srv.AwaitResults(ctx, req.JobID, req.Since)
+		return &resp, err
+	})
+	go front.Serve()
+	defer front.Close()
+
+	cli, err := DialMeasurement(netw, lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.CheckCtx(context.Background(), checkFor("job-tick", "http://shop.es/held/1")); err != nil {
+		t.Fatal(err)
+	}
+	<-gf.started
+
+	const budget = 400 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	t0 := time.Now()
+	rows, err := cli.WaitResultsCtx(ctx, "job-tick")
+	elapsed := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's cause (deadline exceeded)", err)
+	}
+	if len(rows) != 1 || rows[0].Kind != "initiator" {
+		t.Errorf("rows = %+v, want the initiator row gathered so far, once", rows)
+	}
+	if elapsed < budget-5*time.Millisecond || elapsed > 2*time.Second {
+		t.Errorf("returned after %v: want the caller's %v deadline, not the server's early answer", elapsed, budget)
+	}
+	if n := waits.Load(); n < 2 || n > 8 {
+		t.Errorf("%d waiting asks: want the not-done answer asked again, parked server-side rather than spun", n)
 	}
 }
 

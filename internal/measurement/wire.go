@@ -117,11 +117,7 @@ func (r *ResultsResponse) AppendWire(b []byte) []byte {
 		b = transport.AppendString(b, row.Err)
 	}
 	b = transport.AppendBool(b, r.Done)
-	// The slot of the JSON span blob frames carried before the binary span
-	// batch: always empty now, kept so a decoder from before the batch
-	// still finds the frame well-formed (it stops here and loses only the
-	// spans).
-	b = transport.AppendBytes(b, nil)
+	b = transport.AppendBytes(b, nil) // reserved slot (the retired JSON span blob), always empty
 	// Spans ride only the Done answer of a sampled trace.
 	if len(r.Spans) > 0 {
 		b = transport.AppendSpans(b, r.Spans)
@@ -150,7 +146,7 @@ func (r *ResultsResponse) DecodeWire(d *transport.WireDec) error {
 		}
 	}
 	r.Done = d.Bool()
-	r.Spans = d.JSONSpans() // an old peer's blob; empty from a current one
+	d.Bytes() // the reserved slot
 	if d.Remaining() > 0 {
 		r.Spans = d.Spans()
 	}

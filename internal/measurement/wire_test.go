@@ -9,40 +9,36 @@ import (
 	"pricesheriff/internal/transport"
 )
 
-// TestResultsResponseSpanInterop covers both directions of the move from
-// a JSON span blob to the binary span batch. An answer from a server that
-// still writes the blob must decode with its spans; and a submitter from
-// before the batch — which reads rows, the done flag and the (now empty)
-// blob slot, and stops — must find the frame well-formed up to there and
-// lose only the spans.
+// TestResultsResponseSpanInterop pins where an answer's spans ride: after
+// rows and the done flag comes one reserved, always-empty slot (retired
+// with the JSON span blob; kept so the frames do not change), and the
+// binary span batch trails it only when there are spans. Bytes a frame
+// does carry in the reserved slot are skipped, not read as spans.
 func TestResultsResponseSpanInterop(t *testing.T) {
 	spans := []obs.WireSpan{{ID: "s1", Parent: "s0", Name: "fanout", Start: 7, End: 9, Attrs: [][2]string{{"kind", "ipc"}}}}
 	rows := []ResultRow{{Source: "You", Kind: "initiator", Original: "€ 19,99", Currency: "EUR", Amount: 19.99, Converted: 19.99}}
 	cur := (&ResultsResponse{Rows: rows, Done: true, Spans: spans}).AppendWire(nil)
 	spanless := (&ResultsResponse{Rows: rows, Done: true}).AppendWire(nil)
 
-	blob, _ := json.Marshal(spans)
-	old := append([]byte(nil), spanless[:len(spanless)-1]...) // drop the empty blob slot
-	old = transport.AppendBytes(old, blob)
-	var fromOld ResultsResponse
-	if err := fromOld.DecodeWire(transport.NewWireDec(old)); err != nil {
-		t.Fatalf("answer with the old JSON span blob: %v", err)
-	}
-	if !fromOld.Done || !reflect.DeepEqual(fromOld.Rows, rows) || !reflect.DeepEqual(fromOld.Spans, spans) {
-		t.Errorf("old-format answer decoded to %+v", fromOld)
-	}
-
-	// What an old decoder reads of a current frame is exactly a current
-	// spanless frame: the batch trails it.
-	if string(cur[:len(spanless)]) != string(spanless) || len(cur) == len(spanless) {
-		t.Fatalf("span batch does not trail an otherwise unchanged frame")
+	if spanless[len(spanless)-1] != 0 || string(cur[:len(spanless)]) != string(spanless) || len(cur) == len(spanless) {
+		t.Fatalf("span batch does not trail an otherwise unchanged frame ending in the empty reserved slot")
 	}
 	var fromCur ResultsResponse
 	d := transport.NewWireDec(cur)
 	if err := fromCur.DecodeWire(d); err != nil || d.Remaining() != 0 {
 		t.Fatalf("current answer: err %v, %d bytes left", err, d.Remaining())
 	}
-	if !reflect.DeepEqual(fromCur.Spans, spans) {
-		t.Errorf("current answer decoded spans %+v", fromCur.Spans)
+	if !fromCur.Done || !reflect.DeepEqual(fromCur.Rows, rows) || !reflect.DeepEqual(fromCur.Spans, spans) {
+		t.Errorf("current answer decoded to %+v", fromCur)
+	}
+
+	blob, _ := json.Marshal(spans)
+	filled := transport.AppendBytes(append([]byte(nil), spanless[:len(spanless)-1]...), blob)
+	var fromFilled ResultsResponse
+	if err := fromFilled.DecodeWire(transport.NewWireDec(filled)); err != nil {
+		t.Fatalf("answer with bytes in the reserved slot: %v", err)
+	}
+	if !fromFilled.Done || !reflect.DeepEqual(fromFilled.Rows, rows) || fromFilled.Spans != nil {
+		t.Errorf("answer with bytes in the reserved slot decoded to %+v", fromFilled)
 	}
 }

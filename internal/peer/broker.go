@@ -45,10 +45,9 @@ type Msg struct {
 
 	// Binary payload state (unexported; the counterpart of
 	// transport.Envelope's): body is an outgoing typed payload, encoded in
-	// place by AppendWire or rendered into Payload by MarshalJSON on a
-	// JSON leg; binTag/binBody hold an inbound binary payload — a view of
-	// the frame copy — that decodePayload reads and the broker relays
-	// untouched.
+	// place by AppendWire; binTag/binBody hold an inbound binary payload —
+	// a view of the frame copy — that decodePayload reads and the broker
+	// relays untouched.
 	body    transport.WireMessage
 	binTag  uint8
 	binBody []byte

@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"encoding/json" // lint:allow — JSON legs (-wire=json, old peers) and the pre-PR-15 span blob
+	"encoding/json" // lint:allow — decodePayload: a Msg.Payload of a kind with no payload codec
 	"fmt"
 
 	"pricesheriff/internal/transport"
@@ -23,9 +23,7 @@ func init() {
 	transport.RegisterWire(wireTagPageResponse, "peer.page_response", func() transport.WireMessage { return new(PageResponse) })
 }
 
-// Msg field presence bits. Kind is always present. New fields are
-// appended after the old ones, so a decoder that predates a bit skips what
-// it announces.
+// Msg field presence bits. Kind is always present.
 const (
 	msgHasFrom = 1 << iota
 	msgHasTo
@@ -35,7 +33,7 @@ const (
 	msgHasTraceID
 	msgHasSpanID
 	msgSampled
-	msgHasJSONSpans  // read for old peers, never written
+	_                // reserved (the retired JSON span blob), so the bits below keep their values
 	msgHasBinPayload // [tag:1] + length-prefixed AppendWire bytes of the payload
 	msgHasSpans      // binary span batch (transport.AppendSpans)
 )
@@ -141,9 +139,6 @@ func (m *Msg) DecodeWire(d *transport.WireDec) error {
 		m.SpanID = d.String()
 	}
 	m.Sampled = flags&msgSampled != 0
-	if flags&msgHasJSONSpans != 0 {
-		m.Spans = d.JSONSpans()
-	}
 	if flags&msgHasBinPayload != 0 {
 		m.binTag = d.Byte()
 		m.binBody = d.Bytes()
@@ -155,37 +150,6 @@ func (m *Msg) DecodeWire(d *transport.WireDec) error {
 		m.Spans = d.Spans()
 	}
 	return d.Err()
-}
-
-// MarshalJSON renders a typed or binary payload as the JSON document the
-// legacy encoding carries in its place, so a Msg can leave on a JSON leg —
-// a -wire=json fabric, a relay to a peer that never adverted — whatever
-// it was built from or arrived as.
-func (m *Msg) MarshalJSON() ([]byte, error) {
-	type plain Msg // the default struct encoding, without this method
-	p := plain(*m)
-	body := m.body
-	if body == nil && m.binTag != 0 {
-		switch m.binTag {
-		case wireTagPageRequest:
-			body = new(PageRequest)
-		case wireTagPageResponse:
-			body = new(PageResponse)
-		default:
-			return nil, fmt.Errorf("peer: msg payload with unknown wire tag %d", m.binTag)
-		}
-		if err := m.decodePayload(body); err != nil {
-			return nil, err
-		}
-	}
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		p.Payload = raw
-	}
-	return json.Marshal(&p)
 }
 
 // decodePayload stores the message's payload into dst, whichever encoding

@@ -1,6 +1,7 @@
 package privkmeans
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -140,7 +141,7 @@ func DialCoordinatorServer(netw transport.Network, addr string, poolSize int) (*
 // downloads before encrypting its profile).
 func (rc *RemoteCoordinator) PublicKey() (*elgamal.PublicKey, error) {
 	var pk elgamal.PublicKey
-	if err := rc.pool.Call("pkm.pubkey", nil, &pk); err != nil {
+	if err := rc.pool.CallCtx(context.TODO(), "pkm.pubkey", nil, &pk); err != nil {
 		return nil, err
 	}
 	return &pk, nil
@@ -148,13 +149,13 @@ func (rc *RemoteCoordinator) PublicKey() (*elgamal.PublicKey, error) {
 
 // Init asks the Coordinator to seed k centroids.
 func (rc *RemoteCoordinator) Init(k int, seed int64) error {
-	return rc.pool.Call("pkm.init", initReq{K: k, Seed: seed}, nil)
+	return rc.pool.CallCtx(context.TODO(), "pkm.init", initReq{K: k, Seed: seed}, nil)
 }
 
 // DistanceGammas implements DistanceEvaluator over the wire.
 func (rc *RemoteCoordinator) DistanceGammas(ct *elgamal.Ciphertext) ([]*big.Int, error) {
 	var resp gammasResp
-	if err := rc.pool.Call("pkm.gammas", gammasReq{Ciphertext: ct}, &resp); err != nil {
+	if err := rc.pool.CallCtx(context.TODO(), "pkm.gammas", gammasReq{Ciphertext: ct}, &resp); err != nil {
 		return nil, err
 	}
 	out := make([]*big.Int, len(resp.Gammas))
@@ -170,13 +171,13 @@ func (rc *RemoteCoordinator) DistanceGammas(ct *elgamal.Ciphertext) ([]*big.Int,
 
 // Update ships the homomorphic cluster aggregates for the centroid update.
 func (rc *RemoteCoordinator) Update(aggs []*elgamal.Ciphertext, counts []int) error {
-	return rc.pool.Call("pkm.update", updateReq{Aggs: aggs, Counts: counts}, nil)
+	return rc.pool.CallCtx(context.TODO(), "pkm.update", updateReq{Aggs: aggs, Counts: counts}, nil)
 }
 
 // Centroids fetches the doppelganger profiles after convergence.
 func (rc *RemoteCoordinator) Centroids() ([]cluster.Point, error) {
 	var out []cluster.Point
-	err := rc.pool.Call("pkm.centroids", nil, &out)
+	err := rc.pool.CallCtx(context.TODO(), "pkm.centroids", nil, &out)
 	return out, err
 }
 
@@ -273,13 +274,13 @@ func DialAggregator(netw transport.Network, addr string) (*AggregatorClient, err
 
 // Submit uploads an encrypted profile; the client can then go offline.
 func (c *AggregatorClient) Submit(clientID string, ct *elgamal.Ciphertext) error {
-	return c.rpc.Call("pkm.submit", submitReq{ClientID: clientID, Ciphertext: ct}, nil)
+	return c.rpc.CallCtx(context.TODO(), "pkm.submit", submitReq{ClientID: clientID, Ciphertext: ct}, nil)
 }
 
 // Assignment returns the client's cluster (the doppelganger lookup).
 func (c *AggregatorClient) Assignment(clientID string) (int, bool, error) {
 	var resp assignResp
-	if err := c.rpc.Call("pkm.assignment", assignReq{ClientID: clientID}, &resp); err != nil {
+	if err := c.rpc.CallCtx(context.TODO(), "pkm.assignment", assignReq{ClientID: clientID}, &resp); err != nil {
 		return 0, false, err
 	}
 	return resp.Cluster, resp.Known, nil
@@ -288,7 +289,7 @@ func (c *AggregatorClient) Assignment(clientID string) (int, bool, error) {
 // Iterate runs one mapping+update round, returning how many clients moved.
 func (c *AggregatorClient) Iterate(threads int) (int, int64, error) {
 	var resp iterateResp
-	if err := c.rpc.Call("pkm.iterate", iterateReq{Threads: threads}, &resp); err != nil {
+	if err := c.rpc.CallCtx(context.TODO(), "pkm.iterate", iterateReq{Threads: threads}, &resp); err != nil {
 		return 0, 0, err
 	}
 	return resp.Changed, resp.TotalD2, nil

@@ -98,14 +98,14 @@ func (f *NetFetcher) Fetch(ctx context.Context, req *FetchRequest) (*FetchRespon
 // Domains lists the retailer domains served by the mall.
 func (f *NetFetcher) Domains() ([]string, error) {
 	var out []string
-	err := f.pool.Call("shop.domains", nil, &out)
+	err := f.pool.CallCtx(context.TODO(), "shop.domains", nil, &out)
 	return out, err
 }
 
 // Catalog lists a retailer's products.
 func (f *NetFetcher) Catalog(domain string) ([]ProductInfo, error) {
 	var out []ProductInfo
-	err := f.pool.Call("shop.catalog", domain, &out)
+	err := f.pool.CallCtx(context.TODO(), "shop.catalog", domain, &out)
 	return out, err
 }
 

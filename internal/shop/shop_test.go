@@ -404,47 +404,45 @@ func TestAmazonVATWithinCountry(t *testing.T) {
 }
 
 func TestNetworkFetcher(t *testing.T) {
-	// Over both codecs: shop.fetch has a wire codec, so on the binary fabric
-	// neither direction may fall back to a JSON body.
-	for _, wire := range []string{transport.WireBinary, transport.WireJSON} {
-		t.Run(wire, func(t *testing.T) {
-			m := smallMall()
-			reg := obs.NewRegistry()
-			netw := transport.NewInproc()
-			netw.Wire, netw.Metrics = wire, transport.NewMetrics(reg, "inproc")
-			lis, _ := netw.Listen("")
-			srv := NewServer(m, lis)
-			go srv.Serve()
-			defer srv.Close()
+	// shop.fetch has a wire codec, so neither direction may fall back to a
+	// JSON body.
+	t.Run("binary", func(t *testing.T) {
+		m := smallMall()
+		reg := obs.NewRegistry()
+		netw := transport.NewInproc()
+		netw.Metrics = transport.NewMetrics(reg, "inproc")
+		lis, _ := netw.Listen("")
+		srv := NewServer(m, lis)
+		go srv.Serve()
+		defer srv.Close()
 
-			f, err := DialFetcher(netw, srv.Addr(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			s, _ := m.Shop("chegg.com")
-			req := FetchRequest{URL: s.ProductURL(s.Products()[0].SKU), IP: ipIn(t, m.World, "ES"), Nonce: 5,
-				Cookies: map[string]string{"chegg.com": "sess-chegg.com-0000000000000001"}, UserAgent: "test/1.0", Day: 2, LoggedIn: true}
-			resp, err := f.Fetch(context.Background(), &req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Status != 200 || !strings.Contains(resp.HTML, "price") {
-				t.Errorf("network fetch: status=%d", resp.Status)
-			}
-			// Local and network fetch agree byte for byte.
-			local := m.Fetch(&req)
-			if local.HTML != resp.HTML {
-				t.Error("network and local fetch disagree")
-			}
-			if got, want := resp.SetCookies["chegg.com"], "sess-chegg.com-0000000000000001"; got != want {
-				t.Errorf("session cookie over the network = %q, want the one sent (%q)", got, want)
-			}
-			if n := reg.Counter("sheriff_transport_wire_fallback_total", "fabric", "inproc", "reason", "json_body").Value(); n != 0 {
-				t.Errorf("%d shop.fetch bodies rode JSON on the %s fabric", n, wire)
-			}
-		})
-	}
+		f, err := DialFetcher(netw, srv.Addr(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		s, _ := m.Shop("chegg.com")
+		req := FetchRequest{URL: s.ProductURL(s.Products()[0].SKU), IP: ipIn(t, m.World, "ES"), Nonce: 5,
+			Cookies: map[string]string{"chegg.com": "sess-chegg.com-0000000000000001"}, UserAgent: "test/1.0", Day: 2, LoggedIn: true}
+		resp, err := f.Fetch(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Status != 200 || !strings.Contains(resp.HTML, "price") {
+			t.Errorf("network fetch: status=%d", resp.Status)
+		}
+		// Local and network fetch agree byte for byte.
+		local := m.Fetch(&req)
+		if local.HTML != resp.HTML {
+			t.Error("network and local fetch disagree")
+		}
+		if got, want := resp.SetCookies["chegg.com"], "sess-chegg.com-0000000000000001"; got != want {
+			t.Errorf("session cookie over the network = %q, want the one sent (%q)", got, want)
+		}
+		if n := reg.Counter("sheriff_transport_wire_fallback_total", "fabric", "inproc", "reason", "json_body").Value(); n != 0 {
+			t.Errorf("%d shop.fetch bodies rode JSON", n)
+		}
+	})
 }
 
 func BenchmarkFetchRender(b *testing.B) {

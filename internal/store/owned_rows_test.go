@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -43,18 +44,18 @@ func TestServerStoresDecodedRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.CreateTable(TableSpec{Name: "responses", Index: []string{"job_id"}}); err != nil {
+	if err := cli.CreateTableCtx(context.Background(), TableSpec{Name: "responses", Index: []string{"job_id"}}); err != nil {
 		t.Fatal(err)
 	}
 	hooked := map[int64]uintptr{}
 	db.SetCommitHook(func(op Op) { hooked[op.ID] = mapPtr(op.Row) })
 
 	rows := responseRows(5)
-	ids, err := cli.InsertBatch("responses", rows[:4])
+	ids, err := cli.InsertBatchCtx(context.Background(), "responses", rows[:4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := cli.Insert("responses", rows[4])
+	one, err := cli.InsertCtx(context.Background(), "responses", rows[4])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,22 +241,12 @@ func Dial(netw transport.Network, addr string, poolSize int) (*Client, error) {
 	return &Client{pool: pool}, nil
 }
 
-// CreateTable mirrors DB.CreateTable.
-func (c *Client) CreateTable(spec TableSpec) error {
-	return c.CreateTableCtx(context.Background(), spec)
-}
-
-// CreateTableCtx is CreateTable bounded by a context.
+// CreateTableCtx mirrors DB.CreateTable, bounded by a context.
 func (c *Client) CreateTableCtx(ctx context.Context, spec TableSpec) error {
 	return c.pool.CallCtx(ctx, "store.create", spec, nil)
 }
 
-// Insert mirrors DB.Insert.
-func (c *Client) Insert(table string, row Row) (int64, error) {
-	return c.InsertCtx(context.Background(), table, row)
-}
-
-// InsertCtx is Insert bounded by a context.
+// InsertCtx mirrors DB.Insert, bounded by a context.
 func (c *Client) InsertCtx(ctx context.Context, table string, row Row) (int64, error) {
 	var resp insertResp
 	if err := c.pool.CallCtx(ctx, "store.insert", &insertReq{Table: table, Row: row}, &resp); err != nil {
@@ -265,13 +255,9 @@ func (c *Client) InsertCtx(ctx context.Context, table string, row Row) (int64, e
 	return resp.ID, nil
 }
 
-// InsertBatch mirrors DB.InsertBatch.
-func (c *Client) InsertBatch(table string, rows []Row) ([]int64, error) {
-	return c.InsertBatchCtx(context.Background(), table, rows)
-}
-
-// InsertBatchCtx inserts rows as one all-or-nothing batch over a single
-// round trip, returning the assigned IDs in order.
+// InsertBatchCtx mirrors DB.InsertBatch: it inserts rows as one
+// all-or-nothing batch over a single round trip, returning the assigned
+// IDs in order.
 func (c *Client) InsertBatchCtx(ctx context.Context, table string, rows []Row) ([]int64, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -283,12 +269,7 @@ func (c *Client) InsertBatchCtx(ctx context.Context, table string, rows []Row) (
 	return resp.IDs, nil
 }
 
-// Get mirrors DB.Get.
-func (c *Client) Get(table string, id int64) (Row, error) {
-	return c.GetCtx(context.Background(), table, id)
-}
-
-// GetCtx is Get bounded by a context.
+// GetCtx mirrors DB.Get, bounded by a context.
 func (c *Client) GetCtx(ctx context.Context, table string, id int64) (Row, error) {
 	var row Row
 	if err := c.pool.CallCtx(ctx, "store.get", getReq{Table: table, ID: id}, &row); err != nil {
@@ -297,32 +278,17 @@ func (c *Client) GetCtx(ctx context.Context, table string, id int64) (Row, error
 	return row, nil
 }
 
-// Update mirrors DB.Update.
-func (c *Client) Update(table string, id int64, updates Row) error {
-	return c.UpdateCtx(context.Background(), table, id, updates)
-}
-
-// UpdateCtx is Update bounded by a context.
+// UpdateCtx mirrors DB.Update, bounded by a context.
 func (c *Client) UpdateCtx(ctx context.Context, table string, id int64, updates Row) error {
 	return c.pool.CallCtx(ctx, "store.update", updateReq{Table: table, ID: id, Updates: updates}, nil)
 }
 
-// Delete mirrors DB.Delete.
-func (c *Client) Delete(table string, id int64) error {
-	return c.DeleteCtx(context.Background(), table, id)
-}
-
-// DeleteCtx is Delete bounded by a context.
+// DeleteCtx mirrors DB.Delete, bounded by a context.
 func (c *Client) DeleteCtx(ctx context.Context, table string, id int64) error {
 	return c.pool.CallCtx(ctx, "store.delete", deleteReq{Table: table, ID: id}, nil)
 }
 
-// Select mirrors DB.Select.
-func (c *Client) Select(q Query) ([]Row, error) {
-	return c.SelectCtx(context.Background(), q)
-}
-
-// SelectCtx is Select bounded by a context.
+// SelectCtx mirrors DB.Select, bounded by a context.
 func (c *Client) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
 	var rows []Row
 	if err := c.pool.CallCtx(ctx, "store.select", q, (*rowList)(&rows)); err != nil {
@@ -331,13 +297,8 @@ func (c *Client) SelectCtx(ctx context.Context, q Query) ([]Row, error) {
 	return rows, nil
 }
 
-// Call invokes a stored procedure registered on the server, decoding the
-// result into out (may be nil).
-func (c *Client) Call(proc string, args any, out any) error {
-	return c.CallProcCtx(context.Background(), proc, args, out)
-}
-
-// CallProcCtx is Call bounded by a context.
+// CallProcCtx invokes a stored procedure registered on the server, decoding
+// the result into out (may be nil).
 func (c *Client) CallProcCtx(ctx context.Context, proc string, args any, out any) error {
 	var raw json.RawMessage
 	if args != nil {
@@ -350,13 +311,8 @@ func (c *Client) CallProcCtx(ctx context.Context, proc string, args any, out any
 	return c.pool.CallCtx(ctx, "store.call", callReq{Proc: proc, Args: raw}, out)
 }
 
-// DeleteBatch removes many rows in one round trip, returning how many
+// DeleteBatchCtx removes many rows in one round trip, returning how many
 // actually existed — the rebalance cleanup path.
-func (c *Client) DeleteBatch(table string, ids []int64) (int, error) {
-	return c.DeleteBatchCtx(context.Background(), table, ids)
-}
-
-// DeleteBatchCtx is DeleteBatch bounded by a context.
 func (c *Client) DeleteBatchCtx(ctx context.Context, table string, ids []int64) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
@@ -368,12 +324,7 @@ func (c *Client) DeleteBatchCtx(ctx context.Context, table string, ids []int64) 
 	return resp.Removed, nil
 }
 
-// Counts mirrors DB.Counts: live row count per table.
-func (c *Client) Counts() (map[string]int, error) {
-	return c.CountsCtx(context.Background())
-}
-
-// CountsCtx is Counts bounded by a context.
+// CountsCtx mirrors DB.Counts: live row count per table.
 func (c *Client) CountsCtx(ctx context.Context) (map[string]int, error) {
 	var resp countsResp
 	if err := c.pool.CallCtx(ctx, "store.counts", nil, &resp); err != nil {
@@ -382,13 +333,8 @@ func (c *Client) CountsCtx(ctx context.Context) (map[string]int, error) {
 	return resp.Tables, nil
 }
 
-// Export downloads the whole database as a Snapshot — how an operator
+// ExportCtx downloads the whole database as a Snapshot — how an operator
 // dumps a study's dataset from the live Database server.
-func (c *Client) Export() (*Snapshot, error) {
-	return c.ExportCtx(context.Background())
-}
-
-// ExportCtx is Export bounded by a context.
 func (c *Client) ExportCtx(ctx context.Context) (*Snapshot, error) {
 	var snap Snapshot
 	if err := c.pool.CallCtx(ctx, "store.export", nil, &snap); err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -90,7 +91,7 @@ func TestExportOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	snap, err := cli.Export()
+	snap, err := cli.ExportCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

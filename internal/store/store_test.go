@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -273,24 +274,24 @@ func TestNetworkClientServer(t *testing.T) {
 	}
 	defer cli.Close()
 
-	if err := cli.CreateTable(TableSpec{Name: "t", Index: []string{"k"}}); err != nil {
+	if err := cli.CreateTableCtx(context.Background(), TableSpec{Name: "t", Index: []string{"k"}}); err != nil {
 		t.Fatal(err)
 	}
-	id, err := cli.Insert("t", Row{"k": "v", "n": 1})
+	id, err := cli.InsertCtx(context.Background(), "t", Row{"k": "v", "n": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := cli.Get("t", id)
+	row, err := cli.GetCtx(context.Background(), "t", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if row["k"] != "v" || row["n"] != float64(1) {
 		t.Errorf("row = %v", row)
 	}
-	if err := cli.Update("t", id, Row{"n": 2}); err != nil {
+	if err := cli.UpdateCtx(context.Background(), "t", id, Row{"n": 2}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := cli.Select(Query{Table: "t", Eq: map[string]any{"k": "v"}})
+	rows, err := cli.SelectCtx(context.Background(), Query{Table: "t", Eq: map[string]any{"k": "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,13 +299,13 @@ func TestNetworkClientServer(t *testing.T) {
 		t.Errorf("select = %v", rows)
 	}
 	var pong string
-	if err := cli.Call("ping", nil, &pong); err != nil || pong != "pong" {
+	if err := cli.CallProcCtx(context.Background(), "ping", nil, &pong); err != nil || pong != "pong" {
 		t.Errorf("proc over wire: %q, %v", pong, err)
 	}
-	if err := cli.Delete("t", id); err != nil {
+	if err := cli.DeleteCtx(context.Background(), "t", id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Get("t", id); err == nil || !transport.IsRemote(err) {
+	if _, err := cli.GetCtx(context.Background(), "t", id); err == nil || !transport.IsRemote(err) {
 		t.Errorf("remote ErrNoRow expected, got %v", err)
 	}
 }
@@ -329,13 +330,13 @@ func TestNetworkSharedBetweenClients(t *testing.T) {
 	}
 	defer b.Close()
 
-	if err := a.CreateTable(TableSpec{Name: "shared"}); err != nil {
+	if err := a.CreateTableCtx(context.Background(), TableSpec{Name: "shared"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Insert("shared", Row{"from": "a"}); err != nil {
+	if _, err := a.InsertCtx(context.Background(), "shared", Row{"from": "a"}); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := b.Select(Query{Table: "shared"})
+	rows, err := b.SelectCtx(context.Background(), Query{Table: "shared"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,11 +413,11 @@ func BenchmarkNetworkInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer cli.Close()
-	cli.CreateTable(TableSpec{Name: "t"})
+	cli.CreateTableCtx(context.Background(), TableSpec{Name: "t"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.Insert("t", Row{"n": i}); err != nil {
+		if _, err := cli.InsertCtx(context.Background(), "t", Row{"n": i}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,11 +493,11 @@ func TestSelectRangeOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.CreateTable(TableSpec{Name: "t"})
+	cli.CreateTableCtx(context.Background(), TableSpec{Name: "t"})
 	for i := 0; i < 5; i++ {
-		cli.Insert("t", Row{"n": i})
+		cli.InsertCtx(context.Background(), "t", Row{"n": i})
 	}
-	rows, err := cli.Select(Query{Table: "t", Num: map[string]Range{"n": {Min: fptr(2)}}, OrderBy: "n", Desc: true})
+	rows, err := cli.SelectCtx(context.Background(), Query{Table: "t", Num: map[string]Range{"n": {Min: fptr(2)}}, OrderBy: "n", Desc: true})
 	if err != nil {
 		t.Fatal(err)
 	}

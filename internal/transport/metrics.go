@@ -19,9 +19,6 @@ type Metrics struct {
 	sendSeconds *obs.Histogram
 	recvSeconds *obs.Histogram
 	rpcInflight *obs.Gauge
-	wireBin     *obs.Counter
-	wireJSON    *obs.Counter
-	preAdvert   *obs.Counter
 	jsonBody    *obs.Counter
 }
 
@@ -36,34 +33,7 @@ func NewMetrics(reg *obs.Registry, fabric string) *Metrics {
 		sendSeconds: reg.Histogram("sheriff_transport_send_seconds", "fabric", fabric),
 		recvSeconds: reg.Histogram("sheriff_transport_recv_seconds", "fabric", fabric),
 		rpcInflight: reg.Gauge("sheriff_rpc_inflight", "fabric", fabric),
-		wireBin:     reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "binary"),
-		wireJSON:    reg.Counter("sheriff_transport_wire_negotiations_total", "fabric", fabric, "wire", "json"),
-		preAdvert:   reg.Counter("sheriff_transport_wire_fallback_total", "fabric", fabric, "reason", "pre_advert"),
 		jsonBody:    reg.Counter("sheriff_transport_wire_fallback_total", "fabric", fabric, "reason", "json_body"),
-	}
-}
-
-// sentPreAdvert counts one frame a binary-configured connection sent as
-// JSON because the peer's capability advert had not arrived yet — the
-// degraded path every fresh connection takes for its first frame(s), which
-// is why hot paths keep connections instead of dialing per request.
-func (m *Metrics) sentPreAdvert() {
-	if m == nil {
-		return
-	}
-	m.preAdvert.Inc()
-}
-
-// wireNegotiated counts one settled codec negotiation (or configured
-// in-process connection) by outcome.
-func (m *Metrics) wireNegotiated(bin bool) {
-	if m == nil {
-		return
-	}
-	if bin {
-		m.wireBin.Inc()
-	} else {
-		m.wireJSON.Inc()
 	}
 }
 
@@ -83,29 +53,20 @@ func (m *Metrics) callEnd() {
 	m.rpcInflight.Add(-1)
 }
 
-func (m *Metrics) sent(n int, t0 time.Time) {
-	if m == nil {
-		return
-	}
-	m.framesSent.Inc()
-	m.bytesSent.Add(int64(n))
-	m.sendSeconds.ObserveSince(t0)
-}
-
-// sentFrame is sent for a frame that went out on a connection that
-// negotiated the binary codec. It also counts the degraded path such a
-// connection can still take: an envelope whose body rode as JSON because
-// its type has no registered wire codec.
-func (m *Metrics) sentFrame(v any, n int, t0 time.Time) {
+// sent counts one frame written. It also counts the degraded path a frame
+// can still take: an envelope whose body rode as JSON because its type has
+// no registered wire codec.
+func (m *Metrics) sent(v any, n int, t0 time.Time) {
 	if m == nil {
 		return
 	}
 	if e, ok := v.(*Envelope); ok && e.wmsg == nil && e.binTag == 0 && len(e.Body) > 0 {
 		m.jsonBody.Inc()
 	}
-	m.sent(n, t0)
+	m.framesSent.Inc()
+	m.bytesSent.Add(int64(n))
+	m.sendSeconds.ObserveSince(t0)
 }
-
 func (m *Metrics) received(n int, t0 time.Time) {
 	if m == nil {
 		return

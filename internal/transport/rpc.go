@@ -100,10 +100,9 @@ type Envelope struct {
 	Hint       string          `json:"hint,omitempty"`  // response-only redirect hint (see RPCHinter)
 	Spans      []obs.WireSpan  `json:"spans,omitempty"` // response-only: exported handler-side spans
 
-	// Binary-codec body state (unexported: never serialized by the JSON
-	// path). wmsg is a pending outgoing typed body, encoded inline by
-	// appendEnvelope; binTag/binBody hold an inbound binary body awaiting
-	// its typed decode (a view of the frame's private copy), or a
+	// Typed-body state. wmsg is a pending outgoing typed body, encoded
+	// inline by appendEnvelope; binTag/binBody hold an inbound binary body
+	// awaiting its typed decode (a view of the frame's private copy), or a
 	// pre-encoded outgoing request body living in the pooled bodyBuf until
 	// releaseBody.
 	wmsg    WireMessage
@@ -321,7 +320,7 @@ func (s *Server) serveConn(conn Conn) {
 				abort(nil)
 				s.metrics.callEnd()
 			}()
-			conn.Send(s.dispatch(hctx, &req, connBinary(conn)))
+			conn.Send(s.dispatch(hctx, &req))
 		}(req, hctx)
 	}
 }
@@ -330,12 +329,11 @@ func (s *Server) serveConn(conn Conn) {
 // Binary request bodies decode through the wire registry and reach the
 // method's WireHandler directly when one is registered (JSON-round-trip
 // through the legacy handler otherwise); a typed response value rides
-// back binary-encoded when the connection negotiated the binary codec.
-// When the request carries sampled trace context, the handler runs under
-// a server-side span in a remote trace joined to the caller's trace ID;
-// the completed remote spans ship back on the response for the caller to
-// stitch in.
-func (s *Server) dispatch(ctx context.Context, req *Envelope, bin bool) *Envelope {
+// back binary-encoded. When the request carries sampled trace context, the
+// handler runs under a server-side span in a remote trace joined to the
+// caller's trace ID; the completed remote spans ship back on the response
+// for the caller to stitch in.
+func (s *Server) dispatch(ctx context.Context, req *Envelope) *Envelope {
 	s.mu.RLock()
 	h, ok := s.handlers[req.T]
 	wh := s.wired[req.T]
@@ -393,7 +391,7 @@ func (s *Server) dispatch(ctx context.Context, req *Envelope, bin bool) *Envelop
 		resp.Spans = rt.Export(req.SpanID, proc)
 	}
 	if out != nil {
-		if wm, isWM := out.(WireMessage); isWM && bin {
+		if wm, isWM := out.(WireMessage); isWM {
 			// Encoded inline by appendEnvelope during Send — the handler
 			// goroutine owns the value until the frame is written.
 			resp.wmsg = wm
@@ -430,11 +428,6 @@ func (s *Server) Close() error {
 // healthy (the late response is dropped by ID). Use a Pool when you want
 // several connections.
 type Client struct {
-	// Timeout bounds every legacy Call (zero = unbounded); CallCtx takes
-	// its budget from the context instead. Set it before sharing the
-	// client across goroutines.
-	Timeout time.Duration
-
 	conn Conn
 
 	mu      sync.Mutex
@@ -517,7 +510,7 @@ func (c *Client) callCtx(ctx context.Context, method string, req, resp any, csp 
 		env.TraceID, env.SpanID, env.Sampled = sc.TraceID, sc.SpanID, true
 	}
 	if req != nil {
-		if wm, ok := req.(WireMessage); ok && connBinary(c.conn) {
+		if wm, ok := req.(WireMessage); ok {
 			// Pre-encode synchronously: the send may be abandoned at the
 			// caller's deadline while the write goroutine keeps going, so
 			// the envelope must not alias caller-owned memory by then. The

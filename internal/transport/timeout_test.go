@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"sync/atomic"
@@ -36,6 +37,13 @@ func muteServer(t *testing.T, netw Network, addr string) Listener {
 	return lis
 }
 
+// callWithin is CallCtx under a fresh deadline d away.
+func callWithin(c *Client, d time.Duration, method string, req, resp any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return c.CallCtx(ctx, method, req, resp)
+}
+
 func testCallTimeout(t *testing.T, netw Network, addr string) {
 	t.Helper()
 	lis := muteServer(t, netw, addr)
@@ -46,10 +54,9 @@ func testCallTimeout(t *testing.T, netw Network, addr string) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.Timeout = 50 * time.Millisecond
 
 	start := time.Now()
-	err = cli.Call("ping", nil, nil)
+	err = callWithin(cli, 50*time.Millisecond, "ping", nil, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("err = %v, want ErrCallTimeout", err)
@@ -60,7 +67,7 @@ func testCallTimeout(t *testing.T, netw Network, addr string) {
 	// Under the mux protocol a timed-out call abandons only its own call
 	// ID: the shared connection stays usable, so a second call against the
 	// still-mute server times out again rather than failing ErrClosed.
-	if err := cli.Call("ping", nil, nil); !errors.Is(err, ErrCallTimeout) {
+	if err := callWithin(cli, 50*time.Millisecond, "ping", nil, nil); !errors.Is(err, ErrCallTimeout) {
 		t.Errorf("second call on timed-out client: %v, want ErrCallTimeout", err)
 	}
 	if cli.Broken() {
@@ -74,21 +81,6 @@ func TestCallTimeoutInproc(t *testing.T) {
 
 func TestCallTimeoutTCP(t *testing.T) {
 	testCallTimeout(t, TCP{}, "127.0.0.1:0")
-}
-
-func TestCallTimeoutOverride(t *testing.T) {
-	netw := NewInproc()
-	lis := muteServer(t, netw, "mute")
-	defer lis.Close()
-	cli, err := DialClient(netw, "mute")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	// No client-wide timeout; the per-call override alone bounds it.
-	if err := cli.CallTimeout("ping", nil, nil, 20*time.Millisecond); !errors.Is(err, ErrCallTimeout) {
-		t.Fatalf("err = %v, want ErrCallTimeout", err)
-	}
 }
 
 func TestCallNoTimeoutStillWorks(t *testing.T) {
@@ -113,14 +105,13 @@ func TestCallNoTimeoutStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	cli.Timeout = time.Second
 	var out string
-	if err := cli.Call("echo", "hello", &out); err != nil || out != "hello" {
+	if err := callWithin(cli, time.Second, "echo", "hello", &out); err != nil || out != "hello" {
 		t.Fatalf("echo = %q, %v", out, err)
 	}
 	// A deadline that never fires must be cleared between calls.
 	for i := 0; i < 3; i++ {
-		if err := cli.Call("echo", "again", &out); err != nil {
+		if err := callWithin(cli, time.Second, "echo", "again", &out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,11 +146,11 @@ func TestPoolSurvivesTimeout(t *testing.T) {
 	pool.Timeout = 30 * time.Millisecond
 
 	var out string
-	if err := pool.Call("ping", nil, &out); !errors.Is(err, ErrCallTimeout) {
+	if err := pool.CallCtx(context.Background(), "ping", nil, &out); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("slow call: %v, want ErrCallTimeout", err)
 	}
 	mute.Store(false)
-	if err := pool.Call("ping", nil, &out); err != nil || out != "pong" {
+	if err := pool.CallCtx(context.Background(), "ping", nil, &out); err != nil || out != "pong" {
 		t.Fatalf("pool did not recover: %q, %v", out, err)
 	}
 }
@@ -183,7 +174,7 @@ func TestPoolRedialsBrokenConn(t *testing.T) {
 	defer pool.Close()
 
 	var out string
-	if err := pool.Call("ping", nil, &out); err != nil || out != "pong" {
+	if err := pool.CallCtx(context.Background(), "ping", nil, &out); err != nil || out != "pong" {
 		t.Fatalf("first call: %q, %v", out, err)
 	}
 
@@ -202,7 +193,7 @@ func TestPoolRedialsBrokenConn(t *testing.T) {
 	// pool replaces it so a follow-up succeeds.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := pool.Call("ping", nil, &out); err == nil && out == "pong" {
+		if err := pool.CallCtx(context.Background(), "ping", nil, &out); err == nil && out == "pong" {
 			return
 		}
 		if time.Now().After(deadline) {

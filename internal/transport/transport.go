@@ -1,22 +1,19 @@
 // Package transport provides the message-passing substrate of the Price
 // $heriff: length-prefixed frames over a stream connection, with two
 // interchangeable fabrics — real TCP (the deployment path) and an
-// in-process loopback (fast deterministic tests). Frames carry either the
-// legacy JSON encoding or the negotiated binary wire codec (see wire.go);
-// the add-on's webRTC/peerjs channels (paper Sect. 10.2.2) are modelled by
-// the same framing relayed through a broker in package peer.
+// in-process loopback (fast deterministic tests). Every frame on every
+// connection carries the binary wire codec (see wire.go); the add-on's
+// webRTC/peerjs channels (paper Sect. 10.2.2) are modelled by the same
+// framing relayed through a broker in package peer.
 package transport
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -73,20 +70,14 @@ type Network interface {
 // --- TCP fabric ---
 
 // TCP is the real-network fabric. Metrics, when set, counts every frame
-// moved by connections this value dials or accepts. Wire selects the
-// frame codec: the default ("" or "binary") offers the binary wire
-// protocol and falls back per connection when the peer only speaks JSON;
-// "json" is the ablation that never negotiates and keeps the legacy
-// reflection-based framing.
+// moved by connections this value dials or accepts.
 type TCP struct {
 	Metrics *Metrics
-	Wire    string
 }
 
 type tcpListener struct {
-	l    net.Listener
-	m    *Metrics
-	wire string
+	l net.Listener
+	m *Metrics
 }
 
 type tcpConn struct {
@@ -94,33 +85,7 @@ type tcpConn struct {
 	m    *Metrics
 	rmu  sync.Mutex
 	wmu  sync.Mutex
-	rhdr [4]byte // length-prefix scratch, guarded by rmu
-	whdr [4]byte // length-prefix scratch, guarded by wmu
-
-	// Codec negotiation state. binCfg is this side's configuration;
-	// peerBin flips when the receive path consumes the peer's capability
-	// advert; first guards the one header position an advert may occupy.
-	// A sender emits binary frames only when binCfg && peerBin — until
-	// the advert is seen, frames ride as JSON, which is always decodable
-	// because every frame header self-describes its codec.
-	binCfg  bool
-	first   atomic.Bool
-	peerBin atomic.Bool
-}
-
-// newTCPConn wraps a socket and, when this side is binary-capable, fires
-// the 4-byte capability advert. The advert is a plain write — negotiation
-// never blocks, so even raw sequential Send/Recv use of a conn pair
-// cannot deadlock.
-func newTCPConn(c net.Conn, m *Metrics, wire string) (*tcpConn, error) {
-	tc := &tcpConn{c: c, m: m, binCfg: wantBinary(wire)}
-	if tc.binCfg {
-		if _, err := c.Write(wireHello[:]); err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
-	return tc, nil
+	rhdr [4]byte // frame-header scratch, guarded by rmu
 }
 
 // Listen binds a TCP listener.
@@ -129,7 +94,7 @@ func (t TCP) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l, m: t.Metrics, wire: t.Wire}, nil
+	return &tcpListener{l: l, m: t.Metrics}, nil
 }
 
 // Dial connects to a TCP listener.
@@ -138,7 +103,7 @@ func (t TCP) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, t.Metrics, t.Wire)
+	return &tcpConn{c: c, m: t.Metrics}, nil
 }
 
 func (l *tcpListener) Accept() (Conn, error) {
@@ -146,7 +111,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, l.m, l.wire)
+	return &tcpConn{c: c, m: l.m}, nil
 }
 
 func (l *tcpListener) Close() error { return l.l.Close() }
@@ -155,42 +120,10 @@ func (l *tcpListener) Addr() string { return l.l.Addr().String() }
 // TransportMetrics implements MetricsSource.
 func (l *tcpListener) TransportMetrics() *Metrics { return l.m }
 
-// WireBinary reports whether the connection negotiated the binary codec:
-// this side offers it and the peer's advert has been seen.
-func (c *tcpConn) WireBinary() bool { return c.binCfg && c.peerBin.Load() }
-
+// Send frames v into one pooled buffer — the flagged header is backfilled
+// so header and payload go out in a single write.
 func (c *tcpConn) Send(v any) error {
 	t0 := time.Now()
-	if c.WireBinary() {
-		return c.sendBinary(v, t0)
-	}
-	if c.binCfg && !c.first.Load() {
-		c.m.sentPreAdvert()
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("transport: marshal: %w", err)
-	}
-	if len(data) > MaxFrame {
-		return &FrameTooLargeError{Size: len(data), Tag: frameTag(v)}
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(data)))
-	if _, err := c.c.Write(c.whdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.c.Write(data); err != nil {
-		return err
-	}
-	c.m.sent(len(data)+4, t0)
-	return nil
-}
-
-// sendBinary frames v with the binary codec into one pooled buffer — the
-// flagged header is backfilled so header and payload go out in a single
-// write.
-func (c *tcpConn) sendBinary(v any, t0 time.Time) error {
 	bp := getBuf()
 	defer putBuf(bp)
 	buf, tag, err := appendFrame(append(*bp, 0, 0, 0, 0), v)
@@ -210,44 +143,26 @@ func (c *tcpConn) sendBinary(v any, t0 time.Time) error {
 	if err != nil {
 		return err
 	}
-	c.m.sentFrame(v, n+4, t0)
+	c.m.sent(v, n+4, t0)
 	return nil
 }
 
+// Recv reads one frame. A header without frameFlagBinary comes from a
+// peer that is not this build (a JSON length prefix, a capability advert,
+// noise): it is answered with a *ForeignFrameError and the connection is
+// closed, since nothing after an unreadable header can be framed.
 func (c *tcpConn) Recv(v any) error {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	for {
-		if _, err := io.ReadFull(c.c, c.rhdr[:]); err != nil {
-			return err
-		}
-		// The very first inbound header may be the peer's capability
-		// advert instead of a length prefix (its top byte exceeds any
-		// legal frame length, so the two can't be confused). Consume it
-		// and read on.
-		if c.first.CompareAndSwap(false, true) {
-			if isHello(c.rhdr) {
-				c.peerBin.Store(true)
-				c.m.wireNegotiated(c.binCfg)
-				continue
-			}
-			c.m.wireNegotiated(false)
-		}
-		break
+	if _, err := io.ReadFull(c.c, c.rhdr[:]); err != nil {
+		return err
+	}
+	if c.rhdr[0] != frameFlagBinary {
+		c.c.Close()
+		return &ForeignFrameError{Remote: c.RemoteAddr(), Header: c.rhdr}
 	}
 	t0 := time.Now() // frame available: time the transfer + decode
-	var n int
-	bin := false
-	if c.rhdr[0] == frameFlagBinary {
-		bin = true
-		n = int(c.rhdr[1])<<16 | int(c.rhdr[2])<<8 | int(c.rhdr[3])
-	} else {
-		n32 := binary.BigEndian.Uint32(c.rhdr[:])
-		if n32 > MaxFrame {
-			return &FrameTooLargeError{Size: int(n32), Tag: fmt.Sprintf("inbound into %T", v)}
-		}
-		n = int(n32)
-	}
+	n := int(c.rhdr[1])<<16 | int(c.rhdr[2])<<8 | int(c.rhdr[3])
 	bp := getBuf()
 	defer putBuf(bp)
 	if cap(*bp) < n {
@@ -257,13 +172,7 @@ func (c *tcpConn) Recv(v any) error {
 	if _, err := io.ReadFull(c.c, buf); err != nil {
 		return err
 	}
-	var err error
-	if bin {
-		err = decodeFrame(buf, v)
-	} else {
-		err = json.Unmarshal(buf, v)
-	}
-	if err != nil {
+	if err := decodeFrame(buf, v); err != nil {
 		return fmt.Errorf("transport: unmarshal frame from %s: %w", c.RemoteAddr(), err)
 	}
 	c.m.received(n+4, t0)
@@ -280,13 +189,10 @@ func (c *tcpConn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
 // Inproc is a loopback fabric: connections are paired byte-frame channels.
 // Addresses are logical names scoped to one Inproc instance. Metrics, when
-// set before the first Dial, counts every frame moved by the fabric. Wire
-// selects the frame codec as on TCP ("json" = legacy ablation); both
-// endpoints share one fabric so no handshake is needed.
+// set before the first Dial, counts every frame moved by the fabric.
 type Inproc struct {
 	// Metrics instruments connections created after it is set.
 	Metrics *Metrics
-	Wire    string
 
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
@@ -316,15 +222,13 @@ type inprocPipe struct {
 func (p *inprocPipe) close() { p.once.Do(func() { close(p.closed) }) }
 
 type inprocConn struct {
-	// Frames travel as buffer holders: in binary mode the holder is a
-	// pooled one whose ownership passes to the receiver on delivery (it
-	// recycles the buffer after decoding).
+	// Frames travel as pooled buffer holders whose ownership passes to the
+	// receiver on delivery (it recycles the buffer after decoding).
 	out  chan *[]byte
 	in   chan *[]byte
 	pipe *inprocPipe
 	peer string
 	m    *Metrics
-	bin  bool
 
 	dmu      sync.Mutex
 	deadline time.Time
@@ -359,15 +263,13 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: no listener at %q", addr)
 	}
-	bin := wantBinary(n.Wire)
 	a2b := make(chan *[]byte, 64)
 	b2a := make(chan *[]byte, 64)
 	pipe := &inprocPipe{closed: make(chan struct{})}
-	client := &inprocConn{out: a2b, in: b2a, pipe: pipe, peer: addr, m: n.Metrics, bin: bin}
-	server := &inprocConn{out: b2a, in: a2b, pipe: pipe, peer: "dialer", m: n.Metrics, bin: bin}
+	client := &inprocConn{out: a2b, in: b2a, pipe: pipe, peer: addr, m: n.Metrics}
+	server := &inprocConn{out: b2a, in: a2b, pipe: pipe, peer: "dialer", m: n.Metrics}
 	select {
 	case l.accept <- server:
-		n.Metrics.wireNegotiated(bin)
 		return client, nil
 	case <-l.done:
 		return nil, fmt.Errorf("transport: listener %q closed", addr)
@@ -398,54 +300,31 @@ func (l *inprocListener) Addr() string { return l.addr }
 // TransportMetrics implements MetricsSource.
 func (l *inprocListener) TransportMetrics() *Metrics { return l.net.Metrics }
 
-// WireBinary reports whether the connection uses the binary codec.
-func (c *inprocConn) WireBinary() bool { return c.bin }
-
 func (c *inprocConn) Send(v any) error {
 	t0 := time.Now()
-	var data *[]byte
-	if c.bin {
-		data = getBuf()
-		buf, tag, err := appendFrame(*data, v)
-		*data = buf
-		if err != nil {
-			putBuf(data)
-			return err
-		}
-		if len(buf) > MaxFrame {
-			putBuf(data)
-			return &FrameTooLargeError{Size: len(buf), Tag: tag}
-		}
-	} else {
-		d, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("transport: marshal: %w", err)
-		}
-		if len(d) > MaxFrame {
-			return &FrameTooLargeError{Size: len(d), Tag: frameTag(v)}
-		}
-		data = &d
+	data := getBuf()
+	buf, tag, err := appendFrame(*data, v)
+	*data = buf
+	if err != nil {
+		putBuf(data)
+		return err
 	}
-	n := len(*data) // the receiver owns data the moment it is delivered
+	if len(buf) > MaxFrame {
+		putBuf(data)
+		return &FrameTooLargeError{Size: len(buf), Tag: tag}
+	}
+	n := len(buf) // the receiver owns data the moment it is delivered
 	expire, cancel := c.expiry()
 	defer cancel()
 	select {
 	case c.out <- data:
-		if c.bin {
-			c.m.sentFrame(v, n, t0)
-		} else {
-			c.m.sent(n, t0)
-		}
+		c.m.sent(v, n, t0)
 		return nil
 	case <-expire:
-		if c.bin {
-			putBuf(data)
-		}
+		putBuf(data)
 		return os.ErrDeadlineExceeded
 	case <-c.pipe.closed:
-		if c.bin {
-			putBuf(data)
-		}
+		putBuf(data)
 		return ErrClosed
 	}
 }
@@ -475,13 +354,8 @@ func (c *inprocConn) expiry() (<-chan time.Time, func()) {
 func (c *inprocConn) decode(data *[]byte, v any) error {
 	t0 := time.Now()
 	n := len(*data)
-	var err error
-	if c.bin {
-		err = decodeFrame(*data, v)
-		putBuf(data) // decoded values never alias the frame buffer
-	} else {
-		err = json.Unmarshal(*data, v)
-	}
+	err := decodeFrame(*data, v)
+	putBuf(data) // decoded values never alias the frame buffer
 	if err != nil {
 		return fmt.Errorf("transport: unmarshal frame from %s: %w", c.RemoteAddr(), err)
 	}

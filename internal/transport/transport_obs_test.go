@@ -3,8 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -46,10 +46,9 @@ func TestRecvUnmarshalErrorNamesRemote(t *testing.T) {
 	accepted := acceptOne(t, lis)
 
 	raw := dialRaw(t, lis.Addr())
-	payload := []byte("{not json!")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := raw.Write(append(hdr[:], payload...)); err != nil {
+	payload := append([]byte{frameJSON}, "{not json!"...)
+	hdr := []byte{frameFlagBinary, 0, 0, byte(len(payload))}
+	if _, err := raw.Write(append(hdr, payload...)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,56 +64,59 @@ func TestRecvUnmarshalErrorNamesRemote(t *testing.T) {
 	}
 }
 
-// TestOversizedFrameKeepsWriterAlive is the ISSUE's satellite: a read-side
-// frame beyond MaxFrame must surface ErrFrameTooLarge and leave the
-// connection's writer usable.
-func TestOversizedFrameKeepsWriterAlive(t *testing.T) {
-	lis, err := TCP{}.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestForeignFrameRejected: a TCP peer that is not this build — one that
+// opens with a JSON length prefix or with the retired capability advert
+// (an oversized length: TestTCPFrameTooLargeOnWire) — gets the typed
+// rejection naming it on its first header, and the connection is closed:
+// there is no second framing to fall back to. (The in-process fabric has
+// no headers to get wrong: both ends of a pipe are this process.)
+func TestForeignFrameRejected(t *testing.T) {
+	jsonFrame := binary.BigEndian.AppendUint32(nil, 7)
+	jsonFrame = append(jsonFrame, `{"a":1}`...)
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"json_length_prefix", jsonFrame},
+		{"retired_advert", []byte{0xBF, 'P', 'S', 1}},
 	}
-	defer lis.Close()
-	accepted := acceptOne(t, lis)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := TCP{}.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			accepted := acceptOne(t, lis)
+			raw := dialRaw(t, lis.Addr())
+			if _, err := raw.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			srv := <-accepted
+			defer srv.Close()
 
-	raw := dialRaw(t, lis.Addr())
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(MaxFrame+1))
-	if _, err := raw.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := <-accepted
-	defer srv.Close()
-	var v map[string]any
-	if err := srv.Recv(&v); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("Recv err = %v, want ErrFrameTooLarge", err)
-	}
-
-	// The writer half must still work after the read-side failure.
-	if err := srv.Send(map[string]string{"still": "alive"}); err != nil {
-		t.Fatalf("Send after oversized Recv: %v", err)
-	}
-	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	// The accepted conn advertises the binary codec as its first bytes;
-	// a raw peer sees (and may ignore) that advert before any frame.
-	var advert [4]byte
-	if _, err := io.ReadFull(raw, advert[:]); err != nil {
-		t.Fatalf("read advert: %v", err)
-	}
-	if !isHello(advert) {
-		t.Fatalf("first server bytes = %x, want codec advert", advert)
-	}
-	var respHdr [4]byte
-	if _, err := io.ReadFull(raw, respHdr[:]); err != nil {
-		t.Fatalf("read reply header: %v", err)
-	}
-	n := binary.BigEndian.Uint32(respHdr[:])
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(raw, buf); err != nil {
-		t.Fatalf("read reply body: %v", err)
-	}
-	if !strings.Contains(string(buf), "alive") {
-		t.Fatalf("reply = %q", buf)
+			var v map[string]any
+			err = srv.Recv(&v)
+			var ffe *ForeignFrameError
+			if !errors.As(err, &ffe) {
+				t.Fatalf("Recv err = %v, want a *ForeignFrameError", err)
+			}
+			if ffe.Remote != srv.RemoteAddr() || !strings.Contains(err.Error(), srv.RemoteAddr()) {
+				t.Errorf("error %q (Remote %q) does not name remote %q", err, ffe.Remote, srv.RemoteAddr())
+			}
+			if string(ffe.Header[:]) != string(tc.bytes[:4]) {
+				t.Errorf("Header = % x, want % x", ffe.Header, tc.bytes[:4])
+			}
+			// Closed on both halves: nothing more goes out, and the peer
+			// reads the end of the stream instead of a reply.
+			if err := srv.Send(map[string]string{"still": "alive"}); err == nil {
+				t.Error("Send after a foreign frame succeeded; the connection should be closed")
+			}
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if n, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Errorf("peer read %d bytes, err = %v; want the connection closed", n, err)
+			}
+		})
 	}
 }
 
@@ -187,73 +189,5 @@ func TestInprocMetricsCountFrames(t *testing.T) {
 	}
 	if n := reg.Counter("sheriff_transport_frames_sent_total", "fabric", "inproc").Value(); n != 1 {
 		t.Fatalf("inproc frames sent = %d, want 1", n)
-	}
-}
-
-// TestPreAdvertFallbackCounted: the first frame of a fresh binary-configured
-// TCP connection leaves before the peer's capability advert has been read,
-// so it rides JSON — the degraded path a dial-per-request caller takes for
-// its largest frame every time. It is counted; once a frame has come back
-// (the advert was consumed on the way) the connection sends binary and the
-// counter stands still. A JSON-configured endpoint never counts: it is not
-// falling back from anything.
-func TestPreAdvertFallbackCounted(t *testing.T) {
-	reg := obs.NewRegistry()
-	fab := TCP{Metrics: NewMetrics(reg, "tcp")}
-	preAdvert := reg.Counter("sheriff_transport_wire_fallback_total", "fabric", "tcp", "reason", "pre_advert")
-	lis, err := fab.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	accepted := acceptOne(t, lis)
-	cli, err := fab.Dial(lis.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	srv := <-accepted
-	defer srv.Close()
-
-	msg := map[string]string{"ping": "pong"}
-	var got map[string]string
-	if err := cli.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if n := preAdvert.Value(); n != 1 {
-		t.Fatalf("pre_advert after the first frame of a fresh connection = %d, want 1", n)
-	}
-	if err := srv.Recv(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Send(msg); err != nil { // the acceptor has read the dialer's advert
-		t.Fatal(err)
-	}
-	if err := cli.Recv(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if n := preAdvert.Value(); n != 1 {
-		t.Errorf("pre_advert on a negotiated connection = %d, want it to stay at 1", n)
-	}
-	if !connBinary(cli) {
-		t.Error("connection did not negotiate binary")
-	}
-
-	jsonFab := TCP{Metrics: fab.Metrics, Wire: WireJSON}
-	accepted = acceptOne(t, lis)
-	jcli, err := jsonFab.Dial(lis.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jcli.Close()
-	defer (<-accepted).Close()
-	if err := jcli.Send(msg); err != nil {
-		t.Fatal(err)
-	}
-	if n := preAdvert.Value(); n != 1 {
-		t.Errorf("pre_advert after a JSON-configured send = %d, want 1", n)
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,18 +146,18 @@ func TestRPCServerBasics(t *testing.T) {
 			defer cli.Close()
 
 			var resp addResp
-			if err := cli.Call("add", addReq{2, 3}, &resp); err != nil {
+			if err := cli.CallCtx(context.Background(), "add", addReq{2, 3}, &resp); err != nil {
 				t.Fatal(err)
 			}
 			if resp.Sum != 5 {
 				t.Errorf("sum = %d", resp.Sum)
 			}
 
-			err = cli.Call("fail", nil, nil)
+			err = cli.CallCtx(context.Background(), "fail", nil, nil)
 			if err == nil || !IsRemote(err) || !strings.Contains(err.Error(), "boom") {
 				t.Errorf("remote error = %v", err)
 			}
-			err = cli.Call("nosuch", nil, nil)
+			err = cli.CallCtx(context.Background(), "nosuch", nil, nil)
 			if err == nil || !IsRemote(err) {
 				t.Errorf("unknown method error = %v", err)
 			}
@@ -193,7 +194,7 @@ func TestRPCConcurrentClients(t *testing.T) {
 			}
 			defer cli.Close()
 			for j := 0; j < 10; j++ {
-				if err := cli.Call("inc", nil, nil); err != nil {
+				if err := cli.CallCtx(context.Background(), "inc", nil, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -238,7 +239,7 @@ func TestPool(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var out int
-			if err := pool.Call("echo", i, &out); err != nil || out != i {
+			if err := pool.CallCtx(context.Background(), "echo", i, &out); err != nil || out != i {
 				t.Errorf("echo %d = %d, %v", i, out, err)
 			}
 		}(i)
@@ -271,12 +272,12 @@ func TestLargeFrame(t *testing.T) {
 	// A ~1 MB product page must pass.
 	page := strings.Repeat("x", 1<<20)
 	var n int
-	if err := cli.Call("blob", page, &n); err != nil || n != 1<<20 {
+	if err := cli.CallCtx(context.Background(), "blob", page, &n); err != nil || n != 1<<20 {
 		t.Fatalf("1MB frame: n=%d err=%v", n, err)
 	}
 	// Over MaxFrame must be rejected client-side.
 	huge := strings.Repeat("x", MaxFrame+1)
-	if err := cli.Call("blob", huge, &n); !errors.Is(err, ErrFrameTooLarge) {
+	if err := cli.CallCtx(context.Background(), "blob", huge, &n); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized frame error = %v", err)
 	}
 }
@@ -292,7 +293,8 @@ func TestTCPFrameTooLargeOnWire(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// A header claiming a 17MB frame.
+		// A 32-bit length prefix claiming a 17MB frame: more than the
+		// 24-bit length of a frame header can say, so not a frame at all.
 		raw := conn.(*tcpConn)
 		raw.c.Write([]byte{0x01, 0x10, 0x00, 0x00})
 		raw.c.Write([]byte("junk"))
@@ -308,8 +310,8 @@ func TestTCPFrameTooLargeOnWire(t *testing.T) {
 	go func() { errCh <- conn.Recv(&v) }()
 	select {
 	case err := <-errCh:
-		if !errors.Is(err, ErrFrameTooLarge) {
-			t.Errorf("recv error = %v", err)
+		if ffe := new(ForeignFrameError); !errors.As(err, &ffe) {
+			t.Errorf("recv error = %v, want a *ForeignFrameError", err)
 		}
 	case <-deadline:
 		t.Fatal("Recv hung on oversized frame")
@@ -342,7 +344,7 @@ func TestPoolRecoversFromServerRestart(t *testing.T) {
 	}
 	defer pool.Close()
 	var out string
-	if err := pool.Call("ping", nil, &out); err != nil || out != "pong" {
+	if err := pool.CallCtx(context.Background(), "ping", nil, &out); err != nil || out != "pong" {
 		t.Fatalf("initial call: %q %v", out, err)
 	}
 
@@ -350,7 +352,7 @@ func TestPoolRecoversFromServerRestart(t *testing.T) {
 	srv.Close()
 	failures := 0
 	for i := 0; i < 4; i++ { // touch every pooled conn at least once
-		if err := pool.Call("ping", nil, &out); err != nil {
+		if err := pool.CallCtx(context.Background(), "ping", nil, &out); err != nil {
 			failures++
 		}
 	}
@@ -363,7 +365,7 @@ func TestPoolRecoversFromServerRestart(t *testing.T) {
 	defer srv2.Close()
 	healed := false
 	for i := 0; i < 6 && !healed; i++ {
-		if err := pool.Call("ping", nil, &out); err == nil && out == "pong" {
+		if err := pool.CallCtx(context.Background(), "ping", nil, &out); err == nil && out == "pong" {
 			healed = true
 		}
 	}

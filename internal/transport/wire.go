@@ -1,15 +1,11 @@
-// Binary wire codec. The JSON frame format marshals every envelope and
-// body through reflection; the hot RPC frames (price-check submit,
-// vantage result polls, store row ops, HA heartbeat/append) dominate the
-// deployment's traffic, so they get a hand-written, versioned binary
-// encoding instead. The codec is negotiated per connection (see
-// transport.go): a binary-capable dialer sends a hello, the acceptor
-// answers with the mode it speaks, and both fall back to JSON when either
-// side is configured -wire=json. Within a binary connection, frames whose
-// payload type has no registered encoder still ride as JSON (frameJSON),
-// so unknown types always work.
+// Binary wire codec. Every connection is binary from its first byte: a
+// deployment is one build, so there is one framing and no negotiation. The
+// hot RPC frames (price-check submit, vantage results, store row ops, HA
+// heartbeat/append) get hand-written encodings; a payload type with no
+// registered encoder rides as JSON inside a binary frame (frameJSON, or an
+// envelope's JSON body), so unknown types always work.
 //
-// Binary frame payload layout (inside the usual 4-byte length prefix):
+// Frame payload layout (inside the 4-byte header, see frameFlagBinary):
 //
 //	[kind:1] ...
 //	kind 0 (frameJSON): raw JSON bytes of the value
@@ -18,13 +14,13 @@
 //
 // All integers are unsigned or zigzag varints; strings and byte blobs are
 // length-prefixed. Decoders are bounds-checked and never panic on
-// malformed input (fuzzed in wire_fuzz_test.go).
+// malformed input (FuzzWireDecode in wire_test.go).
 package transport
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json" // lint:allow — the frameJSON fallback and the pre-PR-15 span blob
+	"encoding/json" // lint:allow — frameJSON: a frame whose payload type has no registered codec
 	"errors"
 	"fmt"
 	"math"
@@ -35,16 +31,6 @@ import (
 	"pricesheriff/internal/obs"
 )
 
-// Wire mode names accepted by TCP.Wire / Inproc.Wire and the -wire flag.
-const (
-	WireBinary = "binary"
-	WireJSON   = "json"
-)
-
-// wantBinary normalizes a Wire config string: binary is the default, the
-// JSON ablation must be asked for by name.
-func wantBinary(mode string) bool { return mode != WireJSON }
-
 // Frame kinds of the binary framing layer.
 const (
 	frameJSON = 0x00
@@ -52,35 +38,28 @@ const (
 	frameMsg  = 0x02
 )
 
-// Negotiation advert: 4 bytes, the size of a length prefix. Each binary-
-// capable endpoint writes one the moment its connection exists (a
-// fire-and-forget write — negotiation never blocks, so raw sequential
-// Send/Recv use of a conn pair cannot deadlock), and each side's receive
-// path consumes the peer's advert before the first real frame. A sender
-// switches to binary frames only after seeing the peer's advert; until
-// then frames ride as legacy JSON, which is always safe because every
-// frame header is self-describing (see frameFlagBinary). The first byte
-// can never open a legal JSON frame header (it would imply a length over
-// MaxFrame), so an advert is unambiguous without lookahead.
-var (
-	wireHello    = [4]byte{0xBF, 'P', 'S', 1} // "I speak binary wire v1"
-	errWireFrame = errors.New("transport: malformed binary frame")
-)
+var errWireFrame = errors.New("transport: malformed binary frame")
 
-// isHello reports whether a 4-byte header is a binary-capability advert.
-func isHello(h [4]byte) bool {
-	return h[0] == 0xBF && h[1] == 'P' && h[2] == 'S'
-}
-
-// Frame headers are 4 bytes. Legacy JSON frames carry a big-endian 32-bit
-// payload length, whose top byte never exceeds 0x01 (MaxFrame is 16 MiB).
-// Binary frames set frameFlagBinary in the first byte and carry a 24-bit
-// length in the remaining three — so binary payloads top out at
-// MaxBinaryFrame, one byte under the JSON limit.
+// A frame header is 4 bytes: frameFlagBinary, then a 24-bit big-endian
+// payload length — so payloads top out at MaxBinaryFrame. The flag byte can
+// never open a 32-bit length prefix of a frame under MaxFrame (whose top
+// byte is at most 0x01), which is how a peer that frames differently is
+// told apart and rejected on its first header (see ForeignFrameError).
 const (
 	frameFlagBinary = 0x81
 	MaxBinaryFrame  = 1<<24 - 1
 )
+
+// ForeignFrameError reports a TCP frame header without frameFlagBinary —
+// the peer is not this build. The connection that read it is closed.
+type ForeignFrameError struct {
+	Remote string  // address of the offending peer
+	Header [4]byte // the header as read
+}
+
+func (e *ForeignFrameError) Error() string {
+	return fmt.Sprintf("transport: peer %s does not speak the binary framing (header % x)", e.Remote, e.Header[:])
+}
 
 // FrameTooLargeError reports a frame over MaxFrame, carrying the
 // offending size and the frame's type tag (the RPC method for envelopes,
@@ -290,21 +269,6 @@ func (d *WireDec) Spans() []obs.WireSpan {
 	return spans
 }
 
-// JSONSpans reads the length-prefixed JSON span blob that frames carried
-// before the binary span batch; encoders no longer write it.
-func (d *WireDec) JSONSpans() []obs.WireSpan {
-	blob := d.Bytes()
-	if len(blob) == 0 {
-		return nil
-	}
-	var spans []obs.WireSpan
-	if err := json.Unmarshal(blob, &spans); err != nil {
-		d.Fail(fmt.Errorf("%w: spans blob: %v", errWireFrame, err))
-		return nil
-	}
-	return spans
-}
-
 // Bool reads a one-byte bool.
 func (d *WireDec) Bool() bool { return d.Byte() != 0 }
 
@@ -433,7 +397,7 @@ const (
 	envHasErr
 	envHasCode
 	envHasHint
-	envHasJSONSpans // read for old peers, never written
+	_ // reserved (the retired JSON span blob), so envHasSpans keeps its value
 	envHasSpans
 )
 
@@ -579,9 +543,6 @@ func decodeEnvelope(payload []byte, e *Envelope) error {
 	if flags&envHasHint != 0 {
 		e.Hint = d.String()
 	}
-	if flags&envHasJSONSpans != 0 {
-		e.Spans = d.JSONSpans()
-	}
 	if flags&envHasSpans != 0 {
 		e.Spans = d.Spans()
 	}
@@ -648,20 +609,6 @@ func decodeFrame(data []byte, v any) error {
 	}
 }
 
-// frameTag names a frame value for size-limit error reporting: the RPC
-// method for envelopes, the registered name for wire messages, and the Go
-// type otherwise.
-func frameTag(v any) string {
-	switch m := v.(type) {
-	case *Envelope:
-		return m.T
-	case WireMessage:
-		return wireName(m.WireTag())
-	default:
-		return fmt.Sprintf("%T", v)
-	}
-}
-
 // decodeRegistered constructs and decodes a registered frame type — the
 // server side of a binary body whose method has a wire-aware handler.
 func decodeRegistered(tag uint8, payload []byte) (WireMessage, error) {
@@ -677,14 +624,4 @@ func decodeRegistered(tag uint8, payload []byte) (WireMessage, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// wireBinaryConn is implemented by connections that completed (or skipped)
-// negotiation; the RPC layer asks it before choosing body encodings.
-type wireBinaryConn interface{ WireBinary() bool }
-
-// connBinary reports whether conn negotiated the binary codec.
-func connBinary(conn Conn) bool {
-	wc, ok := conn.(wireBinaryConn)
-	return ok && wc.WireBinary()
 }

@@ -213,58 +213,51 @@ func TestDecodedFrameNeverAliasesReceiveBuffer(t *testing.T) {
 	}
 }
 
-// TestEnvelopeSpanBitsInterop covers both directions of the span-encoding
-// change. An old peer's frame — spans as a JSON blob under the old flag
-// bit — must still decode. And a decoder that predates the new bit skips
-// it: the binary batch is the last field of the envelope, so everything
-// else decodes and only the spans are lost.
+// TestEnvelopeSpanBitsInterop pins the span flag: the encoder writes the
+// binary batch under bit 12 and never sets the reserved bit 11 beside it
+// (retired with the JSON span blob; the bits after it must keep their
+// values), and a frame that does set the reserved bit decodes like any
+// other unknown flag — ignored, with every known field intact.
 func TestEnvelopeSpanBitsInterop(t *testing.T) {
+	const reserved = 1 << 11
+	if envHasSpans != reserved<<1 || envHasHint != reserved>>1 {
+		t.Fatalf("envHasHint, envHasSpans = %#x, %#x: the reserved bit between them moved", envHasHint, envHasSpans)
+	}
 	spans := []obs.WireSpan{{ID: "s1", Parent: "s0", Name: "handler", Start: 7, End: 9, Attrs: [][2]string{{"proc", "shop"}}}}
-	blob, _ := json.Marshal(spans)
-
-	old := AppendUvarint([]byte{frameEnv}, envHasID|envHasErr|envHasJSONSpans)
-	old = AppendString(old, "shop.fetch")
-	old = AppendUvarint(old, 7)
-	old = AppendString(old, "boom")
-	old = AppendBytes(old, blob)
-	var fromOld Envelope
-	if err := decodeFrame(old, &fromOld); err != nil {
-		t.Fatalf("frame with the old JSON span blob: %v", err)
-	}
-	if fromOld.ID != 7 || fromOld.Err != "boom" || !reflect.DeepEqual(fromOld.Spans, spans) {
-		t.Errorf("old-format frame decoded to %+v", fromOld)
-	}
-
 	cur, _, err := appendFrame(nil, &Envelope{T: "shop.fetch", ID: 7, Err: "boom", Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewWireDec(cur[1:])
-	if flags := d.Uvarint(); flags&envHasJSONSpans != 0 || flags&envHasSpans == 0 {
-		t.Fatalf("encoder wrote flags %b: want the binary span bit and never the JSON one", flags)
+	if flags := NewWireDec(cur[1:]).Uvarint(); flags&reserved != 0 || flags&envHasSpans == 0 {
+		t.Fatalf("encoder wrote flags %b: want the span bit and never the reserved one", flags)
 	}
-	// The same frame as a decoder from before the bit sees it: flag unknown,
-	// trailing bytes unread.
-	blind := AppendUvarint([]byte{frameEnv}, envHasID|envHasErr)
-	blind = append(blind, cur[1+len(AppendUvarint(nil, envHasID|envHasErr|envHasSpans)):]...)
-	var fromBlind Envelope
-	if err := decodeFrame(blind, &fromBlind); err != nil {
-		t.Fatalf("decoder ignoring the span bit: %v", err)
+	var got Envelope
+	if err := decodeFrame(cur, &got); err != nil || !reflect.DeepEqual(got.Spans, spans) {
+		t.Fatalf("round trip: spans %+v, err %v", got.Spans, err)
 	}
-	if fromBlind.T != "shop.fetch" || fromBlind.ID != 7 || fromBlind.Err != "boom" || fromBlind.Spans != nil {
-		t.Errorf("decoder ignoring the span bit got %+v, want everything but the spans", fromBlind)
+
+	odd := AppendUvarint([]byte{frameEnv}, envHasID|envHasErr|reserved)
+	odd = AppendString(odd, "shop.fetch")
+	odd = AppendUvarint(odd, 7)
+	odd = AppendString(odd, "boom")
+	var fromOdd Envelope
+	if err := decodeFrame(odd, &fromOdd); err != nil {
+		t.Fatalf("frame with the reserved bit set: %v", err)
+	}
+	if fromOdd.T != "shop.fetch" || fromOdd.ID != 7 || fromOdd.Err != "boom" || fromOdd.Spans != nil {
+		t.Errorf("frame with the reserved bit set decoded to %+v", fromOdd)
 	}
 }
 
 func FuzzWireDecode(f *testing.F) {
-	// Seeds: the three frame kinds, a real envelope, an advert, garbage.
+	// Seeds: the three frame kinds, a real envelope, the retired advert, garbage.
 	env, _, _ := appendFrame(nil, fullEnvelope())
 	f.Add(env)
 	f.Add([]byte{})
 	f.Add([]byte{frameJSON, '{', '}'})
 	f.Add([]byte{frameEnv})
 	f.Add([]byte{frameMsg, 1})
-	f.Add(wireHello[:])
+	f.Add([]byte{0xBF, 'P', 'S', 1})
 	f.Add([]byte{0xFF, 0x00, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Envelope
