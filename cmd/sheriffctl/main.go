@@ -205,56 +205,88 @@ func main() {
 		log.Fatalf("select price: %v", err)
 	}
 	domainName, _, _ := shop.ParseProductURL(*url)
-	sched := tr.Span("schedule")
-	job, err := coordCli.NewJobCtx(obs.WithSpan(checkCtx, sched), domainName, *id)
-	sched.EndErr(err)
-	if err != nil {
-		log.Fatalf("coordinator rejected: %v", err)
-	}
-	fmt.Printf("job %s assigned to measurement server %s\n", job.JobID, job.ServerAddr)
-
-	ms, err := measurement.DialMeasurement(fabric, job.ServerAddr)
-	if err != nil {
-		log.Fatalf("dial measurement server: %v", err)
-	}
-	defer ms.Close()
-	await := tr.Span("await")
 	check := &measurement.CheckRequest{
-		JobID:         job.JobID,
 		URL:           *url,
 		TagsPath:      path,
 		InitiatorHTML: resp.HTML,
 		InitiatorID:   *id,
 		Currency:      *curr,
+		TraceID:       tr.ID(),
 	}
-	if tr != nil {
-		check.TraceID = tr.ID()
-		check.ParentSpanID = await.ID()
-	}
-	if err := ms.CheckCtx(obs.WithSpan(checkCtx, await), check); err != nil {
-		log.Fatalf("submit check: %v", err)
-	}
-	rows, err := ms.WaitResultsCtx(checkCtx, job.JobID)
-	await.EndErr(err)
+	res := &core.CheckResult{URL: *url, Domain: domainName, Currency: *curr}
+
+	// Step 1 (continued): the Coordinator answers a fresh job, or the job
+	// already answering this question for a user in the same place.
+	sched := tr.Span("schedule")
+	place, err := coordCli.ScheduleCheck(obs.WithSpan(checkCtx, sched), domainName, *id, check.Key(), false)
+	sched.EndErr(err)
 	if err != nil {
-		if checkCtx.Err() == nil {
-			log.Fatalf("results: %v", err)
+		log.Fatalf("coordinator rejected: %v", err)
+	}
+	ms, err := measurement.DialMeasurement(fabric, place.ServerAddr)
+	if place.Source != coordinator.SourceFanout {
+		if err == nil {
+			defer ms.Close()
+			fmt.Printf("attached to job %s (%s) on measurement server %s\n", place.JobID, place.Source, place.ServerAddr)
+			attach := tr.Span("attach", "source_job", place.JobID, "source", place.Source)
+			check.JobID = place.JobID
+			res.Rows, err = ms.AttachCtx(obs.WithSpan(checkCtx, attach), check, place.Source)
+			if res.AsOf = place.DoneAt; place.Source == coordinator.SourceCoalesced {
+				res.AsOf = time.Now() // the source finished as this answer left
+			}
+			attach.Annotate("age_ms", fmt.Sprint(time.Since(res.AsOf).Milliseconds()))
+			attach.EndErr(err)
 		}
-		// Canceled or timed out: abort the server-side fan-out and fall
-		// through to print whatever rows made it before the cut.
-		cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ms.Cancel(cctx, job.JobID)
-		ccancel()
 		switch {
-		case errors.Is(checkCtx.Err(), context.DeadlineExceeded):
-			fmt.Printf("check timed out after %v; partial results:\n", *timeout)
+		case err == nil:
+			res.JobID, res.Source = place.JobID, place.Source
+		case checkCtx.Err() != nil:
+			log.Fatalf("attach: %v", err)
 		default:
-			fmt.Println("check canceled; partial results:")
+			// The source is not shareable (cut, canceled, evicted, or its
+			// server is gone): one fan-out of our own.
+			fmt.Printf("job %s cannot be shared (%v); running a fan-out\n", place.JobID, err)
+			if place, err = coordCli.ScheduleCheck(checkCtx, domainName, *id, check.Key(), true); err != nil {
+				log.Fatalf("coordinator rejected: %v", err)
+			}
+			ms, err = measurement.DialMeasurement(fabric, place.ServerAddr)
 		}
 	}
-	fmt.Print(core.FormatResult(&core.CheckResult{
-		JobID: job.JobID, URL: *url, Domain: domainName, Currency: *curr, Rows: rows,
-	}))
+	if res.Source == "" {
+		if err != nil {
+			log.Fatalf("dial measurement server: %v", err)
+		}
+		defer ms.Close()
+		fmt.Printf("job %s assigned to measurement server %s\n", place.JobID, place.ServerAddr)
+		await := tr.Span("await")
+		check.JobID, check.ParentSpanID = place.JobID, await.ID()
+		if err := ms.CheckCtx(obs.WithSpan(checkCtx, await), check); err != nil {
+			// Nobody will run the job: release it so that nobody attaches.
+			coordCli.JobDone(place.JobID)
+			log.Fatalf("submit check: %v", err)
+		}
+		res.JobID, res.Source = place.JobID, coordinator.SourceFanout
+		res.Rows, err = ms.WaitResultsCtx(checkCtx, place.JobID)
+		await.EndErr(err)
+		res.AsOf = time.Now()
+		if err != nil {
+			if checkCtx.Err() == nil {
+				log.Fatalf("results: %v", err)
+			}
+			// Canceled or timed out: abort the server-side fan-out and fall
+			// through to print whatever rows made it before the cut.
+			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
+			ms.Cancel(cctx, place.JobID)
+			ccancel()
+			switch {
+			case errors.Is(checkCtx.Err(), context.DeadlineExceeded):
+				fmt.Printf("check timed out after %v; partial results:\n", *timeout)
+			default:
+				fmt.Println("check canceled; partial results:")
+			}
+		}
+	}
+	fmt.Print(core.FormatResult(res))
 
 	if tr != nil {
 		tr.Finish()

@@ -38,6 +38,10 @@ type Job struct {
 	ServerAddr string
 	Initiator  string
 	PPCs       []PeerInfo
+
+	// key is the verdict-index entry this job answers (zero when the check
+	// was scheduled without a key); see verdicts.go.
+	key verdictKey
 }
 
 // Coordinator is the complete component: scheduler + whitelist + PPC
@@ -51,7 +55,11 @@ type Coordinator struct {
 	Dopps *doppelganger.Manager
 	// MaxPPCs caps how many peers serve one request (the paper observed
 	// ≈3 with a maximum of 5).
-	MaxPPCs     int
+	MaxPPCs int
+	// VerdictTTL is how long a completed check keeps answering identical
+	// ones (ScheduleCheck's cached tier). At zero or below no finished
+	// verdict is young enough; checks in flight still coalesce.
+	VerdictTTL  time.Duration
 	Granularity Granularity
 	// Metrics instruments job scheduling and the peer registry; set it
 	// before serving traffic (nil disables). Share one bundle with
@@ -79,18 +87,25 @@ type Coordinator struct {
 	// the shard package interpret it.
 	ringVer int64
 	ringRaw []byte
+	// verdicts is the soft-state index of ScheduleCheck: which job is
+	// answering, or has just answered, each check key. doneQ holds its
+	// finished entries in completion order so expiry pops from the front.
+	verdicts map[verdictKey]*verdict
+	doneQ    []*verdict
 }
 
 // New creates a Coordinator.
 func New(servers *ServerList, wl *Whitelist, world *geo.World) *Coordinator {
 	return &Coordinator{
-		Servers:   servers,
-		Whitelist: wl,
-		World:     world,
-		MaxPPCs:   5,
-		peers:     make(map[string]PeerInfo),
-		jobs:      make(map[string]*Job),
-		rrPeer:    make(map[string]int),
+		Servers:    servers,
+		Whitelist:  wl,
+		World:      world,
+		MaxPPCs:    5,
+		VerdictTTL: DefaultVerdictTTL,
+		peers:      make(map[string]PeerInfo),
+		jobs:       make(map[string]*Job),
+		rrPeer:     make(map[string]int),
+		verdicts:   make(map[verdictKey]*verdict),
 	}
 }
 
@@ -144,6 +159,19 @@ func (c *Coordinator) Peers() []PeerInfo {
 func (c *Coordinator) PeersNear(initiatorID string, max int) []PeerInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.peersNearLocked(initiatorID, max)
+}
+
+// location is the group PeersNear draws an initiator's PPCs from: the
+// country, or country/city at city granularity. Callers hold c.mu.
+func (c *Coordinator) location(p PeerInfo) string {
+	if c.Granularity == ByCity {
+		return p.Country + "/" + p.City
+	}
+	return p.Country
+}
+
+func (c *Coordinator) peersNearLocked(initiatorID string, max int) []PeerInfo {
 	init, ok := c.peers[initiatorID]
 	if !ok {
 		return nil
@@ -165,10 +193,7 @@ func (c *Coordinator) PeersNear(initiatorID string, max int) []PeerInfo {
 	if max <= 0 || max > len(local) {
 		max = len(local)
 	}
-	key := init.Country
-	if c.Granularity == ByCity {
-		key += "/" + init.City
-	}
+	key := c.location(init)
 	start := c.rrPeer[key]
 	c.rrPeer[key] = start + max
 	out := make([]PeerInfo, 0, max)
@@ -184,19 +209,33 @@ func (c *Coordinator) PeersNear(initiatorID string, max int) []PeerInfo {
 // context carries only observability state (the submitter's trace for
 // log correlation); scheduling itself is not cancelable.
 func (c *Coordinator) NewJob(ctx context.Context, domain, initiatorID string) (*Job, error) {
+	if err := c.checkWhitelist(ctx, domain); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	job, err := c.mintLocked(ctx, domain, initiatorID)
+	c.mu.Unlock()
+	return job, err
+}
+
+func (c *Coordinator) checkWhitelist(ctx context.Context, domain string) error {
 	if !c.Whitelist.Check(domain) {
 		c.Metrics.whitelistRejected()
 		c.Log.Warn(ctx, "job rejected: domain not whitelisted", "domain", domain)
-		return nil, fmt.Errorf("coordinator: domain %q is not whitelisted", domain)
+		return fmt.Errorf("coordinator: domain %q is not whitelisted", domain)
 	}
+	return nil
+}
+
+// mintLocked creates and tracks a fresh job on the least-loaded online
+// server. Callers hold c.mu (which orders before the server list's lock).
+func (c *Coordinator) mintLocked(ctx context.Context, domain, initiatorID string) (*Job, error) {
 	addr, err := c.Servers.Assign()
 	if err != nil {
 		c.Log.Warn(ctx, "job rejected: no measurement server", "domain", domain, "err", err.Error())
 		return nil, err
 	}
-	ppcs := c.PeersNear(initiatorID, c.MaxPPCs)
-
-	c.mu.Lock()
+	ppcs := c.peersNearLocked(initiatorID, c.MaxPPCs)
 	c.nextJob++
 	job := &Job{
 		ID:         fmt.Sprintf("%sjob-%08d", c.idPrefix, c.nextJob),
@@ -207,7 +246,6 @@ func (c *Coordinator) NewJob(ctx context.Context, domain, initiatorID string) (*
 	}
 	c.jobs[job.ID] = job
 	c.Metrics.jobScheduled(len(c.jobs))
-	c.mu.Unlock()
 	c.Log.Debug(ctx, "job scheduled", "job", job.ID, "domain", domain,
 		"server", addr, "ppcs", len(ppcs))
 	return job, nil
@@ -233,6 +271,7 @@ func (c *Coordinator) JobDone(jobID string) error {
 	if ok {
 		delete(c.jobs, jobID)
 		c.Metrics.jobDone(len(c.jobs))
+		c.verdictDoneLocked(job, time.Now())
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -278,6 +317,9 @@ func (c *Coordinator) requeueLapsedMoves() []jobMove {
 		}
 		old := job.ServerAddr
 		job.ServerAddr = addr
+		// Whoever attached to this job is waiting on the lapsed server;
+		// nobody new should join them.
+		c.verdictDropLocked(job)
 		c.mu.Unlock()
 		c.Servers.Done(old)
 		c.Metrics.jobRequeued()
@@ -301,14 +343,17 @@ func (c *Coordinator) SetJobIDPrefix(prefix string) {
 	}
 }
 
-// DropJob rolls an accepted job back out of the tracker — the primary's
-// undo path when replication fails after NewJob succeeded, so a job the
-// client never learned about does not linger as a phantom pending check.
+// DropJob rolls an accepted job back out of the tracker: the primary's
+// undo path when replication fails after NewJob succeeded, and the
+// submitter's when the Measurement server refused the check — so a job
+// nobody will run neither lingers as a phantom pending check nor keeps
+// collecting duplicates in the verdict index.
 func (c *Coordinator) DropJob(id string) {
 	c.mu.Lock()
 	job, ok := c.jobs[id]
 	if ok {
 		delete(c.jobs, id)
+		c.verdictDropLocked(job)
 	}
 	n := len(c.jobs)
 	c.mu.Unlock()
@@ -317,7 +362,7 @@ func (c *Coordinator) DropJob(id string) {
 	}
 	c.Servers.Done(job.ServerAddr)
 	c.Metrics.jobDone(n)
-	c.Log.Warn(context.Background(), "job dropped: replication failed", "job", id)
+	c.Log.Warn(context.Background(), "job dropped before it ran", "job", id)
 }
 
 // RestoreJob installs a replicated job, bumping the target server's
@@ -419,6 +464,9 @@ func (c *Coordinator) ResetReplicated() {
 	c.nextJob = 0
 	c.ringVer = 0
 	c.ringRaw = nil
+	c.verdicts = make(map[verdictKey]*verdict)
+	c.doneQ = nil
+	c.Metrics.setVerdictEntries(0)
 	c.Metrics.setPeersOnline(0)
 	c.mu.Unlock()
 	c.Servers.ResetServers()

@@ -18,6 +18,7 @@ type Metrics struct {
 	serversOnline       *obs.Gauge
 	peersOnline         *obs.Gauge
 	pendingJobs         *obs.Gauge
+	verdictEntries      *obs.Gauge
 }
 
 // NewMetrics builds the coordinator metric bundle.
@@ -35,6 +36,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		serversOnline:       reg.Gauge("sheriff_coordinator_servers_online"),
 		peersOnline:         reg.Gauge("sheriff_coordinator_peers_online"),
 		pendingJobs:         reg.Gauge("sheriff_coordinator_pending_jobs"),
+		verdictEntries:      reg.Gauge("sheriff_coordinator_verdict_index_entries"),
 	}
 }
 
@@ -60,6 +62,15 @@ func (m *Metrics) jobRequeued() {
 		return
 	}
 	m.jobsRequeued.Inc()
+}
+
+// setVerdictEntries tracks the size of the verdict index (in-flight and
+// finished entries together).
+func (m *Metrics) setVerdictEntries(n int) {
+	if m == nil {
+		return
+	}
+	m.verdictEntries.Set(int64(n))
 }
 
 func (m *Metrics) whitelistRejected() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"pricesheriff/internal/ha"
 	"pricesheriff/internal/retry"
@@ -13,14 +14,24 @@ import (
 // Wire shapes of the Coordinator protocol.
 type (
 	// NewJobReq is step 1 of the price-check protocol.
+	// NewJobReq is step 1 of the price-check protocol. Key names the
+	// question the check asks (see Coordinator.ScheduleCheck; empty: always
+	// a fresh job) and Fresh forbids attaching to an earlier answer.
 	NewJobReq struct {
 		Domain      string `json:"domain"`
 		InitiatorID string `json:"initiator_id"`
+		Key         string `json:"key,omitempty"`
+		Fresh       bool   `json:"fresh,omitempty"`
 	}
 	// NewJobResp carries the job ID and the selected Measurement server.
+	// Source is empty for a fresh job; SourceCoalesced or SourceCached tell
+	// the caller to attach to JobID instead of submitting it, AgeMS being
+	// how long ago a cached job finished.
 	NewJobResp struct {
 		JobID      string `json:"job_id"`
 		ServerAddr string `json:"server_addr"`
+		Source     string `json:"source,omitempty"`
+		AgeMS      int64  `json:"age_ms,omitempty"`
 	}
 	// RegisterPeerReq announces a PPC coming online.
 	RegisterPeerReq struct {
@@ -82,9 +93,18 @@ func NewServer(c *Coordinator, lis transport.Listener) *Server {
 		if err := s.gate(); err != nil {
 			return nil, err
 		}
-		job, err := c.NewJob(ctx, req.Domain, req.InitiatorID)
+		p, job, err := c.schedule(ctx, req.Domain, req.InitiatorID, req.Key, req.Fresh)
 		if err != nil {
 			return nil, err
+		}
+		if job == nil {
+			// Attached to a job this primary already acknowledged: nothing
+			// was minted, so there is nothing to replicate.
+			resp := &NewJobResp{JobID: p.JobID, ServerAddr: p.ServerAddr, Source: p.Source}
+			if p.Source == SourceCached {
+				resp.AgeMS = time.Since(p.DoneAt).Milliseconds()
+			}
+			return resp, nil
 		}
 		// The job ID only reaches the client once a quorum has the job on
 		// its log: whoever wins the next election will know about it, so an
@@ -305,6 +325,26 @@ func (cl *Client) NewJobCtx(ctx context.Context, domain, initiatorID string) (Ne
 	var resp NewJobResp
 	err := cl.rpc.CallCtx(ctx, "coord.newjob", &NewJobReq{Domain: domain, InitiatorID: initiatorID}, &resp)
 	return resp, err
+}
+
+// ScheduleCheck is NewJobCtx for a check that names its question: the
+// answer is a fresh job to submit, or a placement on the job already
+// answering it (Coordinator.ScheduleCheck over the wire).
+func (cl *Client) ScheduleCheck(ctx context.Context, domain, initiatorID, key string, fresh bool) (Placement, error) {
+	var resp NewJobResp
+	req := &NewJobReq{Domain: domain, InitiatorID: initiatorID, Key: key, Fresh: fresh}
+	if err := cl.rpc.CallCtx(ctx, "coord.newjob", req, &resp); err != nil {
+		return Placement{}, err
+	}
+	p := Placement{JobID: resp.JobID, ServerAddr: resp.ServerAddr, Source: resp.Source}
+	switch p.Source {
+	case "":
+		p.Source = SourceFanout
+	case SourceCached:
+		// Clocks differ between hosts: the age crosses the wire, not the time.
+		p.DoneAt = time.Now().Add(-time.Duration(resp.AgeMS) * time.Millisecond)
+	}
+	return p, nil
 }
 
 // JobPPCs fetches the PPC list for a job (step 1.1, pulled by the server).

@@ -34,13 +34,20 @@ func (r *NewJobReq) WireTag() uint8 { return wireTagNewJobReq }
 // AppendWire implements transport.WireMessage.
 func (r *NewJobReq) AppendWire(b []byte) []byte {
 	b = transport.AppendString(b, r.Domain)
-	return transport.AppendString(b, r.InitiatorID)
+	b = transport.AppendString(b, r.InitiatorID)
+	b = transport.AppendString(b, r.Key)
+	return transport.AppendBool(b, r.Fresh)
 }
 
-// DecodeWire implements transport.WireMessage.
+// DecodeWire implements transport.WireMessage. The key and the fresh flag
+// trail the frame: a request that ends before them is an unkeyed NewJob.
 func (r *NewJobReq) DecodeWire(d *transport.WireDec) error {
 	r.Domain = d.String()
 	r.InitiatorID = d.String()
+	if d.Remaining() > 0 {
+		r.Key = d.String()
+		r.Fresh = d.Bool()
+	}
 	return d.Err()
 }
 
@@ -50,13 +57,20 @@ func (r *NewJobResp) WireTag() uint8 { return wireTagNewJobResp }
 // AppendWire implements transport.WireMessage.
 func (r *NewJobResp) AppendWire(b []byte) []byte {
 	b = transport.AppendString(b, r.JobID)
-	return transport.AppendString(b, r.ServerAddr)
+	b = transport.AppendString(b, r.ServerAddr)
+	b = transport.AppendString(b, r.Source)
+	return transport.AppendVarint(b, r.AgeMS)
 }
 
-// DecodeWire implements transport.WireMessage.
+// DecodeWire implements transport.WireMessage. Source and age trail the
+// frame: an answer that ends before them is a fresh job.
 func (r *NewJobResp) DecodeWire(d *transport.WireDec) error {
 	r.JobID = d.String()
 	r.ServerAddr = d.String()
+	if d.Remaining() > 0 {
+		r.Source = d.String()
+		r.AgeMS = d.Varint()
+	}
 	return d.Err()
 }
 

@@ -93,7 +93,6 @@ func TestSpikeEndToEndAutoscale(t *testing.T) {
 	users := addUsers(t, sys, "ES", 4)
 	slow, _ := sys.Mall.Shop("chegg.com")
 	slow.Latency = 40 * time.Millisecond
-	url := productURL(t, sys, "chegg.com", 0)
 
 	sc := NewAutoScaler(sys)
 	sc.Threshold = 1.5
@@ -107,7 +106,8 @@ func TestSpikeEndToEndAutoscale(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := sys.PriceCheck(users[i%4].ID, url); err != nil {
+			// One product each: a spike on a single product is one job.
+			if _, err := sys.PriceCheck(users[i%4].ID, productURL(t, sys, "chegg.com", i)); err != nil {
 				errs <- err
 			}
 		}(i)

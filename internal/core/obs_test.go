@@ -126,6 +126,32 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	if !found {
 		t.Errorf("no sheriff_transport_wire_fallback_total{reason=json_body} series in registry: %v", series)
 	}
+	// So do the verdict tiers' series: which tier answered, how large the
+	// Coordinator's index is, and why an attach fell back.
+	have := map[string]bool{}
+	for _, s := range series {
+		have[s] = true
+	}
+	for _, want := range []string{
+		`sheriff_core_check_source_total{source="fanout"}`,
+		`sheriff_core_check_source_total{source="coalesced"}`,
+		`sheriff_core_check_source_total{source="cached"}`,
+		`sheriff_core_attach_fallback_total{reason="gone"}`,
+		`sheriff_core_attach_fallback_total{reason="partial"}`,
+		`sheriff_core_attach_fallback_total{reason="canceled"}`,
+		`sheriff_core_attach_fallback_total{reason="unreachable"}`,
+		`sheriff_coordinator_verdict_index_entries`,
+	} {
+		if !have[want] {
+			t.Errorf("no %s series in registry", want)
+		}
+	}
+	if n := reg.Counter("sheriff_core_check_source_total", "source", "fanout").Value(); n != 1 {
+		t.Errorf("check_source_total{source=fanout} = %d, want 1", n)
+	}
+	if n := reg.Gauge("sheriff_coordinator_verdict_index_entries").Value(); n != 1 {
+		t.Errorf("verdict index entries = %d, want 1", n)
+	}
 	if reg.Gauge("sheriff_peer_relay_sessions").Value() == 0 {
 		t.Error("relay session gauge is zero with connected peers")
 	}

@@ -68,7 +68,8 @@ func TestPooledClientRedialsAfterServerRestart(t *testing.T) {
 	sys.measRPC[0] = fresh
 	sys.mu.Unlock()
 
-	res, err := sys.PriceCheck(users[1].ID, url)
+	// Another product: a fan-out of its own, not an attach to the first.
+	res, err := sys.PriceCheck(users[1].ID, productURL(t, sys, "steampowered.com", 1))
 	if err != nil {
 		t.Fatalf("check after the server restarted: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestPooledClientRedialsAfterServerRestart(t *testing.T) {
 // checks are in flight, and System.Close closes every one of them.
 func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 	sys, users := newPoolSystem(t, transport.TCP{}, 2)
-	url := productURL(t, sys, "steampowered.com", 0)
+	urls := distinctURLs(t, sys, 64)
 
 	// First use dials each server once.
 	sys.mu.Lock()
@@ -109,7 +110,7 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := sys.PriceCheck(users[i%len(users)].ID, url)
+			res, err := sys.PriceCheck(users[i%len(users)].ID, urls[i])
 			if err != nil {
 				t.Errorf("check %d: %v", i, err)
 				return

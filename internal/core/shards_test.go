@@ -150,7 +150,7 @@ func TestAddRemoveStoreShardLive(t *testing.T) {
 	// Checks keep working on the wider plane — including through the
 	// measurement servers' own routers.
 	for _, d := range domains {
-		if _, err := sys.PriceCheck(users[1].ID, productURL(t, sys, d, 0)); err != nil {
+		if _, err := sys.PriceCheck(users[1].ID, productURL(t, sys, d, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

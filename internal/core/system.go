@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -831,6 +832,9 @@ func (s *System) Users() []*User {
 
 // CheckResult is a completed price check.
 type CheckResult struct {
+	// JobID is the job whose vantage rows these are: the check's own for a
+	// fan-out, the job it was attached to otherwise — the ID under which
+	// the stored responses and price_spread read back what the user saw.
 	JobID    string
 	URL      string
 	Domain   string
@@ -838,7 +842,16 @@ type CheckResult struct {
 	// Origin is "" for a user-submitted check, "watch" for one the
 	// scheduler re-ran.
 	Origin string
-	Rows   []measurement.ResultRow
+	// Source is how the vantage rows were obtained: coordinator.SourceFanout
+	// (this check ran its own fan-out), SourceCoalesced (it joined an
+	// identical check in flight) or SourceCached (it was answered from one
+	// finished within the Coordinator's VerdictTTL). The "You" row is the
+	// caller's own in every case.
+	Source string
+	// AsOf is when the vantage rows were complete: now for a fan-out and
+	// for a coalesced check, the source job's completion for a cached one.
+	AsOf time.Time
+	Rows []measurement.ResultRow
 }
 
 // ErrNoPrice is returned when the initiator's page has no selectable price.
@@ -935,24 +948,10 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 		return nil, err
 	}
 
-	// Step 1 (continued): ask the Coordinator for a job and a server.
-	sched := tr.Span("schedule")
-	job, err := s.Coord.NewJob(obs.WithSpan(ctx, sched), domain, userID)
-	sched.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	tr.Annotate("job", job.ID)
-
-	// Step 2-3: submit to the assigned Measurement server over the wire,
-	// on the connection every check routed to that server shares.
-	msCli, err := s.measurementClient(job.ServerAddr)
-	if err != nil {
-		return nil, err
-	}
-	await := tr.Span("await")
+	// Step 1 (continued): ask the Coordinator who answers this question — a
+	// fresh job on a server, or a job already answering it for someone in
+	// the same place. Watch runs always measure for themselves.
 	check := &measurement.CheckRequest{
-		JobID:         job.ID,
 		URL:           url,
 		TagsPath:      path,
 		InitiatorHTML: resp.HTML,
@@ -960,20 +959,53 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 		Currency:      curr,
 		Day:           day,
 		TraceID:       tr.ID(),
-		ParentSpanID:  await.ID(),
 		Origin:        origin,
 	}
-	actx := obs.WithSpan(ctx, await)
-	err = msCli.CheckCtx(actx, check)
-	if err != nil && msCli.Broken() && ctx.Err() == nil {
-		// The pooled connection died under the submit (the server restarted
-		// on its address since the last check): one fresh dial.
-		if msCli, err = s.measurementClient(job.ServerAddr); err == nil {
-			err = msCli.CheckCtx(actx, check)
+	key := check.Key()
+	sched := tr.Span("schedule")
+	place, err := s.Coord.ScheduleCheck(obs.WithSpan(ctx, sched), domain, userID, key, origin == "watch")
+	sched.EndErr(err)
+	if err != nil {
+		return nil, err
+	}
+	res = &CheckResult{URL: url, Domain: domain, Currency: curr, Origin: origin}
+	if place.Source != coordinator.SourceFanout {
+		reason, err := s.attach(ctx, tr, place, check, res)
+		if reason == "" {
+			if err != nil {
+				return nil, err
+			}
+			s.obs.checkSource(res.Source)
+			return res, nil
+		}
+		// The source cannot be shared (it was cut, canceled, evicted, or
+		// its server is unreachable): one fan-out of this check's own,
+		// which also takes the key over from the source.
+		s.obs.attachFallback(reason)
+		s.log.Info(ctx, "attach fell back to a fan-out", "source_job", place.JobID, "reason", reason, "err", err.Error())
+		sched = tr.Span("schedule", "fallback", reason)
+		place, err = s.Coord.ScheduleCheck(obs.WithSpan(ctx, sched), domain, userID, key, true)
+		sched.EndErr(err)
+		if err != nil {
+			return nil, err
 		}
 	}
+	s.obs.checkSource(coordinator.SourceFanout)
+	tr.Annotate("job", place.JobID)
+	res.JobID, res.Source = place.JobID, coordinator.SourceFanout
+
+	// Step 2-3: submit to the assigned Measurement server over the wire,
+	// on the connection every check routed to that server shares.
+	await := tr.Span("await")
+	check.JobID, check.ParentSpanID = place.JobID, await.ID()
+	actx := obs.WithSpan(ctx, await)
+	msCli, err := s.callMeasurement(ctx, place.ServerAddr, func(cli *measurement.Client) error {
+		return cli.CheckCtx(actx, check)
+	})
 	if err != nil {
 		await.EndErr(err)
+		// Nobody will run this job: checks attached to it must not wait.
+		s.Coord.DropJob(place.JobID)
 		return nil, err
 	}
 
@@ -983,29 +1015,92 @@ func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin
 	// deliberately no span: the results call stays span-free on the wire,
 	// while the Done response's exported Measurement-side spans stitch
 	// into tr.
-	wctx, wcancel := context.WithTimeout(ctx, 30*time.Second)
+	wctx, wcancel := context.WithTimeout(ctx, interactiveCap)
 	defer wcancel()
-	rows, err := msCli.WaitResultsCtx(wctx, job.ID)
+	res.Rows, err = msCli.WaitResultsCtx(wctx, place.JobID)
 	await.EndErr(err)
+	res.AsOf = time.Now()
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller is gone: tell the server to abort the vantage
 			// fan-out rather than letting it run to the check deadline.
 			// The cancel rides a fresh short-lived context (ctx is dead).
 			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-			msCli.Cancel(cctx, job.ID)
+			msCli.Cancel(cctx, place.JobID)
 			ccancel()
 		}
-		if len(rows) > 0 {
-			// Partial results: surface what arrived before the cut, the
-			// deployed system's behavior for checks cut by their deadline.
-			s.recordHistory(url, rows)
-			return &CheckResult{JobID: job.ID, URL: url, Domain: domain, Currency: curr, Origin: origin, Rows: rows}, err
+		if len(res.Rows) == 0 {
+			return nil, err
 		}
+		// Partial results: surface what arrived before the cut, the
+		// deployed system's behavior for checks cut by their deadline.
+	}
+	s.recordHistory(url, res.Rows)
+	return res, err
+}
+
+// interactiveCap bounds how long a user waits for a check's rows, its own
+// fan-out's or those of the job it attached to.
+const interactiveCap = 30 * time.Second
+
+// attach answers a check from the job the Coordinator placed it on: one
+// ms.attach round trip that returns the caller's own row plus that job's
+// vantage rows once it has finished. It fills res and records one attach
+// span. A non-empty reason means the source could not be shared and the
+// caller is still alive: the check falls back to a fan-out. Nothing is
+// stored and no history point is appended — the source check did both.
+func (s *System) attach(ctx context.Context, tr *obs.Trace, place coordinator.Placement, check *measurement.CheckRequest, res *CheckResult) (reason string, err error) {
+	sp := tr.Span("attach", "source_job", place.JobID, "source", place.Source)
+	check.JobID = place.JobID
+	actx, cancel := context.WithTimeout(obs.WithSpan(ctx, sp), interactiveCap)
+	defer cancel()
+	var rows []measurement.ResultRow
+	_, err = s.callMeasurement(ctx, place.ServerAddr, func(cli *measurement.Client) error {
+		var err error
+		rows, err = cli.AttachCtx(actx, check, place.Source)
+		return err
+	})
+	if err != nil {
+		sp.EndErr(err)
+		switch {
+		case ctx.Err() != nil:
+			return "", err // the caller itself gave up
+		case errors.Is(err, measurement.ErrUnknownJob):
+			return "gone", err
+		case errors.Is(err, measurement.ErrSourcePartial):
+			return "partial", err
+		case errors.Is(err, measurement.ErrSourceCanceled):
+			return "canceled", err
+		default:
+			return "unreachable", err
+		}
+	}
+	res.JobID, res.Source, res.Rows = place.JobID, place.Source, rows
+	res.AsOf = place.DoneAt
+	if place.Source == coordinator.SourceCoalesced {
+		res.AsOf = time.Now() // the source finished as this answer left
+	}
+	sp.Annotate("age_ms", strconv.FormatInt(time.Since(res.AsOf).Milliseconds(), 10))
+	sp.End()
+	tr.Annotate("job", place.JobID)
+	return "", nil
+}
+
+// callMeasurement runs one call on the pooled connection to a Measurement
+// server. If the connection died under it (the server restarted on its
+// address since the last check) the call is made once more on a fresh
+// dial. It returns the client the call last ran on.
+func (s *System) callMeasurement(ctx context.Context, addr string, call func(*measurement.Client) error) (*measurement.Client, error) {
+	cli, err := s.measurementClient(addr)
+	if err != nil {
 		return nil, err
 	}
-	s.recordHistory(url, rows)
-	return &CheckResult{JobID: job.ID, URL: url, Domain: domain, Currency: curr, Origin: origin, Rows: rows}, nil
+	if err = call(cli); err != nil && cli.Broken() && ctx.Err() == nil {
+		if cli, err = s.measurementClient(addr); err == nil {
+			err = call(cli)
+		}
+	}
+	return cli, err
 }
 
 // msConn is the pooled connection to one Measurement server; mu serializes
@@ -1340,6 +1435,9 @@ func (d *systemDirectory) ClientState(token, domain string) (map[string]string, 
 func FormatResult(r *CheckResult) string {
 	var b []byte
 	b = fmt.Appendf(b, "Price check %s — %s (converted to %s)\n", r.JobID, r.URL, r.Currency)
+	if note := measurement.AsOfNote(r.Source, r.JobID, r.AsOf, time.Now()); note != "" {
+		b = fmt.Appendf(b, "Vantage prices %s\n", note)
+	}
 	b = fmt.Appendf(b, "%-28s %-14s %-14s %s\n", "Variant", "Converted", "Original", "")
 	for _, row := range r.Rows {
 		name := row.Source

@@ -58,6 +58,24 @@ func productURL(t *testing.T, sys *System, domain string, idx int) string {
 	return s.ProductURL(ps[idx].SKU)
 }
 
+// distinctURLs returns n different product URLs, a shop's whole catalog
+// before the next shop's: what a test that wants n real fan-outs checks,
+// since identical checks are answered by one.
+func distinctURLs(t *testing.T, sys *System, n int) []string {
+	t.Helper()
+	var urls []string
+	for _, d := range sys.Mall.Domains() {
+		s, _ := sys.Mall.Shop(d)
+		for _, p := range s.Products() {
+			if urls = append(urls, s.ProductURL(p.SKU)); len(urls) == n {
+				return urls
+			}
+		}
+	}
+	t.Fatalf("mall holds %d products, want %d", len(urls), n)
+	return nil
+}
+
 func TestFullPriceCheckProtocol(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 4)
@@ -155,9 +173,8 @@ func TestPriceCheckUnknownUserAndDomain(t *testing.T) {
 func TestJobsBalanceAcrossServers(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 2)
-	url := productURL(t, sys, "chegg.com", 0)
 	for i := 0; i < 4; i++ {
-		if _, err := sys.PriceCheck(users[i%2].ID, url); err != nil {
+		if _, err := sys.PriceCheck(users[i%2].ID, productURL(t, sys, "chegg.com", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -420,6 +420,49 @@ func TestPartitionedPrimaryStepsDownNoSplitBrain(t *testing.T) {
 	tc.assertOnePrimaryPerTerm()
 }
 
+// TestLaggingCandidateCannotStarveTheUpToDateStandby: the standby whose
+// election timer fires first missed the last committed entry, so nobody
+// may vote for it. Its ever-higher-term vote requests must not keep
+// resetting the other standby's timer — the one replica that can win has
+// to get its turn. (This was TestFailoverAfterPrimaryDeath's one-in-ten
+// timeout: whenever the pre-kill append happened to commit through the
+// slower-ranked standby alone.)
+func TestLaggingCandidateCannotStarveTheUpToDateStandby(t *testing.T) {
+	tc := newCluster(t, 3)
+	tc.waitFor("a primary", func() bool { return len(tc.primaries()) == 1 })
+	p := tc.primaries()[0]
+	var eager, current *testReplica // the standby that stands first, and the other
+	for _, r := range tc.replicas {
+		switch {
+		case r == p:
+		case eager == nil:
+			eager = r
+		case r.node.rank < eager.node.rank:
+			eager, current = r, eager
+		default:
+			current = r
+		}
+	}
+	p.fab.Block(eager.addr) // the eager standby misses what follows
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.node.AppendWait(ctx, Command{Kind: "job", Data: json.RawMessage(`"pre"`)}); err != nil {
+		t.Fatalf("AppendWait: %v", err)
+	}
+	p.node.Close()
+	p.srv.Close()
+
+	start := tc.clk.now()
+	tc.waitFor("the up-to-date standby to take over", current.node.IsPrimary)
+	if took := tc.clk.now().Sub(start); took > 10*tLease {
+		t.Errorf("failover took %v of virtual time", took)
+	}
+	if eager.node.IsPrimary() {
+		t.Error("the standby that missed a committed entry was elected")
+	}
+	tc.assertOnePrimaryPerTerm()
+}
+
 func TestAppendWaitNeedsQuorum(t *testing.T) {
 	tc := newCluster(t, 3)
 	tc.waitFor("a primary", func() bool { return len(tc.primaries()) == 1 })

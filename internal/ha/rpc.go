@@ -140,7 +140,16 @@ func (n *Node) handleVote(req *VoteReq) *VoteResp {
 		return &VoteResp{Term: n.term}
 	}
 	if req.Term > n.term {
+		// Adopting the term must not restart a standby's election timer:
+		// only a granted vote (below) or a leader's append does. Otherwise
+		// a candidate whose log is behind — whom nobody may vote for —
+		// keeps every up-to-date standby from ever standing, by asking
+		// again each time its own, shorter, timeout fires.
+		heard, standby := n.lastHeard, n.state != Primary
 		n.stepDownLocked(req.Term, "", "vote request carried a higher term")
+		if standby {
+			n.lastHeard = heard
+		}
 	}
 	lastIdx, lastTerm := n.lastLocked()
 	upToDate := req.LastTerm > lastTerm ||

@@ -350,3 +350,40 @@ func BenchmarkLocate(b *testing.B) {
 		}
 	}
 }
+
+func TestTagsPathFingerprint(t *testing.T) {
+	page := func(banner string) TagsPath {
+		doc := Parse(`<html><body>` + banner + `<div class="product" id="p-1"><span class="was">9</span><span class="price">8</span></div></body></html>`)
+		path, err := BuildTagsPath(doc.QueryOne(".product .price"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	plain, shifted := page(""), page(`<div class="banner">sale</div>`)
+	if plain.Steps[2].Index == shifted.Steps[2].Index {
+		t.Fatal("the banner did not move the product block's index")
+	}
+	if plain.Fingerprint() != shifted.Fingerprint() {
+		t.Error("a banner above a block that carries an id changed the fingerprint")
+	}
+	// Without an id the index is all that tells same-tag siblings apart.
+	other := plain
+	other.Steps = append([]Step(nil), plain.Steps...)
+	other.Steps[3].Index = 0 // the "was" span: same tag, no id
+	if other.Fingerprint() == plain.Fingerprint() {
+		t.Error("paths to two sibling spans share a fingerprint")
+	}
+	noID := plain
+	noID.Steps = append([]Step(nil), plain.Steps...)
+	noID.Steps[2].ID = ""
+	moved := noID
+	moved.Steps = append([]Step(nil), noID.Steps...)
+	moved.Steps[2].Index++
+	if noID.Fingerprint() == moved.Fingerprint() || noID.Fingerprint() == plain.Fingerprint() {
+		t.Error("the index of a step without an id, or the id itself, is not in the fingerprint")
+	}
+	if (TagsPath{}).Fingerprint() == plain.Fingerprint() {
+		t.Error("empty path collides")
+	}
+}

@@ -189,3 +189,31 @@ func (p TagsPath) String() string {
 
 // Depth returns the number of steps in the path.
 func (p TagsPath) Depth() int { return len(p.Steps) }
+
+// Fingerprint hashes what the path says about the element it addresses:
+// every step's tag, class and id, and its same-tag sibling index — except
+// on a step that carries an id. Ids are unique within a document, so such
+// a step is named by its id alone, and its index is exactly what shifts
+// when a shop injects a banner above the product block: two users who
+// highlight the same price on two renderings of one page get one
+// fingerprint. Unlike the parse cache's seeded key it is FNV-1a, the same
+// in every process.
+func (p TagsPath) Fingerprint() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h = (h ^ 0xff) * prime // field separator: no byte of a UTF-8 string
+	}
+	for _, s := range p.Steps {
+		mix(s.Tag)
+		mix(s.Class)
+		mix(s.ID)
+		if s.ID == "" {
+			h = (h ^ uint64(uint32(s.Index))) * prime
+		}
+	}
+	return h
+}

@@ -3,7 +3,9 @@ package measurement
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"pricesheriff/internal/coordinator"
 	"pricesheriff/internal/currency"
 )
 
@@ -11,12 +13,18 @@ import (
 // HTML document: one row per vantage point with the converted value, the
 // original text, and a red asterisk when currency detection confidence is
 // low, plus the footer note explaining the asterisk.
-func RenderResultHTML(jobID, url, curr string, rows []ResultRow) string {
+//
+// asOf, when not empty, is the AsOfNote of a check answered from another
+// check's vantage rows; it is printed under the heading.
+func RenderResultHTML(jobID, url, curr, asOf string, rows []ResultRow) string {
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html><head><title>Price check ")
 	b.WriteString(escape(jobID))
 	b.WriteString("</title></head><body>\n")
 	fmt.Fprintf(&b, "<h1>Price check for <a href=%q>%s</a></h1>\n", escape(url), escape(url))
+	if asOf != "" {
+		fmt.Fprintf(&b, `<p class="as-of">Vantage prices %s</p>`+"\n", escape(asOf))
+	}
 	b.WriteString(`<table class="results">` + "\n")
 	b.WriteString("<tr><th>Variant</th><th>Converted Value</th><th>Original Text</th></tr>\n")
 	lowSeen := false
@@ -47,6 +55,20 @@ func RenderResultHTML(jobID, url, curr string, rows []ResultRow) string {
 	}
 	b.WriteString("</body></html>\n")
 	return b.String()
+}
+
+// AsOfNote says how old the vantage rows of a result are when they came
+// from another check's job — "as of 12 s ago (job job-00000042)" — and
+// nothing for a check that ran its own fan-out (source "" or "fanout").
+func AsOfNote(source, jobID string, asOf, now time.Time) string {
+	if source == "" || source == coordinator.SourceFanout {
+		return ""
+	}
+	age := now.Sub(asOf).Round(time.Second)
+	if age < 0 {
+		age = 0
+	}
+	return fmt.Sprintf("as of %d s ago (job %s, %s)", int(age/time.Second), jobID, source)
 }
 
 func escape(s string) string {

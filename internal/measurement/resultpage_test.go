@@ -3,7 +3,9 @@ package measurement
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"pricesheriff/internal/coordinator"
 	"pricesheriff/internal/htmlx"
 )
 
@@ -13,7 +15,7 @@ func TestRenderResultHTML(t *testing.T) {
 		{Source: "ipc-1", Kind: "ipc", Country: "US", City: "Tennessee", Converted: 617.65, Original: "$699", Confidence: "low"},
 		{Source: "peer ES", Kind: "ppc", Country: "ES", City: "Madrid", Err: "request timed out"},
 	}
-	html := RenderResultHTML("job-1", "http://digitalrev.com/product/cam", "EUR", rows)
+	html := RenderResultHTML("job-1", "http://digitalrev.com/product/cam", "EUR", "", rows)
 
 	// The page parses with our own DOM and contains the expected rows —
 	// the watchdog's parser reading the watchdog's page.
@@ -42,12 +44,28 @@ func TestRenderResultHTML(t *testing.T) {
 	}
 }
 
+func TestRenderResultHTMLSaysWhereAttachedRowsCameFrom(t *testing.T) {
+	now := time.Now()
+	note := AsOfNote(coordinator.SourceCached, "job-7", now.Add(-12*time.Second), now)
+	if note != "as of 12 s ago (job job-7, cached)" {
+		t.Errorf("note = %q", note)
+	}
+	if n := AsOfNote(coordinator.SourceFanout, "job-7", now, now); n != "" {
+		t.Errorf("a fan-out's note = %q, want none", n)
+	}
+	rows := []ResultRow{{Source: "You", Kind: "initiator", Converted: 10, Original: "EUR10"}}
+	html := RenderResultHTML("job-7", "http://x.com/product/1", "EUR", note, rows)
+	if !strings.Contains(html, `<p class="as-of">Vantage prices as of 12 s ago (job job-7, cached)</p>`) {
+		t.Errorf("result page does not carry the note:\n%s", html)
+	}
+}
+
 func TestRenderResultHTMLEscapes(t *testing.T) {
 	rows := []ResultRow{{
 		Source: "You", Kind: "initiator",
 		Original: `<script>alert("x")</script>`, Converted: 1, Confidence: "high",
 	}}
-	html := RenderResultHTML("job", `http://x.com/product/1?q="><script>`, "EUR", rows)
+	html := RenderResultHTML("job", `http://x.com/product/1?q="><script>`, "EUR", "", rows)
 	if strings.Contains(html, "<script>alert") {
 		t.Error("original text not escaped")
 	}
@@ -59,7 +77,7 @@ func TestRenderResultHTMLEscapes(t *testing.T) {
 
 func TestRenderResultHTMLNoLowConfidenceFootnote(t *testing.T) {
 	rows := []ResultRow{{Source: "You", Kind: "initiator", Converted: 10, Original: "EUR10", Confidence: "high"}}
-	html := RenderResultHTML("job", "http://x.com/product/1", "EUR", rows)
+	html := RenderResultHTML("job", "http://x.com/product/1", "EUR", "", rows)
 	if strings.Contains(html, "confidence is low") {
 		t.Error("footnote should only appear when a low-confidence row exists")
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -45,7 +46,31 @@ type CheckRequest struct {
 	// Origin tags how the check was initiated: "" for a user-submitted
 	// one-shot, "watch" for a scheduler-driven recurring check. Recorded
 	// with the request row so longitudinal rows are separable in analysis.
+	// On an attach request (ms.attach, where JobID names another check's
+	// job) it carries the tier the Coordinator placed the caller in:
+	// coordinator.SourceCoalesced says the job was in flight, so a server
+	// that has not seen it yet waits for its submit instead of refusing.
 	Origin string `json:"origin,omitempty"`
+}
+
+// Key names the question this check asks, for Coordinator.ScheduleCheck:
+// two requests with equal keys want the same element of the same product
+// page, in the same display currency, on the same simulated day. The
+// Coordinator adds where the initiator is.
+func (r *CheckRequest) Key() string {
+	curr := r.Currency
+	if curr == "" {
+		curr = "EUR"
+	}
+	b := make([]byte, 0, len(r.URL)+len(curr)+48)
+	b = append(b, urlkey.Canonical(r.URL)...)
+	b = append(b, 0)
+	b = strconv.AppendUint(b, r.TagsPath.Fingerprint(), 16)
+	b = append(b, 0)
+	b = append(b, curr...)
+	b = append(b, 0)
+	b = strconv.AppendFloat(b, r.Day, 'g', -1, 64)
+	return string(b)
 }
 
 // ResultRow is one line of the Fig. 2 result page.
@@ -136,15 +161,26 @@ type Server struct {
 	// server pool). See htmlx.NewCache.
 	Cache *htmlx.Cache
 
-	mu         sync.Mutex
-	checks     map[string]*checkState
+	mu     sync.Mutex
+	checks map[string]*checkState
+	// idle lists the completed checks, longest idle first: eviction pops
+	// its front instead of searching the map.
+	idle idleList
+	// arrivals parks attach requests that reached this server before the
+	// submit of the in-flight job they name; StartCheckCtx wakes them.
+	arrivals   map[string]*arrival
 	cacheStats htmlx.CacheStats // counters already published to Metrics
 	rpc        *transport.Server
 }
 
 type checkState struct {
+	id   string
 	rows []ResultRow
 	done bool
+	// partial is why the check completed without its whole fan-out (the
+	// causeLabel of its cut); empty for a complete check. Only complete
+	// checks answer attach requests.
+	partial string
 	// finished is closed by markDone: waiting results requests park on it
 	// instead of polling the done flag.
 	finished chan struct{}
@@ -152,10 +188,52 @@ type checkState struct {
 	lastPoll time.Time
 	cancel   context.CancelCauseFunc // aborts the running check
 
-	// trace/parentSpan feed the span export on the Done results answer:
-	// the check's span tree, re-parented under the submitter's span.
+	// trace/parentSpan feed the span export on the first Done results
+	// answer: the check's span tree, re-parented under the submitter's span.
 	trace      *obs.Trace
 	parentSpan string
+
+	prev, next *checkState // neighbours in Server.idle once done
+}
+
+// idleList is the intrusive list of completed checks in idle order. Every
+// touch moves a check to the back at the current time, so the order is the
+// idleSince order without ever sorting.
+type idleList struct {
+	front, back *checkState
+	n           int
+}
+
+func (l *idleList) pushBack(st *checkState) {
+	st.prev, st.next = l.back, nil
+	if l.back != nil {
+		l.back.next = st
+	} else {
+		l.front = st
+	}
+	l.back = st
+	l.n++
+}
+
+func (l *idleList) remove(st *checkState) {
+	if st.prev != nil {
+		st.prev.next = st.next
+	} else {
+		l.front = st.next
+	}
+	if st.next != nil {
+		st.next.prev = st.prev
+	} else {
+		l.back = st.prev
+	}
+	st.prev, st.next = nil, nil
+	l.n--
+}
+
+// arrival is the rendezvous of attach requests with a job's submit.
+type arrival struct {
+	ch      chan struct{} // closed when the job registers or is refused
+	waiters int
 }
 
 // idleSince is the moment a completed check was last useful: its finish
@@ -170,11 +248,24 @@ func (st *checkState) idleSince() time.Time {
 // Errors returned by the server.
 var (
 	ErrDuplicateJob = errors.New("measurement: job already running")
-	ErrUnknownJob   = errors.New("measurement: unknown job")
 	// ErrCheckCanceled is the cancellation cause set by CancelCheck; rows
 	// gathered before the cut are kept.
 	ErrCheckCanceled = errors.New("measurement: check canceled by caller")
 )
+
+// Errors an attaching client tells apart on the far side of the wire (each
+// carries a transport.RPCCoder code): the job is not, or no longer, known
+// here; or it is, but finished without its whole fan-out and is not shared.
+var (
+	ErrUnknownJob     error = &codedError{"measurement: unknown job", "ms_unknown_job"}
+	ErrSourcePartial  error = &codedError{"measurement: source check was cut by its deadline", "ms_source_partial"}
+	ErrSourceCanceled error = &codedError{"measurement: source check was canceled", "ms_source_canceled"}
+)
+
+type codedError struct{ msg, code string }
+
+func (e *codedError) Error() string   { return e.msg }
+func (e *codedError) RPCCode() string { return e.code }
 
 // New creates a Measurement server (no network listener; see NewServerOn).
 func New(ownAddr string, rates *currency.RateTable) *Server {
@@ -221,6 +312,10 @@ func (s *Server) StartCheckCtx(ctx context.Context, req *CheckRequest) error {
 	}
 	release, err := s.Admit.Acquire(ctx)
 	if err != nil {
+		// Attach requests waiting for this job learn it is not coming.
+		s.mu.Lock()
+		s.announceLocked(req.JobID)
+		s.mu.Unlock()
 		return err
 	}
 	s.mu.Lock()
@@ -241,8 +336,9 @@ func (s *Server) StartCheckCtx(ctx context.Context, req *CheckRequest) error {
 	req.TraceID = strings.Clone(req.TraceID)
 	req.ParentSpanID = strings.Clone(req.ParentSpanID)
 	cctx, cancel := context.WithCancelCause(context.Background())
-	st := &checkState{cancel: cancel, finished: make(chan struct{})}
+	st := &checkState{id: req.JobID, cancel: cancel, finished: make(chan struct{})}
 	s.checks[req.JobID] = st
+	s.announceLocked(req.JobID)
 	s.mu.Unlock()
 
 	s.Metrics.checkStarted()
@@ -276,19 +372,14 @@ func (s *Server) CancelCheck(jobID string) error {
 func (s *Server) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.checks {
-		if !st.done {
-			n++
-		}
-	}
-	return n
+	return len(s.checks) - s.idle.n
 }
 
 // evictLocked bounds the completed-check cache: completed checks idle
-// past CheckTTL go first; if the map is still over MaxChecks, the
-// longest-idle completed ones follow. In-flight checks are never evicted.
-// Callers hold s.mu.
+// past CheckTTL go first; if the map is still at MaxChecks, the
+// longest-idle completed ones follow. Both come off the front of the idle
+// list, so a submit pays for the evictions it causes and nothing else.
+// In-flight checks are never evicted. Callers hold s.mu.
 func (s *Server) evictLocked(now time.Time) {
 	ttl := s.CheckTTL
 	if ttl <= 0 {
@@ -298,28 +389,23 @@ func (s *Server) evictLocked(now time.Time) {
 	if maxChecks <= 0 {
 		maxChecks = DefaultMaxChecks
 	}
-	for id, st := range s.checks {
-		if st.done && now.Sub(st.idleSince()) > ttl {
-			delete(s.checks, id)
-			s.Metrics.checkEvicted()
+	for st := s.idle.front; st != nil; st = s.idle.front {
+		if now.Sub(st.idleSince()) <= ttl && len(s.checks) < maxChecks {
+			return
 		}
-	}
-	for len(s.checks) >= maxChecks {
-		oldest := ""
-		var oldestIdle time.Time
-		for id, st := range s.checks {
-			if !st.done {
-				continue
-			}
-			if oldest == "" || st.idleSince().Before(oldestIdle) {
-				oldest, oldestIdle = id, st.idleSince()
-			}
-		}
-		if oldest == "" {
-			return // everything cached is still in flight
-		}
-		delete(s.checks, oldest)
+		s.idle.remove(st)
+		delete(s.checks, st.id)
 		s.Metrics.checkEvicted()
+	}
+}
+
+// touchLocked counts one use of a completed check — a results answer or an
+// attach — against its eviction. Callers hold s.mu.
+func (s *Server) touchLocked(st *checkState, now time.Time) {
+	st.lastPoll = now
+	if st.done && s.checks[st.id] == st {
+		s.idle.remove(st)
+		s.idle.pushBack(st)
 	}
 }
 
@@ -332,7 +418,7 @@ func (s *Server) Results(jobID string, since int) (ResultsResponse, error) {
 	if !ok {
 		return ResultsResponse{}, ErrUnknownJob
 	}
-	return st.snapshot(since), nil
+	return s.snapshotLocked(st, since), nil
 }
 
 // AwaitResults is Results that first parks until the job finishes — by
@@ -352,13 +438,13 @@ func (s *Server) AwaitResults(ctx context.Context, jobID string, since int) (Res
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return st.snapshot(since), nil
+	return s.snapshotLocked(st, since), nil
 }
 
-// snapshot builds one results answer and counts as a poll for eviction.
-// Callers hold Server.mu.
-func (st *checkState) snapshot(since int) ResultsResponse {
-	st.lastPoll = time.Now()
+// snapshotLocked builds one results answer and counts as a poll for
+// eviction. Callers hold s.mu.
+func (s *Server) snapshotLocked(st *checkState, since int) ResultsResponse {
+	s.touchLocked(st, time.Now())
 	if since < 0 {
 		since = 0
 	}
@@ -367,13 +453,124 @@ func (st *checkState) snapshot(since int) ResultsResponse {
 	}
 	rows := append([]ResultRow(nil), st.rows[since:]...)
 	resp := ResultsResponse{Rows: rows, Done: st.done}
-	if st.done && st.trace != nil && st.trace.Sampled() {
+	if st.done && st.trace != nil {
 		// The check is finished: ship the server-side span tree with the
-		// final answer so the submitter stitches the remote work — fan-out,
-		// per-vantage fetches, persistence — into its own trace.
-		resp.Spans = st.trace.Export(st.parentSpan, "measurement")
+		// first final answer so the submitter stitches the remote work —
+		// fan-out, per-vantage fetches, persistence — into its own trace.
+		// Once is enough (whoever asks again has them, or is not the
+		// submitter), and the cached check stops holding the tree.
+		if st.trace.Sampled() {
+			resp.Spans = st.trace.Export(st.parentSpan, "measurement")
+		}
+		st.trace = nil
 	}
 	return resp
+}
+
+// AttachCheck answers a check that duplicates job req.JobID without running
+// anything for it: the caller's own "You" row, extracted from the page it
+// just loaded, followed by the job's vantage rows as the completed-check
+// cache holds them — never the job's own initiator row, which is another
+// user's. It parks until the job finishes or ctx dies. Only a complete
+// check is shared: one cut by its deadline answers ErrSourcePartial, a
+// canceled one ErrSourceCanceled, and a job this server does not (or no
+// longer) know ErrUnknownJob — at once, unless req.Origin says the
+// Coordinator saw the job in flight, in which case the attach has merely
+// overtaken the job's submit and waits for it. Nothing is stored and no
+// admission slot is taken: an attach costs one extraction and a wait.
+func (s *Server) AttachCheck(ctx context.Context, req *CheckRequest) (ResultsResponse, error) {
+	if req.JobID == "" || req.URL == "" {
+		return ResultsResponse{}, errors.New("measurement: job id and url required")
+	}
+	if req.Currency == "" {
+		req.Currency = "EUR"
+	}
+	st, err := s.awaitSubmitted(ctx, req.JobID, req.Origin == coordinator.SourceCoalesced)
+	if err != nil {
+		return ResultsResponse{}, err
+	}
+	// After the lookup, so that a refusal costs no parse; before the wait,
+	// so that a running source hides it.
+	own := s.extractRow(req, domainOf(req.URL), req.InitiatorHTML, ResultRow{
+		Source: "You", Kind: "initiator", PeerID: req.InitiatorID,
+	})
+	select {
+	case <-st.finished:
+	case <-ctx.Done():
+		return ResultsResponse{}, fmt.Errorf("measurement: attach to job %s: %w", req.JobID, context.Cause(ctx))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.checks[req.JobID] != st: // evicted between finishing and here
+		return ResultsResponse{}, ErrUnknownJob
+	case st.partial == "caller_cancel":
+		return ResultsResponse{}, ErrSourceCanceled
+	case st.partial != "":
+		return ResultsResponse{}, ErrSourcePartial
+	}
+	s.touchLocked(st, time.Now())
+	rows := make([]ResultRow, 1, len(st.rows))
+	rows[0] = own
+	for _, r := range st.rows {
+		if r.Kind != "initiator" {
+			rows = append(rows, r)
+		}
+	}
+	return ResultsResponse{Rows: rows, Done: true}, nil
+}
+
+// awaitSubmitted returns the state of jobID. When the job is unknown and
+// expected — the Coordinator placed the caller on it while it was in flight
+// — it parks until the job's submit registers it (or is refused) or ctx
+// dies; otherwise an unknown job is ErrUnknownJob at once.
+func (s *Server) awaitSubmitted(ctx context.Context, jobID string, expected bool) (*checkState, error) {
+	s.mu.Lock()
+	st, ok := s.checks[jobID]
+	if ok || !expected {
+		s.mu.Unlock()
+		if !ok {
+			return nil, ErrUnknownJob
+		}
+		return st, nil
+	}
+	a := s.arrivals[jobID]
+	if a == nil {
+		if s.arrivals == nil {
+			s.arrivals = make(map[string]*arrival)
+		}
+		a = &arrival{ch: make(chan struct{})}
+		s.arrivals[jobID] = a
+	}
+	a.waiters++
+	s.mu.Unlock()
+
+	select {
+	case <-a.ch:
+	case <-ctx.Done():
+		s.mu.Lock()
+		if a.waiters--; a.waiters == 0 && s.arrivals[jobID] == a {
+			delete(s.arrivals, jobID)
+		}
+		s.mu.Unlock()
+		return nil, fmt.Errorf("measurement: attach to job %s: %w", jobID, context.Cause(ctx))
+	}
+	s.mu.Lock()
+	st, ok = s.checks[jobID]
+	s.mu.Unlock()
+	if !ok {
+		return nil, ErrUnknownJob // the submit was refused
+	}
+	return st, nil
+}
+
+// announceLocked wakes the attach requests parked on jobID: its submit has
+// registered it, or been refused. Callers hold s.mu.
+func (s *Server) announceLocked(jobID string) {
+	if a := s.arrivals[jobID]; a != nil {
+		close(a.ch)
+		delete(s.arrivals, jobID)
+	}
 }
 
 // WaitResults waits until done (test/CLI convenience).
@@ -412,14 +609,17 @@ func (s *Server) addRow(jobID string, row ResultRow) {
 	st.rows = append(st.rows, row)
 }
 
-// markDone flags a check complete with the rows gathered so far and wakes
-// every parked results request.
-func (s *Server) markDone(jobID string) {
+// markDone flags a check complete with the rows gathered so far — partial
+// naming the cut when the fan-out did not finish — and wakes every parked
+// results and attach request.
+func (s *Server) markDone(jobID, partial string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st, ok := s.checks[jobID]; ok && !st.done {
 		st.done = true
+		st.partial = partial
 		st.doneAt = time.Now()
+		s.idle.pushBack(st)
 		close(st.finished)
 	}
 }
@@ -590,14 +790,16 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 		wg.Wait()
 		close(fanoutDone)
 	}()
+	partial := ""
 	select {
 	case <-fanoutDone:
 	case <-ctx.Done():
-		s.Metrics.partialCheck(causeLabel(ctx))
+		partial = causeLabel(ctx)
+		s.Metrics.partialCheck(partial)
 		fanout.Annotate("partial", "true")
-		fanout.Annotate("cause", causeLabel(ctx))
+		fanout.Annotate("cause", partial)
 		tr.Annotate("partial", "true")
-		s.Log.Warn(ctx, "check partial", "job", req.JobID, "cause", causeLabel(ctx))
+		s.Log.Warn(ctx, "check partial", "job", req.JobID, "cause", partial)
 	}
 	fanout.End()
 	s.flushBatch(rec, tr)
@@ -608,7 +810,7 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 	s.Metrics.checkCompleted(start, tr.ID())
 	s.Log.Info(ctx, "check completed", "job", req.JobID,
 		"elapsed_ms", time.Since(start).Milliseconds())
-	s.markDone(req.JobID)
+	s.markDone(req.JobID, partial)
 	if s.Coord != nil {
 		// Step 4. The report runs under its own bounded context: it must
 		// outlive the check's (possibly dead) lifetime, but a mute
@@ -905,6 +1107,17 @@ func NewRPCServer(s *Server, lis transport.Listener) *RPCServer {
 		}
 		return &resp, nil
 	})
+	transport.HandleTyped(r.rpc, "ms.attach", func(ctx context.Context, req *CheckRequest) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Parks this handler goroutine like a waiting ms.results does.
+		resp, err := s.AttachCheck(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return &resp, nil
+	})
 	transport.HandleTyped(r.rpc, "ms.cancel", func(ctx context.Context, req *resultsReq) (any, error) {
 		return nil, s.CancelCheck(req.JobID)
 	})
@@ -965,6 +1178,18 @@ func DialMeasurement(netw transport.Network, addr string) (*Client, error) {
 // control before any work starts.
 func (c *Client) CheckCtx(ctx context.Context, req *CheckRequest) error {
 	return c.rpc.CallCtx(ctx, "ms.check", req, nil)
+}
+
+// AttachCtx asks for the rows of the job the Coordinator placed this check
+// on (req.JobID; source is the placement's tier) instead of submitting it:
+// one round trip that returns when that job has finished. ctx bounds the
+// wait. See Server.AttachCheck for what comes back and what is refused.
+func (c *Client) AttachCtx(ctx context.Context, req *CheckRequest, source string) ([]ResultRow, error) {
+	attach := *req
+	attach.Origin = source
+	var resp ResultsResponse
+	err := c.rpc.CallCtx(ctx, "ms.attach", &attach, &resp)
+	return resp.Rows, err
 }
 
 // ResultsCtx polls for rows once (the AJAX surface of step 5).

@@ -66,8 +66,8 @@ var wireSamples = map[string]string{
 		"err": "late", "payload": {"url": "http://shop.example/p/1", "day": 3},
 		"tid": "t-1", "sid": "s-2", "smp": true,
 		"spans": [{"id": "sp1", "p": "sp0", "n": "fetch", "s": 7, "e": 9}]}`,
-	"coord.newjob_request":    `{"domain": "shop.example", "initiator_id": "user-7"}`,
-	"coord.newjob_response":   `{"job_id": "job-42", "server_addr": "inproc-3"}`,
+	"coord.newjob_request":    `{"domain": "shop.example", "initiator_id": "user-7", "key": "http://shop.example/p/1\u0000a1\u0000EUR\u00003", "fresh": true}`,
+	"coord.newjob_response":   `{"job_id": "job-42", "server_addr": "inproc-3", "source": "cached", "age_ms": 1200}`,
 	"coord.heartbeat_request": `{"addr": "ms-addr", "pending": 4, "shedding": true}`,
 	"coord.job_ref":           `{"job_id": "job-42"}`,
 	"coord.ring_state":        `{"version": 3, "ring": {"version": 3, "seed": 9, "vnodes": 64, "members": [{"id": "shard-0", "addr": "inproc-1"}]}}`,
