@@ -77,11 +77,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Micro-benchmarks of the three per-copy stages of a check (parse a page
-# copy, diff it against the initiator's page, store its row). Supporting
-# evidence only: they say where a change acts, not what it buys — that is
-# the whole-check benchmark's call (bench/, BENCHMARK.json).
+# copy, diff it against the initiator's page, store its row) and of the
+# durable write (log a stored batch). Supporting evidence only: they say
+# where a change acts, not what it buys — that is the whole-check
+# benchmark's call (bench/, BENCHMARK.json).
 bench-hot:
-	$(GO) test -run '^$$' -bench 'ParseMallPage|Diff|InsertBatch' -benchmem -count 5 ./internal/htmlx ./internal/measurement ./internal/store
+	$(GO) test -run '^$$' -bench 'ParseMallPage|Diff|InsertBatch' -benchmem -count 5 ./internal/htmlx ./internal/measurement ./internal/store ./internal/history
 
 # Measure the crypto substrate (fixed-base / multi-exp fast paths vs the
 # scalar ablation) and refresh the machine-readable record.

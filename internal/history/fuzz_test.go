@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"pricesheriff/internal/store"
 )
 
 // frameRecord builds a valid frame, for seeding the fuzzer.
@@ -21,10 +23,13 @@ func frameRecord(payload []byte) []byte {
 // FuzzWALReplay feeds arbitrary bytes to the segment replayer as a
 // segment file. Whatever the input, replay must not panic, must stop at a
 // sane offset, and every payload it accepts must re-frame to exactly the
-// bytes it was decoded from.
+// bytes it was decoded from and decode as a record or fail cleanly.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frameRecord([]byte(`{"k":"insert","t":"requests","id":1}`)))
+	f.Add(append(frameRecord(store.AppendOp(nil, store.Op{Kind: store.OpInsert, Table: "requests", ID: 1,
+		Row: store.Row{"_id": 1.0, "url": "http://example.com", "price": 9.99, "ok": true, "tags": []any{"a", nil}}})),
+		frameRecord(store.AppendOp(nil, store.Op{Kind: store.OpCreate, Table: "t", Spec: &store.TableSpec{Name: "t", Index: []string{"k"}}}))...))
 	f.Add(append(frameRecord([]byte("a")), frameRecord([]byte("bb"))...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})    // absurd length
 	f.Add(frameRecord([]byte("torn"))[:6])               // mid-header cut
@@ -38,6 +43,7 @@ func FuzzWALReplay(f *testing.F) {
 		var payloads [][]byte
 		goodOff, torn, err := ReplaySegment(path, func(p []byte) error {
 			payloads = append(payloads, append([]byte(nil), p...))
+			decodeRecord(p)
 			return nil
 		})
 		if err != nil {

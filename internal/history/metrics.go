@@ -47,12 +47,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-func (m *Metrics) walAppended(n int64) {
+func (m *Metrics) walAppended(records int, bytes int64) {
 	if m == nil {
 		return
 	}
-	m.walRecords.Inc()
-	m.walBytes.Add(n)
+	m.walRecords.Add(int64(records))
+	m.walBytes.Add(bytes)
 }
 
 func (m *Metrics) walSized(totalBytes int64, segments int) {

@@ -25,9 +25,12 @@ type Options struct {
 
 // Persister makes a store.DB durable: on Open it restores the database
 // from the newest checkpoint plus the WAL records logged after it, then
-// hooks the DB's commit stream so every subsequent mutation is framed into
-// the WAL before the write lock is released — an acknowledged write is in
-// the log in commit order, with no gap for a lost-but-acked update.
+// hooks the DB's commit stream so every subsequent mutation call is
+// written to the WAL — one record per op, one write per call — before the
+// write lock is released: an acknowledged write is in the log in commit
+// order, with no gap for a lost-but-acked update. A failed log write is
+// fail-stop: that call returns the error, and the DB latches it and
+// refuses every later mutation.
 // Compaction folds cold segments into a fresh checkpoint so recovery time
 // and disk usage stay bounded.
 type Persister struct {
@@ -89,8 +92,8 @@ func Open(dir string, db *store.DB, opts Options) (*Persister, error) {
 		}
 		path := filepath.Join(dir, segmentName(seq))
 		goodOff, torn, err := ReplaySegment(path, func(payload []byte) error {
-			var op store.Op
-			if err := json.Unmarshal(payload, &op); err != nil {
+			op, err := decodeRecord(payload)
+			if err != nil {
 				return fmt.Errorf("history: decode wal op: %w", err)
 			}
 			p.ReplayedRecords++
@@ -120,6 +123,19 @@ func Open(dir string, db *store.DB, opts Options) (*Persister, error) {
 	p.wal = wal
 	db.SetCommitHook(p.onCommit)
 	return p, nil
+}
+
+// decodeRecord decodes one WAL record: a store.AppendOp record, or a
+// JSON-encoded store.Op — what builds before the binary record logged,
+// read so their data dirs recover and never written. The first
+// compaction after such a boot retires the segments that hold them.
+func decodeRecord(payload []byte) (store.Op, error) {
+	if len(payload) > 0 && payload[0] == '{' {
+		var op store.Op
+		err := json.Unmarshal(payload, &op)
+		return op, err
+	}
+	return store.DecodeOp(payload)
 }
 
 // applyOp replays one logged mutation idempotently: the checkpoint/WAL cut
@@ -155,21 +171,24 @@ func applyOp(db *store.DB, op store.Op) error {
 
 // onCommit runs synchronously under the DB's write lock, giving the log
 // the same total order as the store. It must not call back into the DB.
-// op.Row is the stored row, lent for the length of the call
-// (store.CommitHook): it is marshalled here and not referenced afterwards.
-func (p *Persister) onCommit(op store.Op) {
-	payload, err := json.Marshal(op)
+// The ops and their rows are lent for the call (store.CommitHook): they
+// are encoded straight into the WAL's frame buffer and not referenced
+// afterwards. The call's records go to the WAL in one append — one write,
+// and under FsyncAlways one fsync. A failed append is returned to the DB,
+// which latches it and refuses every later mutation, so no write can be
+// acknowledged behind a hole in the log.
+func (p *Persister) onCommit(ops []store.Op) error {
+	err := p.wal.AppendRecords(len(ops), func(b []byte, i int) []byte {
+		return store.AppendOp(b, ops[i])
+	})
 	if err != nil {
 		p.opts.Metrics.walError()
-		return
-	}
-	if err := p.wal.Append(payload); err != nil {
-		p.opts.Metrics.walError()
-		return
+		return fmt.Errorf("history: wal append failed, store is read-only until restart: %w", err)
 	}
 	if n := p.opts.AutoCompactSegments; n > 0 && p.wal.SegmentCount() >= n {
 		p.maybeCompactAsync()
 	}
+	return nil
 }
 
 // maybeCompactAsync starts one background compaction if none is running.

@@ -25,6 +25,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -32,8 +34,9 @@ import (
 // FsyncPolicy selects when the WAL flushes to stable storage.
 type FsyncPolicy string
 
-// Fsync policies: "always" syncs after every record (every acknowledged
-// write survives power loss, at ~one disk flush per commit), "interval"
+// Fsync policies: "always" syncs after every Append — one per mutation
+// call of the store, however many rows it carries (every acknowledged
+// write survives power loss, at one disk flush per call), "interval"
 // syncs on a timer (bounded data loss, near-RAM throughput), "off" leaves
 // flushing to the OS (crash-of-process safe, power-loss unsafe).
 const (
@@ -58,7 +61,8 @@ const (
 	DefaultSegmentBytes  = 4 << 20
 	DefaultFsyncEvery    = 100 * time.Millisecond
 	maxRecordBytes       = 16 << 20
-	frameHeaderBytes     = 8 // 4B little-endian length + 4B CRC32 (Castagnoli) of the payload
+	maxRetainedFrame     = 1 << 20 // frame buffer capacity kept between appends
+	frameHeaderBytes     = 8       // 4B little-endian length + 4B CRC32 (Castagnoli) of the payload
 	segmentPrefix        = "wal-"
 	segmentSuffix        = ".seg"
 	checkpointFile       = "checkpoint.json"
@@ -104,9 +108,11 @@ type WAL struct {
 
 	mu        sync.Mutex
 	f         *os.File
-	seq       int64 // active segment sequence number
-	size      int64 // active segment size
-	coldBytes int64 // total size of non-active segments
+	seq       int64  // active segment sequence number
+	size      int64  // active segment size
+	coldBytes int64  // total size of non-active segments
+	segments  int    // on-disk segments, the active one included
+	frame     []byte // Append's framing buffer, reused
 	closed    bool
 	stopSync  chan struct{}
 	syncDone  sync.WaitGroup
@@ -117,11 +123,18 @@ func segmentName(seq int64) string {
 }
 
 func parseSegmentName(name string) (int64, bool) {
-	var seq int64
-	if _, err := fmt.Sscanf(name, segmentPrefix+"%d"+segmentSuffix, &seq); err != nil {
+	digits, ok := strings.CutPrefix(name, segmentPrefix)
+	if !ok {
 		return 0, false
 	}
-	return seq, true
+	if digits, ok = strings.CutSuffix(digits, segmentSuffix); !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 63) // no sign, fits an int64
+	if err != nil {
+		return 0, false
+	}
+	return int64(seq), true
 }
 
 // ListSegments returns the sequence numbers of the WAL segments in dir,
@@ -156,7 +169,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, opts: opts, seq: 1}
+	w := &WAL{dir: dir, opts: opts, seq: 1, segments: max(len(seqs), 1)}
 	var cold int64
 	if len(seqs) > 0 {
 		w.seq = seqs[len(seqs)-1]
@@ -177,20 +190,13 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		return nil, err
 	}
 	w.f, w.size = f, fi.Size()
-	w.opts.Metrics.walSized(w.coldBytes+w.size, len(seqs)+boolInt(len(seqs) == 0))
+	w.opts.Metrics.walSized(w.coldBytes+w.size, w.segments)
 	if w.opts.Fsync == FsyncInterval {
 		w.stopSync = make(chan struct{})
 		w.syncDone.Add(1)
 		go w.syncLoop()
 	}
 	return w, nil
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (w *WAL) syncLoop() {
@@ -211,23 +217,45 @@ func (w *WAL) syncLoop() {
 	}
 }
 
-// Append frames one record and writes it to the active segment, rotating
-// first when the segment is full. Under FsyncAlways it returns only after
-// the record is on stable storage.
-func (w *WAL) Append(payload []byte) error {
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("history: record of %d bytes exceeds limit", len(payload))
-	}
-	frame := make([]byte, frameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderBytes:], payload)
+// Append frames each payload as one record and writes them all to the
+// active segment in one write (see AppendRecords).
+func (w *WAL) Append(payloads ...[]byte) error {
+	return w.AppendRecords(len(payloads), func(b []byte, i int) []byte {
+		return append(b, payloads[i]...)
+	})
+}
 
+// AppendRecords writes n records in one write to the active segment,
+// rotating first when the segment is full — the records of one call never
+// straddle two segments. encode(b, i) appends record i's payload to b and
+// returns it; it runs under the WAL's lock and writes straight into the
+// frame buffer, behind the header that is filled in once the payload's
+// length is known. Under FsyncAlways AppendRecords returns only after one
+// fsync has put them all on stable storage. A crash mid-write leaves a
+// prefix of the records plus a torn one, which recovery truncates.
+func (w *WAL) AppendRecords(n int, encode func(b []byte, i int) []byte) error {
+	if n == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrWALClosed
 	}
+	frame := w.frame[:0]
+	for i := 0; i < n; i++ {
+		start := len(frame)
+		frame = append(frame, make([]byte, frameHeaderBytes)...)
+		frame = encode(frame, i)
+		payload := frame[start+frameHeaderBytes:]
+		if len(payload) > maxRecordBytes {
+			w.keepFrame(frame)
+			return fmt.Errorf("history: record of %d bytes exceeds limit", len(payload))
+		}
+		binary.LittleEndian.PutUint32(frame[start:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(frame[start+4:], crc32.Checksum(payload, crcTable))
+	}
+	w.keepFrame(frame)
 	if w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
@@ -242,8 +270,18 @@ func (w *WAL) Append(payload []byte) error {
 			return err
 		}
 	}
-	w.opts.Metrics.walAppended(int64(len(frame)))
+	w.opts.Metrics.walAppended(n, int64(len(frame)))
 	return nil
+}
+
+// keepFrame retains frame's array for the next append unless it grew past
+// maxRetainedFrame.
+func (w *WAL) keepFrame(frame []byte) {
+	if cap(frame) <= maxRetainedFrame {
+		w.frame = frame
+	} else {
+		w.frame = nil
+	}
 }
 
 // rotateLocked seals the active segment and opens the next one.
@@ -261,7 +299,8 @@ func (w *WAL) rotateLocked() error {
 		return err
 	}
 	w.f, w.size = f, 0
-	w.refreshGaugesLocked()
+	w.segments++
+	w.opts.Metrics.walSized(w.coldBytes+w.size, w.segments)
 	return nil
 }
 
@@ -285,7 +324,8 @@ func (w *WAL) Rotate() (int64, error) {
 }
 
 // RemoveBelow deletes all segments with sequence numbers < seq — they are
-// folded into a checkpoint and no longer needed for recovery.
+// folded into a checkpoint and no longer needed for recovery — and resets
+// the segment count and cold bytes from a listing of what is left.
 func (w *WAL) RemoveBelow(seq int64) error {
 	seqs, err := ListSegments(w.dir)
 	if err != nil {
@@ -322,14 +362,17 @@ func (w *WAL) refreshGaugesLocked() {
 		}
 	}
 	w.coldBytes = cold
-	w.opts.Metrics.walSized(w.coldBytes+w.size, len(seqs))
+	w.segments = len(seqs)
+	w.opts.Metrics.walSized(w.coldBytes+w.size, w.segments)
 }
 
 // SegmentCount returns the number of on-disk segments including the
-// active one.
+// active one. It is counted, not listed: OpenWAL sets it, a rotation adds
+// one, RemoveBelow's listing resets it.
 func (w *WAL) SegmentCount() int {
-	seqs, _ := ListSegments(w.dir)
-	return len(seqs)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.segments
 }
 
 // TotalBytes returns the on-disk size of all segments.

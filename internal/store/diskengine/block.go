@@ -22,7 +22,8 @@ import (
 //	entryCount × entry:
 //	    byte   kind (0 = row, 1 = tombstone)
 //	    uvarint id
-//	    row only: uvarint len, then len bytes of JSON row
+//	    row only: uvarint len, then len bytes of row (store.AppendRow;
+//	    JSON in a PSR1 run, see run.go)
 //	uint32 big-endian CRC32 (IEEE) of everything before it
 //
 // Entries are sorted by strictly ascending ID. Blocks target
@@ -42,7 +43,7 @@ const (
 // validation.
 var ErrCorrupt = errors.New("diskengine: corrupt block")
 
-// blockEntry is one decoded page entry. Data is the row's JSON bytes
+// blockEntry is one decoded page entry. Data is the row's encoded bytes
 // (nil for tombstones), aliasing the decoded buffer — callers must not
 // mutate it.
 type blockEntry struct {

@@ -258,7 +258,7 @@ func (e *Engine) Get(id int64) (store.Row, bool, error) {
 		if ent.tomb {
 			return nil, false, nil
 		}
-		r, err := decodeRow(ent.data)
+		r, err := e.runs[i].decodeRow(ent.data)
 		if err != nil {
 			return nil, false, err
 		}
@@ -287,14 +287,6 @@ func (e *Engine) Delete(id int64) (bool, error) {
 	e.count--
 	e.publish()
 	return true, nil
-}
-
-func decodeRow(data []byte) (store.Row, error) {
-	var r store.Row
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("diskengine: decode row: %w", err)
-	}
-	return r, nil
 }
 
 // Scan implements store.Engine: a k-way merge of the memtable and every
@@ -351,7 +343,7 @@ func (e *Engine) Scan(from, to int64, fn func(id int64, row store.Row) bool) err
 				if ent.tomb {
 					win = memEntry{tomb: true}
 				} else {
-					r, err := decodeRow(ent.data)
+					r, err := e.runs[i].decodeRow(ent.data)
 					if err != nil {
 						return err
 					}
@@ -391,11 +383,12 @@ func (e *Engine) MaxID() int64 {
 }
 
 // Flush implements store.Engine: spill the memtable into a new run,
-// commit it via the manifest, then full-merge if runs piled up. The
-// checkpoint cycle calls this before WAL segments retire, making the
-// run files + WAL tail a complete redo history. The engine is locked
-// exclusively for the duration — flushes are checkpoint-time events,
-// not hot-path ones.
+// commit it via the manifest, then full-merge if runs piled up or one of
+// them is a PSR1 run (so an upgraded table's JSON rows retire at its
+// first flush). The checkpoint cycle calls this before WAL segments
+// retire, making the run files + WAL tail a complete redo history. The
+// engine is locked exclusively for the duration — flushes are
+// checkpoint-time events, not hot-path ones.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -404,13 +397,24 @@ func (e *Engine) Flush() error {
 			return err
 		}
 	}
-	if len(e.runs) > e.compactRuns {
+	if len(e.runs) > e.compactRuns || e.hasJSONRunLocked() {
 		if err := e.compactLocked(); err != nil {
 			return err
 		}
 	}
 	e.publish()
 	return nil
+}
+
+// hasJSONRunLocked reports whether a PSR1 run is still live; callers
+// hold e.mu.
+func (e *Engine) hasJSONRunLocked() bool {
+	for _, r := range e.runs {
+		if r.json {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *Engine) runFileName() string {
@@ -429,6 +433,7 @@ func (e *Engine) flushMemLocked() error {
 
 	name := e.runFileName()
 	r, err := e.writeRun(name, func(add func(id int64, data []byte, tomb bool) error) error {
+		var data []byte // add copies it into the block
 		for _, id := range ids {
 			me := e.mem[id]
 			if me.tomb {
@@ -437,10 +442,7 @@ func (e *Engine) flushMemLocked() error {
 				}
 				continue
 			}
-			data, err := json.Marshal(me.row)
-			if err != nil {
-				return err
-			}
+			data = store.AppendRow(data[:0], me.row)
 			if err := add(id, data, false); err != nil {
 				return err
 			}
@@ -470,11 +472,13 @@ func (e *Engine) flushMemLocked() error {
 // compactLocked full-merges every run into one, dropping tombstones and
 // shadowed versions, then retires the inputs. Runs only when the
 // memtable is empty (right after a flush), so the merged run is the
-// table's complete durable state.
+// table's complete durable state. Rows are copied as encoded, except a
+// PSR1 run's, which are re-encoded.
 func (e *Engine) compactLocked() error {
 	name := e.runFileName()
 	merged := int64(0)
 	r, err := e.writeRun(name, func(add func(id int64, data []byte, tomb bool) error) error {
+		var buf []byte // add copies it into the block
 		iters := make([]*runIter, len(e.runs))
 		for i, run := range e.runs {
 			iters[i] = run.iter(1)
@@ -490,22 +494,31 @@ func (e *Engine) compactLocked() error {
 				break
 			}
 			var win blockEntry
-			haveWin := false
+			winRun := -1
 			for i := len(iters) - 1; i >= 0; i-- {
 				ent, ok := iters[i].peek()
 				if !ok || ent.id != min {
 					continue
 				}
-				if !haveWin {
-					win, haveWin = ent, true
+				if winRun < 0 {
+					win, winRun = ent, i
 				}
 				iters[i].next()
 			}
 			if win.tomb {
 				continue
 			}
+			data := win.data
+			if e.runs[winRun].json {
+				row, err := e.runs[winRun].decodeRow(data)
+				if err != nil {
+					return err
+				}
+				buf = store.AppendRow(buf[:0], row)
+				data = buf
+			}
 			merged++
-			if err := add(min, win.data, false); err != nil {
+			if err := add(min, data, false); err != nil {
 				return err
 			}
 		}

@@ -3,6 +3,8 @@ package diskengine
 import (
 	"bytes"
 	"testing"
+
+	"pricesheriff/internal/store"
 )
 
 // fuzzSeedBlocks builds representative valid pages for the corpus: the
@@ -26,12 +28,20 @@ func fuzzSeedBlocks() [][]byte {
 	ents = appendBlockEntry(ents, 123456789, []byte(`{"s":"x"}`), false)
 	seeds = append(seeds, finishBlock(ents, 3))
 
+	// Binary rows (a PSR2 run's), with a tombstone between them.
+	ents = nil
+	ents = appendBlockEntry(ents, 3, store.AppendRow(nil, store.Row{"_id": 3.0, "url": "http://example.com", "price": 9.99, "ok": true}), false)
+	ents = appendBlockEntry(ents, 4, nil, true)
+	ents = appendBlockEntry(ents, 9, store.AppendRow(nil, store.Row{"_id": 9.0, "tags": []any{"a", map[string]any{"n": nil}}}), false)
+	seeds = append(seeds, finishBlock(ents, 3))
+
 	return seeds
 }
 
 // FuzzBlockDecode hammers the page decoder: whatever the bytes, it must
-// return rows or ErrCorrupt — never panic, never over-read. A valid
-// page must also survive a re-encode round trip.
+// return rows or ErrCorrupt — never panic, never over-read — and a row
+// entry must decode as a binary row or fail cleanly. A valid page must
+// also survive a re-encode round trip.
 func FuzzBlockDecode(f *testing.F) {
 	for _, seed := range fuzzSeedBlocks() {
 		f.Add(seed)
@@ -59,6 +69,9 @@ func FuzzBlockDecode(f *testing.F) {
 			prev = e.id
 			if e.tomb && e.data != nil {
 				t.Fatal("tombstone with data")
+			}
+			if !e.tomb {
+				store.DecodeRow(e.data)
 			}
 			enc = appendBlockEntry(enc, e.id, e.data, e.tomb)
 		}

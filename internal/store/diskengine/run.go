@@ -3,10 +3,13 @@ package diskengine
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sort"
+
+	"pricesheriff/internal/store"
 )
 
 // Run file layout:
@@ -20,8 +23,14 @@ import (
 // Blocks hold strictly ascending IDs; block ranges never overlap. The
 // index is small (two IDs and two offsets per ~32 KiB of rows) and lives
 // in memory for every open run; only blocks go through the cache.
+//
+// The magic names the row encoding: a PSR2 run's rows are store.AppendRow
+// bytes, and every run is written so. A PSR1 run, written by builds
+// before the binary row, holds JSON rows; it is read, and the next Flush
+// merges it away (Engine.Flush).
 const (
-	runMagic      = 0x50535231 // "PSR1"
+	runMagic      = 0x50535232 // "PSR2"
+	runMagicJSON  = 0x50535231 // "PSR1", read only
 	runFooterSize = 16
 )
 
@@ -125,6 +134,7 @@ type runReader struct {
 	index []blockMeta
 	size  int64
 	cache *cache
+	json  bool // a PSR1 run: rows are JSON
 }
 
 // openRun maps a run file: validates the footer and loads the index.
@@ -148,7 +158,8 @@ func openRun(path string, c *cache) (*runReader, error) {
 		f.Close()
 		return nil, err
 	}
-	if binary.BigEndian.Uint32(footer[12:16]) != runMagic {
+	magic := binary.BigEndian.Uint32(footer[12:16])
+	if magic != runMagic && magic != runMagicJSON {
 		f.Close()
 		return nil, fmt.Errorf("diskengine: run %s: bad magic", path)
 	}
@@ -188,10 +199,22 @@ func openRun(path string, c *cache) (*runReader, error) {
 		}
 		metas = append(metas, blockMeta{firstID: vals[0], lastID: vals[1], offset: vals[2], length: vals[3]})
 	}
-	return &runReader{f: f, name: path, index: metas, size: size, cache: c}, nil
+	return &runReader{f: f, name: path, index: metas, size: size, cache: c, json: magic == runMagicJSON}, nil
 }
 
 func (r *runReader) close() error { return r.f.Close() }
+
+// decodeRow decodes one of this run's row entries.
+func (r *runReader) decodeRow(data []byte) (store.Row, error) {
+	if !r.json {
+		return store.DecodeRow(data)
+	}
+	var row store.Row
+	if err := json.Unmarshal(data, &row); err != nil {
+		return nil, fmt.Errorf("diskengine: decode row: %w", err)
+	}
+	return row, nil
+}
 
 // block loads (through the cache) the decoded entries of block i.
 func (r *runReader) block(i int) ([]blockEntry, error) {

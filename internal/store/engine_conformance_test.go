@@ -265,8 +265,11 @@ func TestConformanceCommitHookOrder(t *testing.T) {
 		db := ec.newDB(t)
 		defer db.Close()
 		var ops []string
-		db.SetCommitHook(func(op store.Op) {
-			ops = append(ops, op.Kind+":"+fmt.Sprint(op.ID))
+		db.SetCommitHook(func(call []store.Op) error {
+			for _, op := range call {
+				ops = append(ops, op.Kind+":"+fmt.Sprint(op.ID))
+			}
+			return nil
 		})
 		if err := db.CreateTable(store.TableSpec{Name: "h"}); err != nil {
 			t.Fatal(err)

@@ -48,7 +48,12 @@ func TestServerStoresDecodedRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooked := map[int64]uintptr{}
-	db.SetCommitHook(func(op Op) { hooked[op.ID] = mapPtr(op.Row) })
+	db.SetCommitHook(func(ops []Op) error {
+		for _, op := range ops {
+			hooked[op.ID] = mapPtr(op.Row)
+		}
+		return nil
+	})
 
 	rows := responseRows(5)
 	ids, err := cli.InsertBatchCtx(context.Background(), "responses", rows[:4])

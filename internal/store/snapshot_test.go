@@ -265,9 +265,12 @@ func TestImportMergeRejectedLeavesDBUntouched(t *testing.T) {
 func TestCommitHookObservesMutationsInOrder(t *testing.T) {
 	db := NewDB()
 	var ops []Op
-	db.SetCommitHook(func(op Op) {
-		op.Row = copyRow(op.Row) // the hook may not keep the stored row
-		ops = append(ops, op)
+	db.SetCommitHook(func(call []Op) error {
+		for _, op := range call {
+			op.Row = copyRow(op.Row) // the hook may not keep the stored row
+			ops = append(ops, op)
+		}
+		return nil
 	})
 	db.CreateTable(TableSpec{Name: "t", Index: []string{"k"}})
 	id, _ := db.Insert("t", Row{"k": "v"})

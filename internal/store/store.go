@@ -21,7 +21,7 @@ import (
 )
 
 // Row is one record. Values survive a JSON round trip, so numbers are
-// float64, and composite values are not supported.
+// float64 and composite values are []any and map[string]any.
 type Row map[string]any
 
 // ID is the implicit auto-increment primary key column present in every
@@ -104,17 +104,25 @@ type Op struct {
 	Spec  *TableSpec `json:"s,omitempty"`
 }
 
-// CommitHook observes committed mutations. It is invoked synchronously
-// under the engine's write lock, so invocations are totally ordered and a
-// crash after the hook returns can never have acknowledged an unlogged
-// write — the contract the WAL in internal/history builds on. Keep it
-// fast: the whole engine stalls while it runs.
+// CommitHook observes committed mutations: the ops of one mutation call,
+// in commit order — one op for Insert/Update/Delete/CreateTable/
+// InsertWithID, one per applied row for InsertBatch, ImportRows and
+// DeleteBatch. It is invoked synchronously under the engine's write lock
+// after the call's mutations are applied, so invocations are totally
+// ordered, and the call returns the hook's error: a crash after the hook
+// returns nil can never have acknowledged an unlogged write — the
+// contract the WAL in internal/history builds on. A call whose hook fails
+// has changed the engine but is not acknowledged, and the DB latches the
+// error: every later mutation returns it before applying anything, so no
+// write lands behind a hole in the log. Keep it fast: the whole engine
+// stalls while it runs.
 //
-// An insert op's Row is the stored row itself, not a copy: the hook may
-// read it until it returns and must neither keep a reference to it (or to
-// the Op) past that nor change it. A hook that needs the row later
-// serializes or copies it before returning, as the WAL does.
-type CommitHook func(Op)
+// The slice and an insert op's Row are lent for the call — the Row is the
+// stored row itself, not a copy: the hook may read them until it returns
+// and must neither keep a reference (to the slice, an Op or a Row) past
+// that nor change them. A hook that needs an op later serializes or
+// copies it before returning, as the WAL does.
+type CommitHook func(ops []Op) error
 
 type table struct {
 	spec    TableSpec
@@ -147,6 +155,8 @@ type DB struct {
 	tables map[string]*table
 	procs  map[string]Proc
 	hook   CommitHook
+	ops    []Op  // the current call's ops, built only while a hook is set
+	failed error // the first error a hook returned; refuses every later mutation
 	opts   Options
 	disk   map[string]bool // Options.DiskTables, as a set
 	// IDs this engine mints are seq*stride + ordinal, seq = 1, 2, 3, …: a
@@ -177,11 +187,40 @@ func (db *DB) SetCommitHook(h CommitHook) {
 	db.hook = h
 }
 
-// commit invokes the hook; callers hold db.mu for writing.
-func (db *DB) commit(op Op) {
+// logOp queues one applied mutation for the hook; callers hold db.mu for
+// writing. Without a hook nothing is built.
+func (db *DB) logOp(op Op) {
 	if db.hook != nil {
-		db.hook(op)
+		db.ops = append(db.ops, op)
 	}
+}
+
+// maxRetainedOps bounds the op scratch a DB keeps between calls, so one
+// huge import does not pin its ops' capacity for the process lifetime.
+const maxRetainedOps = 1024
+
+// commit hands the call's queued ops to the hook and returns err, or the
+// hook's error when err is nil. Every mutation call that queued ops ends
+// here, on its error paths too: what was applied is logged. A hook error
+// is latched in db.failed. Callers hold db.mu for writing.
+func (db *DB) commit(err error) error {
+	if len(db.ops) == 0 {
+		return err
+	}
+	herr := db.hook(db.ops)
+	if herr != nil {
+		db.failed = herr
+	}
+	if cap(db.ops) > maxRetainedOps {
+		db.ops = nil
+	} else {
+		clear(db.ops)
+		db.ops = db.ops[:0]
+	}
+	if err != nil {
+		return err
+	}
+	return herr
 }
 
 // NewDB creates an empty all-in-memory engine.
@@ -261,6 +300,9 @@ func (db *DB) CreateTable(spec TableSpec) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return db.failed
+	}
 	if _, ok := db.tables[spec.Name]; ok {
 		return ErrTableExists
 	}
@@ -308,8 +350,8 @@ func (db *DB) CreateTable(spec TableSpec) error {
 	}
 	db.tables[spec.Name] = t
 	specCopy := spec
-	db.commit(Op{Kind: OpCreate, Table: spec.Name, Spec: &specCopy})
-	return nil
+	db.logOp(Op{Kind: OpCreate, Table: spec.Name, Spec: &specCopy})
+	return db.commit(nil)
 }
 
 // Tables returns the table names, sorted — one consistent read-lock
@@ -417,6 +459,9 @@ func (db *DB) insert(tableName string, r Row) (int64, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return 0, db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return 0, ErrNoTable
@@ -439,7 +484,10 @@ func (db *DB) insert(tableName string, r Row) (int64, error) {
 	}
 	t.nextID += db.stride
 	t.addToIndexes(id, r, false)
-	db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
+	db.logOp(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
+	if err := db.commit(nil); err != nil {
+		return 0, err
+	}
 	return id, nil
 }
 
@@ -449,8 +497,8 @@ func (db *DB) insert(tableName string, r Row) (int64, error) {
 // commit-hook stall per row. The batch is all-or-nothing: unique
 // violations, against the table or within the batch itself, are detected
 // before any row is applied. Each applied row still reports its own
-// commit Op, so the WAL stream is indistinguishable from row-at-a-time
-// inserts and replay needs no new op kind. The rows are copied, as in
+// Op, so replay needs no new op kind, and the hook sees the batch's ops
+// in one call — one log write, one fsync. The rows are copied, as in
 // Insert.
 func (db *DB) InsertBatch(tableName string, rows []Row) ([]int64, error) {
 	norm := make([]Row, len(rows))
@@ -468,6 +516,9 @@ func (db *DB) insertBatch(tableName string, norm []Row) ([]int64, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return nil, db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return nil, ErrNoTable
@@ -500,12 +551,15 @@ func (db *DB) insertBatch(tableName string, norm []Row) ([]int64, error) {
 		id := t.nextID
 		r[ID] = float64(id)
 		if _, err := t.eng.Put(id, r); err != nil {
-			return nil, err
+			return nil, db.commit(err)
 		}
 		t.nextID += db.stride
 		t.addToIndexes(id, r, false)
 		ids[i] = id
-		db.commit(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
+		db.logOp(Op{Kind: OpInsert, Table: tableName, ID: id, Row: r})
+	}
+	if err := db.commit(nil); err != nil {
+		return nil, err
 	}
 	return ids, nil
 }
@@ -520,12 +574,15 @@ func (db *DB) insertBatch(tableName string, norm []Row) ([]int64, error) {
 func (db *DB) InsertWithID(tableName string, id int64, row Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return ErrNoTable
 	}
 	_, err := db.putWithID(t, id, row, true)
-	return err
+	return db.commit(err)
 }
 
 // ImportRows stores rows under the IDs they carry unless a row with that
@@ -538,6 +595,9 @@ func (db *DB) InsertWithID(tableName string, id int64, row Row) error {
 func (db *DB) ImportRows(tableName string, rows []Row) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return 0, db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return 0, ErrNoTable
@@ -546,13 +606,13 @@ func (db *DB) ImportRows(tableName string, rows []Row) (int, error) {
 	for _, row := range rows {
 		ok, err := db.putWithID(t, RowID(row), row, false)
 		if err != nil {
-			return stored, fmt.Errorf("store: import %s: %w", tableName, err)
+			return stored, db.commit(fmt.Errorf("store: import %s: %w", tableName, err))
 		}
 		if ok {
 			stored++
 		}
 	}
-	return stored, nil
+	return stored, db.commit(nil)
 }
 
 // RowID reads a row's ID column (0 when absent or not a number).
@@ -569,7 +629,8 @@ func RowID(r Row) int64 {
 }
 
 // putWithID is InsertWithID under the write lock; with replace false an
-// occupied ID is left as it is and reported as not stored.
+// occupied ID is left as it is and reported as not stored. The caller
+// commits the queued op.
 func (db *DB) putWithID(t *table, id int64, row Row, replace bool) (bool, error) {
 	if id <= 0 || id > maxRowID {
 		return false, fmt.Errorf("%w: id %d", ErrBadQuery, id)
@@ -602,7 +663,7 @@ func (db *DB) putWithID(t *table, id int64, row Row, replace bool) (bool, error)
 		t.nextID = db.idAfter(id)
 	}
 	t.addToIndexes(id, r, true)
-	db.commit(Op{Kind: OpInsert, Table: t.spec.Name, ID: id, Row: r})
+	db.logOp(Op{Kind: OpInsert, Table: t.spec.Name, ID: id, Row: r})
 	return true, nil
 }
 
@@ -628,6 +689,9 @@ func (db *DB) Get(tableName string, id int64) (Row, error) {
 func (db *DB) Update(tableName string, id int64, updates Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return ErrNoTable
@@ -673,14 +737,17 @@ func (db *DB) Update(tableName string, id int64, updates Row) error {
 	if _, err := t.eng.Put(id, merged); err != nil {
 		return err
 	}
-	db.commit(Op{Kind: OpUpdate, Table: tableName, ID: id, Row: up})
-	return nil
+	db.logOp(Op{Kind: OpUpdate, Table: tableName, ID: id, Row: up})
+	return db.commit(nil)
 }
 
 // Delete removes a row by ID.
 func (db *DB) Delete(tableName string, id int64) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return ErrNoTable
@@ -696,8 +763,8 @@ func (db *DB) Delete(tableName string, id int64) error {
 	if _, err := t.eng.Delete(id); err != nil {
 		return err
 	}
-	db.commit(Op{Kind: OpDelete, Table: tableName, ID: id})
-	return nil
+	db.logOp(Op{Kind: OpDelete, Table: tableName, ID: id})
+	return db.commit(nil)
 }
 
 // DeleteBatch removes many rows from one table under a single write
@@ -705,13 +772,17 @@ func (db *DB) Delete(tableName string, id int64) error {
 // thousands of foreign rows to drop and a lock acquisition per row
 // would stall the engine. IDs not present are skipped (cleanup is
 // idempotent); the number actually removed is returned. Each removed
-// row still reports its own commit Op so WAL replay needs no new kind.
+// row still reports its own Op so WAL replay needs no new kind; the hook
+// sees them in one call.
 func (db *DB) DeleteBatch(tableName string, ids []int64) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.failed != nil {
+		return 0, db.failed
+	}
 	t, ok := db.tables[tableName]
 	if !ok {
 		return 0, ErrNoTable
@@ -720,19 +791,19 @@ func (db *DB) DeleteBatch(tableName string, ids []int64) (int, error) {
 	for _, id := range ids {
 		r, ok, err := t.eng.Get(id)
 		if err != nil {
-			return removed, err
+			return removed, db.commit(err)
 		}
 		if !ok {
 			continue
 		}
 		t.dropFromIndexes(id, r)
 		if _, err := t.eng.Delete(id); err != nil {
-			return removed, err
+			return removed, db.commit(err)
 		}
 		removed++
-		db.commit(Op{Kind: OpDelete, Table: tableName, ID: id})
+		db.logOp(Op{Kind: OpDelete, Table: tableName, ID: id})
 	}
-	return removed, nil
+	return removed, db.commit(nil)
 }
 
 // Counts reports the live row count of every table — the shard status

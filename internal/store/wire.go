@@ -9,9 +9,11 @@ import (
 
 // Hand-written binary codecs for the store's hot frames: single-row and
 // batched inserts plus their responses, and the row list a select answers
-// with. Row values are the JSON-surviving
-// scalar set (string/float64/bool/nil); anything else rides as a JSON
-// sub-blob, mirroring what the legacy encoding would have produced.
+// with. The row codec (appendRow/decodeRow) is also what the WAL records
+// and the disk engine's run files hold (record.go). Row values are the
+// JSON-surviving set: string/float64/bool/nil scalars, and []any and
+// map[string]any of them; any other value is stored as what a JSON round
+// trip makes of it.
 
 // Wire tags of this package (global registry; see transport.RegisterWire).
 const (
@@ -30,18 +32,32 @@ func init() {
 	transport.RegisterWire(wireTagRowList, "store.row_list", func() transport.WireMessage { return new(rowList) })
 }
 
-// Row value type markers.
+// Row value type markers. 4 is retired (a JSON sub-blob).
 const (
 	valNil    = 0
 	valString = 1
 	valFloat  = 2
 	valBool   = 3
-	valJSON   = 4 // anything outside the scalar set, as a JSON blob
+	valList   = 5
+	valMap    = 6
 )
 
-// appendValue appends one row value. Integer widths collapse to float64,
-// exactly as a JSON round trip would.
-func appendValue(b []byte, v any) []byte {
+// maxValueDepth bounds list/map nesting, as encoding/json does: a value
+// nested deeper is written as nil, and a decoder refuses deeper input
+// instead of recursing on it.
+const maxValueDepth = 10000
+
+// maxNestedHint caps the room a decoder reserves for a list or map from
+// the count its input claims. ElemLen checks a count against the bytes
+// left, not against what the enclosing containers already claimed, so
+// sizing every level of a deep nest from its claim would reserve about
+// 16 bytes per input byte per level; reserving little and growing with
+// what really decodes keeps a decode's memory proportional to its input.
+const maxNestedHint = 16
+
+// appendValue appends one row value nested depth levels deep. Integer
+// widths collapse to float64, exactly as a JSON round trip would.
+func appendValue(b []byte, v any, depth int) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(b, valNil)
@@ -63,17 +79,47 @@ func appendValue(b []byte, v any) []byte {
 	case bool:
 		b = append(b, valBool)
 		return transport.AppendBool(b, x)
-	default:
-		blob, err := json.Marshal(x)
-		if err != nil {
-			blob = []byte("null")
+	case []any:
+		if x == nil || depth >= maxValueDepth {
+			return append(b, valNil)
 		}
-		b = append(b, valJSON)
-		return transport.AppendBytes(b, blob)
+		b = append(b, valList)
+		b = transport.AppendUvarint(b, uint64(len(x)))
+		for _, e := range x {
+			b = appendValue(b, e, depth+1)
+		}
+		return b
+	case map[string]any:
+		if x == nil || depth >= maxValueDepth {
+			return append(b, valNil)
+		}
+		b = append(b, valMap)
+		b = transport.AppendUvarint(b, uint64(len(x)))
+		for k, e := range x {
+			b = transport.AppendString(b, k)
+			b = appendValue(b, e, depth+1)
+		}
+		return b
+	default:
+		return appendValue(b, jsonValue(x), depth)
 	}
 }
 
-func decodeValue(d *transport.WireDec) any {
+// jsonValue is what a JSON round trip makes of v (nil if v has no JSON
+// form): a scalar, []any or map[string]any.
+func jsonValue(v any) any {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return nil
+	}
+	var out any
+	if json.Unmarshal(blob, &out) != nil {
+		return nil
+	}
+	return out
+}
+
+func decodeValue(d *transport.WireDec, depth int) any {
 	switch t := d.Byte(); t {
 	case valNil:
 		return nil
@@ -83,21 +129,40 @@ func decodeValue(d *transport.WireDec) any {
 		return d.Float()
 	case valBool:
 		return d.Bool()
-	case valJSON:
-		blob := d.Bytes()
-		if d.Err() != nil {
+	case valList:
+		if tooDeep(d, depth) {
 			return nil
 		}
-		var v any
-		if err := json.Unmarshal(blob, &v); err != nil {
-			d.Fail(fmt.Errorf("store: row value blob: %w", err))
+		n := d.ElemLen(1)
+		l := make([]any, 0, min(n, maxNestedHint))
+		for i := 0; i < n && d.Err() == nil; i++ {
+			l = append(l, decodeValue(d, depth+1))
+		}
+		return l
+	case valMap:
+		if tooDeep(d, depth) {
 			return nil
 		}
-		return v
+		n := d.ElemLen(2)
+		m := make(map[string]any, min(n, maxNestedHint))
+		for i := 0; i < n && d.Err() == nil; i++ {
+			k := d.String()
+			m[k] = decodeValue(d, depth+1)
+		}
+		return m
 	default:
 		d.Fail(fmt.Errorf("store: unknown row value type %d", t))
 		return nil
 	}
+}
+
+// tooDeep fails d when a list or map would nest past maxValueDepth.
+func tooDeep(d *transport.WireDec, depth int) bool {
+	if depth < maxValueDepth {
+		return false
+	}
+	d.Fail(fmt.Errorf("store: row value nested deeper than %d", maxValueDepth))
+	return true
 }
 
 // appendRow appends a Row with a presence byte, so a nil map survives the
@@ -110,7 +175,7 @@ func appendRow(b []byte, r Row) []byte {
 	b = transport.AppendUvarint(b, uint64(len(r)))
 	for k, v := range r {
 		b = transport.AppendString(b, k)
-		b = appendValue(b, v)
+		b = appendValue(b, v, 0)
 	}
 	return b
 }
@@ -123,7 +188,7 @@ func decodeRow(d *transport.WireDec) Row {
 	r := make(Row, n+1) // an inserted row is stored as decoded, plus its ID column
 	for i := 0; i < n; i++ {
 		k := d.String()
-		v := decodeValue(d)
+		v := decodeValue(d, 0)
 		if d.Err() != nil {
 			return nil
 		}

@@ -143,8 +143,12 @@ func (d *WireDec) Fail(err error) {
 	}
 }
 
+// fail formats the truncation error only once: a decoder that keeps
+// reading after its first failure allocates nothing more.
 func (d *WireDec) fail() {
-	d.Fail(fmt.Errorf("%w: truncated at offset %d", errWireFrame, d.off))
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: truncated at offset %d", errWireFrame, d.off)
+	}
 }
 
 // Err returns the sticky decode error, if any.
