@@ -237,7 +237,7 @@ func BenchmarkFig2(b *testing.B) {
 	url := s.ProductURL(s.Products()[0].SKU)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.PriceCheck("bench-user-0", url)
+		res, err := sys.PriceCheckContext(context.Background(), "bench-user-0", url)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -715,7 +715,7 @@ func BenchmarkLiveThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.PriceCheck(fmt.Sprintf("tp-user-%d", i%4), urls[i%len(urls)]); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), fmt.Sprintf("tp-user-%d", i%4), urls[i%len(urls)]); err != nil {
 			b.Fatal(err)
 		}
 	}

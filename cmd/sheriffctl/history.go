@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -68,7 +67,7 @@ func runWatch(args []string) {
 			Watches  []history.Watch   `json:"watches"`
 			Verdicts []history.Verdict `json:"verdicts"`
 		}
-		getAdminJSON(*admin, "/watches.json", &out, *raw)
+		getAdminJSON(*admin, "/watches.json", "/watches.json", &out, *raw)
 		if *raw {
 			return
 		}
@@ -106,7 +105,7 @@ func runHistory(args []string) {
 				Points  int    `json:"points"`
 			} `json:"series"`
 		}
-		getAdminJSON(*admin, "/history.json", &out, *raw)
+		getAdminJSON(*admin, "/history.json", "/history.json", &out, *raw)
 		if *raw {
 			return
 		}
@@ -123,34 +122,13 @@ func runHistory(args []string) {
 		} `json:"points"`
 	}
 	q := "/history.json?url=" + url.QueryEscape(*histURL) + "&country=" + url.QueryEscape(*country)
-	getAdminJSON(*admin, q, &out, *raw)
+	getAdminJSON(*admin, q, q, &out, *raw)
 	if *raw {
 		return
 	}
 	fmt.Printf("%s @ %s — %d points\n", *histURL, *country, len(out.Points))
 	for _, p := range out.Points {
 		fmt.Printf("  %s  %10.2f\n", p.T.Format(time.RFC3339), p.Price)
-	}
-}
-
-// getAdminJSON fetches an admin endpoint; with raw it copies the body to
-// stdout, otherwise it decodes into out.
-func getAdminJSON(admin, path string, out any, raw bool) {
-	resp, err := adminClient().Get("http://" + admin + path)
-	if err != nil {
-		log.Fatalf("fetch %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		log.Fatalf("fetch %s: status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	if raw {
-		io.Copy(os.Stdout, resp.Body)
-		return
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		log.Fatalf("decode %s: %v", path, err)
 	}
 }
 

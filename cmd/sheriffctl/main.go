@@ -9,9 +9,12 @@
 //	    [-country ES] [-id my-peer] [-timeout 30s] \
 //	    (-url http://domain/product/sku | -domain chegg.com | -list)
 //
-// The whole check runs under a context: -timeout bounds it, and Ctrl-C
-// cancels it cleanly — the measurement server aborts its vantage fan-out
-// and whatever rows arrived before the cut are still printed.
+// The check runs the same add-on client as the library (core.Addon): a URL
+// on the PII blacklist is refused before anything is fetched, and the wait
+// for rows never exceeds the 30 s interactive cap. The whole check runs
+// under a context: -timeout bounds it, and Ctrl-C cancels it cleanly — the
+// measurement server aborts its vantage fan-out and whatever rows arrived
+// before the cut are still printed.
 //
 // Subcommands speak to a deployment's admin UI:
 //
@@ -48,7 +51,6 @@ import (
 	"pricesheriff/internal/coordinator"
 	"pricesheriff/internal/core"
 	"pricesheriff/internal/geo"
-	"pricesheriff/internal/measurement"
 	"pricesheriff/internal/obs"
 	"pricesheriff/internal/peer"
 	"pricesheriff/internal/shop"
@@ -179,121 +181,44 @@ func main() {
 		defer cancel()
 	}
 
-	// With -trace, this process owns the distributed trace: every RPC
-	// below propagates its identity on the wire and the remote components'
-	// spans are stitched back in for printing.
+	// With -trace, this process owns the distributed trace: every RPC of
+	// the check propagates its identity on the wire and the remote
+	// components' spans are stitched back in for printing.
 	var tracer *obs.Tracer
-	var tr *obs.Trace
 	if *showTrace {
 		tracer = obs.NewTracer(4)
-		tr, _ = tracer.Start("", "check "+*url)
-		checkCtx = obs.WithTrace(checkCtx, tr)
 	}
-
-	// Step 1: navigate and "highlight" the price.
-	submit := tr.Span("submit")
-	resp, err := br.BrowseProduct(obs.WithSpan(checkCtx, submit), fetcher, *url, 0)
+	addon := core.NewAddon(fabric, coordCli, tracer)
+	defer addon.Close()
+	user := &core.User{ID: *id, Country: *country, Browser: br, Node: node}
+	res, err := addon.Check(checkCtx, user, *url, *curr, 0, "")
+	if res == nil {
+		// Leave the deployment first: a peer left registered would be
+		// handed other users' PPC requests it can no longer serve.
+		coordCli.UnregisterPeer(*id)
+		log.Fatalf("price check: %v", err)
+	}
+	if res.Source == coordinator.SourceFanout {
+		fmt.Printf("job %s assigned to measurement server %s\n", res.JobID, res.Server)
+	} else {
+		fmt.Printf("attached to job %s (%s) on measurement server %s\n", res.JobID, res.Source, res.Server)
+	}
 	if err != nil {
-		log.Fatalf("navigate: %v", err)
-	}
-	if resp.Status != 200 {
-		log.Fatalf("navigate: status %d", resp.Status)
-	}
-	path, err := core.SelectPrice(resp.HTML)
-	submit.EndErr(err)
-	if err != nil {
-		log.Fatalf("select price: %v", err)
-	}
-	domainName, _, _ := shop.ParseProductURL(*url)
-	check := &measurement.CheckRequest{
-		URL:           *url,
-		TagsPath:      path,
-		InitiatorHTML: resp.HTML,
-		InitiatorID:   *id,
-		Currency:      *curr,
-		TraceID:       tr.ID(),
-	}
-	res := &core.CheckResult{URL: *url, Domain: domainName, Currency: *curr}
-
-	// Step 1 (continued): the Coordinator answers a fresh job, or the job
-	// already answering this question for a user in the same place.
-	sched := tr.Span("schedule")
-	place, err := coordCli.ScheduleCheck(obs.WithSpan(checkCtx, sched), domainName, *id, check.Key(), false)
-	sched.EndErr(err)
-	if err != nil {
-		log.Fatalf("coordinator rejected: %v", err)
-	}
-	ms, err := measurement.DialMeasurement(fabric, place.ServerAddr)
-	if place.Source != coordinator.SourceFanout {
-		if err == nil {
-			defer ms.Close()
-			fmt.Printf("attached to job %s (%s) on measurement server %s\n", place.JobID, place.Source, place.ServerAddr)
-			attach := tr.Span("attach", "source_job", place.JobID, "source", place.Source)
-			check.JobID = place.JobID
-			res.Rows, err = ms.AttachCtx(obs.WithSpan(checkCtx, attach), check, place.Source)
-			if res.AsOf = place.DoneAt; place.Source == coordinator.SourceCoalesced {
-				res.AsOf = time.Now() // the source finished as this answer left
-			}
-			attach.Annotate("age_ms", fmt.Sprint(time.Since(res.AsOf).Milliseconds()))
-			attach.EndErr(err)
-		}
+		// Cut before the fan-out finished: the server's fan-out was
+		// aborted, and whatever rows made it are printed.
 		switch {
-		case err == nil:
-			res.JobID, res.Source = place.JobID, place.Source
+		case errors.Is(checkCtx.Err(), context.DeadlineExceeded):
+			fmt.Printf("check timed out after %v; partial results:\n", *timeout)
 		case checkCtx.Err() != nil:
-			log.Fatalf("attach: %v", err)
+			fmt.Println("check canceled; partial results:")
 		default:
-			// The source is not shareable (cut, canceled, evicted, or its
-			// server is gone): one fan-out of our own.
-			fmt.Printf("job %s cannot be shared (%v); running a fan-out\n", place.JobID, err)
-			if place, err = coordCli.ScheduleCheck(checkCtx, domainName, *id, check.Key(), true); err != nil {
-				log.Fatalf("coordinator rejected: %v", err)
-			}
-			ms, err = measurement.DialMeasurement(fabric, place.ServerAddr)
-		}
-	}
-	if res.Source == "" {
-		if err != nil {
-			log.Fatalf("dial measurement server: %v", err)
-		}
-		defer ms.Close()
-		fmt.Printf("job %s assigned to measurement server %s\n", place.JobID, place.ServerAddr)
-		await := tr.Span("await")
-		check.JobID, check.ParentSpanID = place.JobID, await.ID()
-		if err := ms.CheckCtx(obs.WithSpan(checkCtx, await), check); err != nil {
-			// Nobody will run the job: release it so that nobody attaches.
-			coordCli.JobDone(place.JobID)
-			log.Fatalf("submit check: %v", err)
-		}
-		res.JobID, res.Source = place.JobID, coordinator.SourceFanout
-		res.Rows, err = ms.WaitResultsCtx(checkCtx, place.JobID)
-		await.EndErr(err)
-		res.AsOf = time.Now()
-		if err != nil {
-			if checkCtx.Err() == nil {
-				log.Fatalf("results: %v", err)
-			}
-			// Canceled or timed out: abort the server-side fan-out and fall
-			// through to print whatever rows made it before the cut.
-			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-			ms.Cancel(cctx, place.JobID)
-			ccancel()
-			switch {
-			case errors.Is(checkCtx.Err(), context.DeadlineExceeded):
-				fmt.Printf("check timed out after %v; partial results:\n", *timeout)
-			default:
-				fmt.Println("check canceled; partial results:")
-			}
+			fmt.Printf("check incomplete (%v); partial results:\n", err)
 		}
 	}
 	fmt.Print(core.FormatResult(res))
-
-	if tr != nil {
-		tr.Finish()
-		for _, tv := range tracer.Recent() {
-			fmt.Println()
-			printTrace(tv)
-		}
+	for _, tv := range tracer.Recent() {
+		fmt.Println()
+		printTrace(tv)
 	}
 
 	if *serve > 0 && ctx.Err() == nil {

@@ -1,13 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -15,18 +16,37 @@ import (
 	"pricesheriff/internal/obs"
 )
 
-// fetchJSON GETs an admin-UI endpoint and decodes the JSON body into out.
-func fetchJSON(admin, path string, out any) error {
-	cli := &http.Client{Timeout: 10 * time.Second}
-	resp, err := cli.Get("http://" + admin + path)
+// getAdminJSON fetches one admin-UI JSON document and decodes it into out,
+// or with raw prints it to stdout indented instead. Any failure ends the
+// command; what names the document in the message.
+func getAdminJSON(admin, path, what string, out any, raw bool) {
+	resp, err := adminClient().Get("http://" + admin + path)
 	if err != nil {
-		return err
+		log.Fatalf("fetch %s: %v", what, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatalf("fetch %s: %v", what, err)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if resp.StatusCode != http.StatusOK {
+		msg := fmt.Sprintf("fetch %s: status %d", what, resp.StatusCode)
+		if text := strings.TrimSpace(string(body)); text != "" {
+			msg += ": " + text
+		}
+		log.Fatal(msg)
+	}
+	if raw {
+		var b bytes.Buffer
+		if err := json.Indent(&b, body, "", "  "); err != nil {
+			log.Fatalf("decode %s: %v", what, err)
+		}
+		fmt.Println(b.String())
+		return
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		log.Fatalf("decode %s: %v", what, err)
+	}
 }
 
 // runTrace implements `sheriffctl trace`: fetch /traces.json from the
@@ -59,13 +79,8 @@ func runTrace(args []string) {
 	}
 
 	var views []obs.TraceView
-	if err := fetchJSON(*admin, path, &views); err != nil {
-		log.Fatalf("fetch traces: %v", err)
-	}
+	getAdminJSON(*admin, path, "traces", &views, *raw)
 	if *raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(views)
 		return
 	}
 	if len(views) == 0 {
@@ -132,13 +147,8 @@ func runLogs(args []string) {
 	}
 
 	var recs []obs.LogRecord
-	if err := fetchJSON(*admin, "/logs.json?"+q.Encode(), &recs); err != nil {
-		log.Fatalf("fetch logs: %v", err)
-	}
+	getAdminJSON(*admin, "/logs.json?"+q.Encode(), "logs", &recs, *raw)
 	if *raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(recs)
 		return
 	}
 	// The endpoint returns newest first; print oldest first like a tail.

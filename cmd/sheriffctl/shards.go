@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
 	"sort"
-	"time"
 
 	"pricesheriff/internal/shard"
 )
@@ -24,27 +20,10 @@ func runShards(args []string) {
 		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
 	}
 
-	cli := &http.Client{Timeout: 10 * time.Second}
-	resp, err := cli.Get("http://" + *admin + "/shards.json")
-	if err != nil {
-		log.Fatalf("fetch shards: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		log.Fatal("this deployment has no sharded data plane")
-	}
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("fetch shards: status %d", resp.StatusCode)
-	}
-
+	// A deployment without a sharded data plane answers 404 and says so.
 	var st shard.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Fatalf("decode shards: %v", err)
-	}
+	getAdminJSON(*admin, "/shards.json", "shards", &st, *raw)
 	if *raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(st)
 		return
 	}
 

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"time"
 
 	"pricesheriff/internal/obs"
 )
@@ -23,24 +19,9 @@ func runStats(args []string) {
 		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
 	}
 
-	cli := &http.Client{Timeout: 10 * time.Second}
-	resp, err := cli.Get("http://" + *admin + "/metrics.json")
-	if err != nil {
-		log.Fatalf("fetch metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("fetch metrics: status %d", resp.StatusCode)
-	}
-
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		log.Fatalf("decode metrics: %v", err)
-	}
+	getAdminJSON(*admin, "/metrics.json", "metrics", &snap, *raw)
 	if *raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(snap)
 		return
 	}
 

@@ -1,30 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"time"
-)
 
-// tablesDoc mirrors adminui's /tables.json payload.
-type tablesDoc struct {
-	Tables []struct {
-		Shard     string `json:"shard"`
-		Name      string `json:"name"`
-		Engine    string `json:"engine"`
-		Rows      int64  `json:"rows"`
-		DiskBytes int64  `json:"disk_bytes"`
-		MemBytes  int64  `json:"mem_bytes"`
-		Runs      int    `json:"runs"`
-	} `json:"tables"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-}
+	"pricesheriff/internal/adminui"
+)
 
 // runTables implements `sheriffctl tables`: fetch /tables.json from a
 // deployment's admin UI and print each table's storage engine, row
@@ -38,24 +20,9 @@ func runTables(args []string) {
 		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
 	}
 
-	cli := &http.Client{Timeout: 10 * time.Second}
-	resp, err := cli.Get("http://" + *admin + "/tables.json")
-	if err != nil {
-		log.Fatalf("fetch tables: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("fetch tables: status %d", resp.StatusCode)
-	}
-
-	var doc tablesDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		log.Fatalf("decode tables: %v", err)
-	}
+	var doc adminui.TablesPayload
+	getAdminJSON(*admin, "/tables.json", "tables", &doc, *raw)
 	if *raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
 		return
 	}
 

@@ -171,4 +171,32 @@ func TestSheriffdSheriffctlEndToEnd(t *testing.T) {
 			t.Errorf("sheriffctl logs missing %q:\n%s", want, out)
 		}
 	}
+
+	// Another peer in the same country asks the same question moments
+	// later: the add-on attaches to the finished job instead of fanning
+	// out again.
+	again := exec.Command(filepath.Join(tmp, "sheriffctl"),
+		"-coord", addrs["coordinator"], "-shops", addrs["shops (the web)"],
+		"-broker", addrs["p2p relay broker"],
+		"-country", "ES", "-id", "e2e-peer-2", "-domain", "steampowered.com")
+	out, err = again.CombinedOutput()
+	if err != nil {
+		t.Fatalf("second sheriffctl check: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`attached to job \S*job-\S+ \(cached\)`).Match(out) {
+		t.Errorf("second check of the same product was not answered from the cache:\n%s", out)
+	}
+
+	// A profile page is refused before anything is fetched.
+	pii := exec.Command(filepath.Join(tmp, "sheriffctl"),
+		"-coord", addrs["coordinator"], "-shops", addrs["shops (the web)"],
+		"-broker", addrs["p2p relay broker"],
+		"-country", "ES", "-id", "e2e-peer-3", "-url", "http://chegg.com/account/profile")
+	out, err = pii.CombinedOutput()
+	if err == nil {
+		t.Fatalf("sheriffctl checked a PII-blacklisted URL:\n%s", out)
+	}
+	if !strings.Contains(string(out), "blacklist") {
+		t.Errorf("the PII refusal does not name the blacklist:\n%s", out)
+	}
 }

@@ -1,6 +1,7 @@
 package pricesheriff_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func Example() {
 		}
 	}
 	shop, _ := mall.Shop("steampowered.com")
-	res, err := sys.PriceCheck("user-0", shop.ProductURL(shop.Products()[0].SKU))
+	res, err := sys.PriceCheckContext(context.Background(), "user-0", shop.ProductURL(shop.Products()[0].SKU))
 	if err != nil {
 		log.Fatal(err)
 	}

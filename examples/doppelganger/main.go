@@ -107,7 +107,7 @@ func main() {
 	fmt.Printf("\nuser %s visited chegg.com once; own-state budget: needs doppelganger = %v\n",
 		u.ID, u.Browser.NeedsDoppelganger("chegg.com"))
 
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	url := shop.ProductURL(shop.Products()[0].SKU)
 	fmt.Printf("price-checking %s\n\n", url)
 
-	res, err := sys.PriceCheck("user-0", url)
+	res, err := sys.PriceCheckContext(context.Background(), "user-0", url)
 	if err != nil {
 		log.Fatal(err)
 	}

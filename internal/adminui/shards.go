@@ -50,7 +50,7 @@ func (s *Server) handleShardsJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.Shards == nil {
-		http.NotFound(w, r)
+		http.Error(w, "this deployment has no sharded data plane", http.StatusNotFound)
 		return
 	}
 	st, err := s.Shards.Status(r.Context())

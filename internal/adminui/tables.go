@@ -22,16 +22,16 @@ type TablePlane interface {
 	EngineCacheStats() (hits, misses int64)
 }
 
-// tablesPayload is the /tables.json document.
-type tablesPayload struct {
+// TablesPayload is the /tables.json document.
+type TablesPayload struct {
 	Tables        []TableStatus `json:"tables"`
 	CacheHits     int64         `json:"cache_hits"`
 	CacheMisses   int64         `json:"cache_misses"`
 	CacheHitRatio float64       `json:"cache_hit_ratio"`
 }
 
-func (s *Server) tablesStatus() *tablesPayload {
-	p := &tablesPayload{Tables: s.Tables.TablesStatus()}
+func (s *Server) tablesStatus() *TablesPayload {
+	p := &TablesPayload{Tables: s.Tables.TablesStatus()}
 	p.CacheHits, p.CacheMisses = s.Tables.EngineCacheStats()
 	if total := p.CacheHits + p.CacheMisses; total > 0 {
 		p.CacheHitRatio = float64(p.CacheHits) / float64(total)

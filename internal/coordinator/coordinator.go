@@ -3,6 +3,7 @@ package coordinator
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -75,8 +76,11 @@ type Coordinator struct {
 	jobs    map[string]*Job
 	nextJob int
 	// idPrefix qualifies minted job IDs; under HA it carries the primary's
-	// term so two primaries can never mint the same ID.
+	// term so two primaries can never mint the same ID. boot follows it in
+	// every ID, so no two incarnations mint the same one either: the
+	// durable store outlives the counter.
 	idPrefix string
+	boot     string
 	// rrPeer rotates which peers are picked within a location so load
 	// spreads across the local peer pool.
 	rrPeer map[string]int
@@ -106,6 +110,9 @@ func New(servers *ServerList, wl *Whitelist, world *geo.World) *Coordinator {
 		jobs:       make(map[string]*Job),
 		rrPeer:     make(map[string]int),
 		verdicts:   make(map[verdictKey]*verdict),
+		// The boot stamp: the start in Unix microseconds, base 36 (ten
+		// characters until the year 2086).
+		boot: strconv.FormatInt(time.Now().UnixMicro(), 36),
 	}
 }
 
@@ -238,7 +245,7 @@ func (c *Coordinator) mintLocked(ctx context.Context, domain, initiatorID string
 	ppcs := c.peersNearLocked(initiatorID, c.MaxPPCs)
 	c.nextJob++
 	job := &Job{
-		ID:         fmt.Sprintf("%sjob-%08d", c.idPrefix, c.nextJob),
+		ID:         fmt.Sprintf("%sjob-%s-%08d", c.idPrefix, c.boot, c.nextJob),
 		Domain:     domain,
 		ServerAddr: addr,
 		Initiator:  initiatorID,

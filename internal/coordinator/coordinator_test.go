@@ -257,6 +257,13 @@ func TestJobLifecycle(t *testing.T) {
 	if job.ServerAddr != "ms-1" || !strings.HasPrefix(job.ID, "job-") {
 		t.Errorf("job = %+v", job)
 	}
+	// A second incarnation mints its own IDs: the store outlives the
+	// counter, so a restart must not hand out job-…-00000001 again.
+	c2, _ := newCoordinator(t)
+	registerPeers(t, c2, world, "ES", 1)
+	if again, err := c2.NewJob(context.Background(), "shop.com", es[0]); err != nil || again.ID == job.ID {
+		t.Errorf("next incarnation's first job = %+v, %v; want an ID other than %s", again, err, job.ID)
+	}
 	if len(job.PPCs) != 3 {
 		t.Errorf("job ppcs = %d", len(job.PPCs))
 	}
@@ -349,19 +356,33 @@ func TestCoordinatorOverWire(t *testing.T) {
 	if err := cl.RegisterServer("ms-wire"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Heartbeat("ms-wire", 0); err != nil {
+	ctx := context.Background()
+	if err := cl.HeartbeatCtx(ctx, "ms-wire", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := cl.NewJob("shop.com", ids[0])
+	resp, err := cl.NewJobCtx(ctx, "shop.com", ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	ppcs, err := cl.JobPPCs(resp.JobID)
+	ppcs, err := cl.JobPPCsCtx(ctx, resp.JobID)
 	if err != nil || len(ppcs) != 3 {
 		t.Fatalf("ppcs = %v, %v", ppcs, err)
 	}
-	if err := cl.JobDone(resp.JobID); err != nil {
+	if err := cl.JobDoneCtx(ctx, resp.JobID); err != nil {
 		t.Fatal(err)
+	}
+	// A dropped job leaves the tracker and the verdict index: the next
+	// check of the same question is a fresh job, not an attach to it.
+	p, err := cl.ScheduleCheck(ctx, "shop.com", ids[1], "k", false)
+	if err != nil || p.Source != SourceFanout {
+		t.Fatalf("ScheduleCheck = %+v, %v", p, err)
+	}
+	cl.DropJob(p.JobID)
+	if n := c.PendingJobs(); n != 0 {
+		t.Errorf("%d jobs pending after the drop, want 0", n)
+	}
+	if q, err := cl.ScheduleCheck(ctx, "shop.com", ids[1], "k", false); err != nil || q.Source != SourceFanout || q.JobID == p.JobID {
+		t.Errorf("check after the drop = %+v, %v; want a fresh job", q, err)
 	}
 	servers, err := cl.Servers()
 	if err != nil || len(servers) != 2 {
@@ -374,7 +395,7 @@ func TestCoordinatorOverWire(t *testing.T) {
 	if err := cl.UnregisterPeer(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.NewJob("evil.example", ids[1]); err == nil || !transport.IsRemote(err) {
+	if _, err := cl.NewJobCtx(ctx, "evil.example", ids[1]); err == nil || !transport.IsRemote(err) {
 		t.Errorf("remote whitelist rejection = %v", err)
 	}
 }

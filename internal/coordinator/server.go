@@ -150,6 +150,20 @@ func NewServer(c *Coordinator, lis transport.Listener) *Server {
 		s.replicate(CmdJobDone, idRecord{ID: req.JobID})
 		return nil, nil
 	})
+	transport.HandleTyped(s.rpc, "coord.dropjob", func(ctx context.Context, req *JobRef) (any, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := s.gate(); err != nil {
+			return nil, err
+		}
+		c.DropJob(req.JobID)
+		// A standby holds no verdict index: for it a dropped job is a
+		// finished one, and a lost drop heals the same way a lost
+		// job_done does.
+		s.replicate(CmdJobDone, idRecord{ID: req.JobID})
+		return nil, nil
+	})
 	s.rpc.HandleCtx("coord.register_peer", func(ctx context.Context, raw json.RawMessage) (any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -315,12 +329,7 @@ func DialCoordinatorCluster(netw transport.Network, addrs []string, pol retry.Po
 	return &Client{rpc: cl}, nil
 }
 
-// NewJob requests a price-check job (step 1).
-func (cl *Client) NewJob(domain, initiatorID string) (NewJobResp, error) {
-	return cl.NewJobCtx(context.Background(), domain, initiatorID)
-}
-
-// NewJobCtx is NewJob bounded by a context.
+// NewJobCtx requests a price-check job (step 1).
 func (cl *Client) NewJobCtx(ctx context.Context, domain, initiatorID string) (NewJobResp, error) {
 	var resp NewJobResp
 	err := cl.rpc.CallCtx(ctx, "coord.newjob", &NewJobReq{Domain: domain, InitiatorID: initiatorID}, &resp)
@@ -347,27 +356,32 @@ func (cl *Client) ScheduleCheck(ctx context.Context, domain, initiatorID, key st
 	return p, nil
 }
 
-// JobPPCs fetches the PPC list for a job (step 1.1, pulled by the server).
-func (cl *Client) JobPPCs(jobID string) ([]PeerInfo, error) {
-	return cl.JobPPCsCtx(context.Background(), jobID)
-}
-
-// JobPPCsCtx is JobPPCs bounded by a context.
+// JobPPCsCtx fetches the PPC list for a job (step 1.1, pulled by the
+// server).
 func (cl *Client) JobPPCsCtx(ctx context.Context, jobID string) ([]PeerInfo, error) {
 	var ppcs []PeerInfo
 	err := cl.rpc.CallCtx(ctx, "coord.job_ppcs", &JobRef{JobID: jobID}, (*PeerList)(&ppcs))
 	return ppcs, err
 }
 
-// JobDone reports completion (step 4).
-func (cl *Client) JobDone(jobID string) error {
-	return cl.JobDoneCtx(context.Background(), jobID)
-}
-
-// JobDoneCtx is JobDone bounded by a context.
+// JobDoneCtx reports completion (step 4).
 func (cl *Client) JobDoneCtx(ctx context.Context, jobID string) error {
 	return cl.rpc.CallCtx(ctx, "coord.jobdone", &JobRef{JobID: jobID}, nil)
 }
+
+// DropJob releases a job nobody will run — its Measurement server refused
+// the check — so no later check attaches to it (Coordinator.DropJob over
+// the wire). The submitter may already be gone, so the call rides its own
+// short deadline. It is best effort: a drop that does not arrive leaves
+// one phantom pending job behind.
+func (cl *Client) DropJob(jobID string) {
+	ctx, cancel := context.WithTimeout(context.Background(), dropJobBudget)
+	defer cancel()
+	cl.rpc.CallCtx(ctx, "coord.dropjob", &JobRef{JobID: jobID}, nil)
+}
+
+// dropJobBudget bounds DropJob's round trip.
+const dropJobBudget = 2 * time.Second
 
 // RegisterPeer announces a PPC.
 func (cl *Client) RegisterPeer(id, ip string) (PeerInfo, error) {
@@ -389,11 +403,6 @@ func (cl *Client) RegisterServer(addr string) error {
 // WhitelistAdd sanctions an e-commerce domain at runtime.
 func (cl *Client) WhitelistAdd(domain string) error {
 	return cl.rpc.CallCtx(context.Background(), "coord.whitelist_add", WhitelistAddReq{Domain: domain}, nil)
-}
-
-// Heartbeat reports server liveness and pending count.
-func (cl *Client) Heartbeat(addr string, pending int) error {
-	return cl.HeartbeatCtx(context.Background(), addr, pending, false)
 }
 
 // HeartbeatCtx reports liveness, pending count, and admission state.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -107,7 +108,7 @@ func TestSpikeEndToEndAutoscale(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// One product each: a spike on a single product is one job.
-			if _, err := sys.PriceCheck(users[i%4].ID, productURL(t, sys, "chegg.com", i)); err != nil {
+			if _, err := sys.PriceCheckContext(context.Background(), users[i%4].ID, productURL(t, sys, "chegg.com", i)); err != nil {
 				errs <- err
 			}
 		}(i)

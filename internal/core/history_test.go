@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pricesheriff/internal/history"
+	"pricesheriff/internal/measurement"
 	"pricesheriff/internal/shop"
 	"pricesheriff/internal/store"
 )
@@ -172,5 +173,74 @@ func TestDurableSystemRecoversAcrossRestart(t *testing.T) {
 	}
 	if n := sys2.History().Len(key); n != len(wantPts)+1 {
 		t.Fatalf("post-restart run did not extend the series: %d", n)
+	}
+}
+
+// TestJobIDsAreUniqueAcrossRestart: the store outlives the Coordinator's
+// job counter. A check before and a check after a restart on one data dir
+// must leave two requests rows, and each job's responses must join its own
+// request only.
+func TestJobIDsAreUniqueAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	boot := func() (*System, *User) {
+		mall := shop.NewMall(shop.MallConfig{Seed: 9, NumDomains: 40, NumLocationPD: 12, NumAlexa: 5})
+		sys, err := NewSystem(Config{
+			Mall: mall, MeasurementServers: 1, IPCCountries: []string{"US", "DE", "JP"},
+			PPCTimeout: 5 * time.Second, Seed: 9, DataDir: dir, Fsync: history.FsyncOff,
+			WatchInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := sys.AddUser("es-user", "ES", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, u
+	}
+	check := func(sys *System, u *User, idx int) string {
+		s := plainShop(t, sys)
+		res, err := sys.PriceCheckContext(ctx, u.ID, s.ProductURL(s.Products()[idx].SKU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		settle(t, sys)
+		return res.JobID
+	}
+
+	sys, u := boot()
+	first := check(sys, u, 0)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys, u = boot()
+	defer sys.Close()
+	second := check(sys, u, 1)
+	if first == second {
+		t.Fatalf("both incarnations minted job %s", first)
+	}
+
+	reqs, err := sys.DB().SelectCtx(ctx, store.Query{Table: measurement.RequestsTable.Name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reqs) != 2 {
+		t.Fatalf("%d requests rows, want 2: %v", len(reqs), reqs)
+	}
+	for _, req := range reqs {
+		job := req["job_id"]
+		resps, err := sys.DB().SelectCtx(ctx, store.Query{Table: measurement.ResponsesTable.Name, Eq: map[string]any{"job_id": job}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resps) != 3 {
+			t.Errorf("job %v has %d responses rows, want its own 3", job, len(resps))
+		}
+		for _, r := range resps {
+			if r["request_id"] != req["_id"] {
+				t.Errorf("job %v: a response joins request %v, want %v", job, r["request_id"], req["_id"])
+			}
+		}
 	}
 }

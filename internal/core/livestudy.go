@@ -43,7 +43,7 @@ func (s *System) RunLiveStudy(rng *rand.Rand, reqs []workload.Request) (*StudyRe
 		}
 		product := sh.Products()[rng.Intn(len(sh.Products()))]
 		res.Requests++
-		out, err := s.PriceCheck(req.UserID, sh.ProductURL(product.SKU))
+		out, err := s.PriceCheckContext(s.baseCtx, req.UserID, sh.ProductURL(product.SKU))
 		if err != nil {
 			res.Failed++
 			continue

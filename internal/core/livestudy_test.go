@@ -98,7 +98,7 @@ func TestStoredProcsOverSystemDB(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 2)
 	url := productURL(t, sys, "steampowered.com", 0)
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}

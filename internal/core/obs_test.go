@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	users := addUsers(t, sys, "ES", 4)
 	url := productURL(t, sys, "steampowered.com", 0)
 
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestPriceCheckTelemetry(t *testing.T) {
 	}
 
 	// PII rejections feed their own counter.
-	if _, err := sys.PriceCheck(users[0].ID, "http://steampowered.com/account/settings"); err == nil {
+	if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, "http://steampowered.com/account/settings"); err == nil {
 		t.Fatal("PII URL accepted")
 	}
 	if n := reg.Counter("sheriff_core_pii_blocked_total").Value(); n != 1 {

@@ -44,7 +44,7 @@ func TestPooledClientRedialsAfterServerRestart(t *testing.T) {
 	url := productURL(t, sys, "steampowered.com", 0)
 
 	for i := 0; i < 2; i++ {
-		if _, err := sys.PriceCheck(users[0].ID, url); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, url); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestPooledClientRedialsAfterServerRestart(t *testing.T) {
 	sys.mu.Unlock()
 
 	// Another product: a fan-out of its own, not an attach to the first.
-	res, err := sys.PriceCheck(users[1].ID, productURL(t, sys, "steampowered.com", 1))
+	res, err := sys.PriceCheckContext(context.Background(), users[1].ID, productURL(t, sys, "steampowered.com", 1))
 	if err != nil {
 		t.Fatalf("check after the server restarted: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 	fronts := append([]*measurement.RPCServer(nil), sys.measRPC...)
 	sys.mu.Unlock()
 	for _, front := range fronts {
-		cli, err := sys.measurementClient(front.Addr())
+		cli, err := sys.addon.ms.client(front.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := sys.PriceCheck(users[i%len(users)].ID, urls[i])
+			res, err := sys.PriceCheckContext(context.Background(), users[i%len(users)].ID, urls[i])
 			if err != nil {
 				t.Errorf("check %d: %v", i, err)
 				return
@@ -127,16 +127,16 @@ func TestConcurrentChecksShareOneConnectionPerServer(t *testing.T) {
 		t.Errorf("dials after 64 concurrent checks over 2 servers = %d, want still 2", n)
 	}
 
-	sys.msMu.Lock()
+	sys.addon.ms.mu.Lock()
 	var pooled []*measurement.Client
-	for _, mc := range sys.msConns {
+	for _, mc := range sys.addon.ms.conns {
 		mc.mu.Lock()
 		if mc.cli != nil {
 			pooled = append(pooled, mc.cli)
 		}
 		mc.mu.Unlock()
 	}
-	sys.msMu.Unlock()
+	sys.addon.ms.mu.Unlock()
 	if len(pooled) == 0 {
 		t.Fatal("no pooled client after 64 checks")
 	}

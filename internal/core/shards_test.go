@@ -56,7 +56,7 @@ func TestSystemShardedPriceChecks(t *testing.T) {
 	// Run checks against several domains so the key space spreads.
 	domains := sys.Mall.Domains()[:6]
 	for _, d := range domains {
-		if _, err := sys.PriceCheck(users[0].ID, productURL(t, sys, d, 0)); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, productURL(t, sys, d, 0)); err != nil {
 			t.Fatalf("check %s: %v", d, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestAddRemoveStoreShardLive(t *testing.T) {
 	users := addUsers(t, sys, "ES", 2)
 	domains := sys.Mall.Domains()[:5]
 	for _, d := range domains {
-		if _, err := sys.PriceCheck(users[0].ID, productURL(t, sys, d, 0)); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, productURL(t, sys, d, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func TestAddRemoveStoreShardLive(t *testing.T) {
 	// Checks keep working on the wider plane — including through the
 	// measurement servers' own routers.
 	for _, d := range domains {
-		if _, err := sys.PriceCheck(users[1].ID, productURL(t, sys, d, 1)); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), users[1].ID, productURL(t, sys, d, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

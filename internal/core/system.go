@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -127,9 +126,9 @@ type Config struct {
 	WatchThresholds history.Thresholds
 
 	// BaseContext is the root context of every internally initiated
-	// operation: the watch scheduler's recurring checks and the legacy
-	// (context-free) PriceCheck entry points derive from it, so canceling
-	// it — e.g. from a SIGINT handler — aborts in-flight checks cleanly.
+	// operation: the watch scheduler's recurring checks derive from it, so
+	// canceling it — e.g. from a SIGINT handler — aborts in-flight checks
+	// cleanly.
 	// Default context.Background().
 	BaseContext context.Context
 	// MaxInflightChecks bounds concurrently running checks per Measurement
@@ -197,11 +196,9 @@ type System struct {
 	meas     []*measurement.Server
 	stopBeat []func()
 
-	// msConns pools the submitting side's connections: one multiplexed
-	// measurement client per server address, shared by every check the
-	// Coordinator routes there and dialed lazily on first use.
-	msMu    sync.Mutex
-	msConns map[string]*msConn
+	// addon runs every check this system issues, the watch scheduler's
+	// included.
+	addon *Addon
 
 	// Fault-tolerance settings shared by every measurement server,
 	// including ones attached later via AddMeasurementServer.
@@ -330,7 +327,6 @@ func NewSystem(cfg Config) (*System, error) {
 		measMetrics:  measurement.NewMetrics(cfg.Metrics),
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		users:        make(map[string]*User),
-		msConns:      make(map[string]*msConn),
 
 		checkDeadline: cfg.CheckDeadline,
 		vantageBudget: cfg.VantageBudget,
@@ -501,6 +497,14 @@ func NewSystem(cfg Config) (*System, error) {
 	if s.haNode != nil {
 		s.haNode.Start()
 	}
+	s.addon = &Addon{
+		coord:     s.Coord,
+		blacklist: s.PIIBlacklist,
+		tracer:    cfg.Tracer,
+		log:       s.log,
+		obs:       s.obs,
+		ms:        msPool{fabric: cfg.Fabric, obs: s.obs},
+	}
 
 	// The doppelganger directory exists from the start; it answers with
 	// errors until TrainDoppelgangers runs, making nodes fall back to
@@ -612,7 +616,7 @@ func (s *System) addMeasurementServer(fleet []*measurement.IPC, ppcTimeout time.
 		if err := coordCli.RegisterServer(ms.OwnAddr); err != nil {
 			return err
 		}
-		return coordCli.Heartbeat(ms.OwnAddr, 0)
+		return coordCli.HeartbeatCtx(s.baseCtx, ms.OwnAddr, 0, false)
 	}
 	if len(s.haPeers) > 0 {
 		// At boot the replica set may still be electing its first primary
@@ -835,7 +839,9 @@ type CheckResult struct {
 	// JobID is the job whose vantage rows these are: the check's own for a
 	// fan-out, the job it was attached to otherwise — the ID under which
 	// the stored responses and price_spread read back what the user saw.
-	JobID    string
+	JobID string
+	// Server is the Measurement server holding that job's rows.
+	Server   string
 	URL      string
 	Domain   string
 	Currency string
@@ -861,27 +867,14 @@ var ErrNoPrice = errors.New("core: no price element found on the product page")
 // (account/profile pages, Sect. 2.3).
 var ErrPIIBlacklisted = errors.New("core: URL matches the PII blacklist; refusing to fetch")
 
-// PriceCheck runs the full five-step protocol for a user: navigate to the
-// product page (a real visit), highlight the price (build the Tags Path),
-// obtain a job from the Coordinator, submit the check to the assigned
-// Measurement server, and wait for the results. It derives from the
-// system's base context; use PriceCheckContext for per-call control.
-func (s *System) PriceCheck(userID, url string) (*CheckResult, error) {
-	return s.PriceCheckCurrency(userID, url, "EUR")
-}
-
-// PriceCheckContext is PriceCheck under a caller context: canceling it
-// aborts the check end to end — the submit RPC, the server-side vantage
-// fan-out (via an explicit cancel to the Measurement server), and the
-// result wait. On early exit the partial rows gathered so far are
-// returned alongside the error.
+// PriceCheckContext runs the full five-step protocol for a user (see
+// Addon.Check) in the EUR display currency: canceling ctx aborts the check
+// end to end — the submit RPC, the server-side vantage fan-out (via an
+// explicit cancel to the Measurement server), and the result wait. On
+// early exit the partial rows gathered so far are returned alongside the
+// error.
 func (s *System) PriceCheckContext(ctx context.Context, userID, url string) (*CheckResult, error) {
 	return s.PriceCheckCurrencyContext(ctx, userID, url, "EUR")
-}
-
-// PriceCheckCurrency is PriceCheck with an explicit display currency.
-func (s *System) PriceCheckCurrency(userID, url, curr string) (*CheckResult, error) {
-	return s.priceCheckOrigin(s.baseCtx, userID, url, curr, "")
 }
 
 // PriceCheckCurrencyContext is PriceCheckContext with an explicit display
@@ -891,253 +884,18 @@ func (s *System) PriceCheckCurrencyContext(ctx context.Context, userID, url, cur
 }
 
 // priceCheckOrigin runs the protocol tagging the check's origin ("" =
-// user-submitted, "watch" = scheduler-driven).
-func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin string) (res *CheckResult, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// user-submitted, "watch" = scheduler-driven), and folds the rows of a
+// fan-out into the price history.
+func (s *System) priceCheckOrigin(ctx context.Context, userID, url, curr, origin string) (*CheckResult, error) {
 	u, ok := s.User(userID)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown user %q", userID)
 	}
-	if s.PIIBlacklist.Blocked(url) {
-		s.obs.piiRejected()
-		return nil, ErrPIIBlacklisted
+	res, err := s.addon.Check(ctx, u, url, curr, s.Day(), origin)
+	if res != nil && res.Source == coordinator.SourceFanout {
+		s.recordHistory(url, res.Rows)
 	}
-	domain, _, err := shop.ParseProductURL(url)
-	if err != nil {
-		return nil, err
-	}
-	day := s.Day()
-
-	// The submitter owns the trace: the Measurement server joins it via
-	// the TraceID on the wire, and its spans land in the same tree. The
-	// trace rides ctx so nested RPCs and log records correlate; spans are
-	// attached per protocol step below.
-	start := time.Now()
-	tr, _ := s.tracer.Start("", "check "+url)
-	tr.Annotate("user", userID)
-	ctx = obs.WithTrace(ctx, tr)
-	defer func() {
-		if err != nil {
-			tr.Annotate("error", err.Error())
-			s.log.Warn(ctx, "price check failed", "url", url, "origin", origin, "err", err.Error())
-		} else {
-			s.log.Info(ctx, "price check done", "url", url, "origin", origin,
-				"elapsed_ms", time.Since(start).Milliseconds())
-		}
-		tr.Finish()
-		s.obs.checkDone(start, tr.ID(), err)
-	}()
-
-	// Step 1: the user navigates to the page (their own browser state).
-	submit := tr.Span("submit")
-	resp, err := u.Browser.BrowseProduct(obs.WithSpan(ctx, submit), u.Node.Fetcher, url, day)
-	if err != nil {
-		submit.EndErr(err)
-		return nil, err
-	}
-	if resp.Status != 200 {
-		submit.End()
-		return nil, fmt.Errorf("core: product page returned status %d", resp.Status)
-	}
-	// The user highlights the price: the add-on builds the Tags Path.
-	path, err := SelectPrice(resp.HTML)
-	submit.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 1 (continued): ask the Coordinator who answers this question — a
-	// fresh job on a server, or a job already answering it for someone in
-	// the same place. Watch runs always measure for themselves.
-	check := &measurement.CheckRequest{
-		URL:           url,
-		TagsPath:      path,
-		InitiatorHTML: resp.HTML,
-		InitiatorID:   userID,
-		Currency:      curr,
-		Day:           day,
-		TraceID:       tr.ID(),
-		Origin:        origin,
-	}
-	key := check.Key()
-	sched := tr.Span("schedule")
-	place, err := s.Coord.ScheduleCheck(obs.WithSpan(ctx, sched), domain, userID, key, origin == "watch")
-	sched.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	res = &CheckResult{URL: url, Domain: domain, Currency: curr, Origin: origin}
-	if place.Source != coordinator.SourceFanout {
-		reason, err := s.attach(ctx, tr, place, check, res)
-		if reason == "" {
-			if err != nil {
-				return nil, err
-			}
-			s.obs.checkSource(res.Source)
-			return res, nil
-		}
-		// The source cannot be shared (it was cut, canceled, evicted, or
-		// its server is unreachable): one fan-out of this check's own,
-		// which also takes the key over from the source.
-		s.obs.attachFallback(reason)
-		s.log.Info(ctx, "attach fell back to a fan-out", "source_job", place.JobID, "reason", reason, "err", err.Error())
-		sched = tr.Span("schedule", "fallback", reason)
-		place, err = s.Coord.ScheduleCheck(obs.WithSpan(ctx, sched), domain, userID, key, true)
-		sched.EndErr(err)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.obs.checkSource(coordinator.SourceFanout)
-	tr.Annotate("job", place.JobID)
-	res.JobID, res.Source = place.JobID, coordinator.SourceFanout
-
-	// Step 2-3: submit to the assigned Measurement server over the wire,
-	// on the connection every check routed to that server shares.
-	await := tr.Span("await")
-	check.JobID, check.ParentSpanID = place.JobID, await.ID()
-	actx := obs.WithSpan(ctx, await)
-	msCli, err := s.callMeasurement(ctx, place.ServerAddr, func(cli *measurement.Client) error {
-		return cli.CheckCtx(actx, check)
-	})
-	if err != nil {
-		await.EndErr(err)
-		// Nobody will run this job: checks attached to it must not wait.
-		s.Coord.DropJob(place.JobID)
-		return nil, err
-	}
-
-	// Step 5: wait for the 'request finish' response, but never past the
-	// 30-second interactive cap — whichever of the cap and the caller's
-	// context dies first ends the wait. The wait ctx carries the trace but
-	// deliberately no span: the results call stays span-free on the wire,
-	// while the Done response's exported Measurement-side spans stitch
-	// into tr.
-	wctx, wcancel := context.WithTimeout(ctx, interactiveCap)
-	defer wcancel()
-	res.Rows, err = msCli.WaitResultsCtx(wctx, place.JobID)
-	await.EndErr(err)
-	res.AsOf = time.Now()
-	if err != nil {
-		if ctx.Err() != nil {
-			// The caller is gone: tell the server to abort the vantage
-			// fan-out rather than letting it run to the check deadline.
-			// The cancel rides a fresh short-lived context (ctx is dead).
-			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-			msCli.Cancel(cctx, place.JobID)
-			ccancel()
-		}
-		if len(res.Rows) == 0 {
-			return nil, err
-		}
-		// Partial results: surface what arrived before the cut, the
-		// deployed system's behavior for checks cut by their deadline.
-	}
-	s.recordHistory(url, res.Rows)
 	return res, err
-}
-
-// interactiveCap bounds how long a user waits for a check's rows, its own
-// fan-out's or those of the job it attached to.
-const interactiveCap = 30 * time.Second
-
-// attach answers a check from the job the Coordinator placed it on: one
-// ms.attach round trip that returns the caller's own row plus that job's
-// vantage rows once it has finished. It fills res and records one attach
-// span. A non-empty reason means the source could not be shared and the
-// caller is still alive: the check falls back to a fan-out. Nothing is
-// stored and no history point is appended — the source check did both.
-func (s *System) attach(ctx context.Context, tr *obs.Trace, place coordinator.Placement, check *measurement.CheckRequest, res *CheckResult) (reason string, err error) {
-	sp := tr.Span("attach", "source_job", place.JobID, "source", place.Source)
-	check.JobID = place.JobID
-	actx, cancel := context.WithTimeout(obs.WithSpan(ctx, sp), interactiveCap)
-	defer cancel()
-	var rows []measurement.ResultRow
-	_, err = s.callMeasurement(ctx, place.ServerAddr, func(cli *measurement.Client) error {
-		var err error
-		rows, err = cli.AttachCtx(actx, check, place.Source)
-		return err
-	})
-	if err != nil {
-		sp.EndErr(err)
-		switch {
-		case ctx.Err() != nil:
-			return "", err // the caller itself gave up
-		case errors.Is(err, measurement.ErrUnknownJob):
-			return "gone", err
-		case errors.Is(err, measurement.ErrSourcePartial):
-			return "partial", err
-		case errors.Is(err, measurement.ErrSourceCanceled):
-			return "canceled", err
-		default:
-			return "unreachable", err
-		}
-	}
-	res.JobID, res.Source, res.Rows = place.JobID, place.Source, rows
-	res.AsOf = place.DoneAt
-	if place.Source == coordinator.SourceCoalesced {
-		res.AsOf = time.Now() // the source finished as this answer left
-	}
-	sp.Annotate("age_ms", strconv.FormatInt(time.Since(res.AsOf).Milliseconds(), 10))
-	sp.End()
-	tr.Annotate("job", place.JobID)
-	return "", nil
-}
-
-// callMeasurement runs one call on the pooled connection to a Measurement
-// server. If the connection died under it (the server restarted on its
-// address since the last check) the call is made once more on a fresh
-// dial. It returns the client the call last ran on.
-func (s *System) callMeasurement(ctx context.Context, addr string, call func(*measurement.Client) error) (*measurement.Client, error) {
-	cli, err := s.measurementClient(addr)
-	if err != nil {
-		return nil, err
-	}
-	if err = call(cli); err != nil && cli.Broken() && ctx.Err() == nil {
-		if cli, err = s.measurementClient(addr); err == nil {
-			err = call(cli)
-		}
-	}
-	return cli, err
-}
-
-// msConn is the pooled connection to one Measurement server; mu serializes
-// its (re-)dial so concurrent first checks share one connection.
-type msConn struct {
-	mu  sync.Mutex
-	cli *measurement.Client
-}
-
-// measurementClient returns the shared client for a Measurement server,
-// dialing on first use and again once the previous connection has broken
-// (the server restarted on its address, or the socket died).
-func (s *System) measurementClient(addr string) (*measurement.Client, error) {
-	s.msMu.Lock()
-	mc, ok := s.msConns[addr]
-	if !ok {
-		mc = &msConn{}
-		s.msConns[addr] = mc
-	}
-	s.msMu.Unlock()
-
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.cli != nil {
-		if !mc.cli.Broken() {
-			return mc.cli, nil
-		}
-		mc.cli.Close()
-		mc.cli = nil
-	}
-	cli, err := measurement.DialMeasurement(s.fabric, addr)
-	if err != nil {
-		return nil, err
-	}
-	s.obs.msDialed()
-	mc.cli = cli
-	return cli, nil
 }
 
 // recordHistory folds one completed check into the longitudinal store:
@@ -1153,16 +911,7 @@ func (s *System) recordHistory(url string, rows []measurement.ResultRow) {
 	// price seen from that country, the figure the verdicts reason about.
 	// A fleet with several IPs per country thus still yields exactly one
 	// point per series per run.
-	best := map[string]float64{}
-	for _, row := range rows {
-		if row.Err != "" || row.Converted <= 0 || row.Country == "" {
-			continue
-		}
-		if cur, ok := best[row.Country]; !ok || row.Converted < cur {
-			best[row.Country] = row.Converted
-		}
-	}
-	for country, price := range best {
+	for country, price := range cheapestByCountry(rows) {
 		// The country outlives the check as a series key and a stored
 		// column, and over the wire it is a slice of the whole results
 		// frame (rows plus span blob): clone it where it enters long-lived
@@ -1206,16 +955,23 @@ func (s *System) watchRunner(url, currency string) (*history.RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prices := make(map[string]float64)
-	for _, row := range res.Rows {
+	return &history.RunResult{PricesByCountry: cheapestByCountry(res.Rows)}, nil
+}
+
+// cheapestByCountry reduces a check's rows to one price per vantage
+// country: the cheapest converted price among the country's successful
+// rows, the figure the verdicts reason about.
+func cheapestByCountry(rows []measurement.ResultRow) map[string]float64 {
+	best := map[string]float64{}
+	for _, row := range rows {
 		if row.Err != "" || row.Converted <= 0 || row.Country == "" {
 			continue
 		}
-		if p, ok := prices[row.Country]; !ok || row.Converted < p {
-			prices[row.Country] = row.Converted
+		if cur, ok := best[row.Country]; !ok || row.Converted < cur {
+			best[row.Country] = row.Converted
 		}
 	}
-	return &history.RunResult{PricesByCountry: prices}, nil
+	return best
 }
 
 // SelectPrice simulates the user highlighting the product price: it finds
@@ -1331,15 +1087,7 @@ func (s *System) Close() error {
 	for _, stop := range stops {
 		stop()
 	}
-	s.msMu.Lock()
-	for _, mc := range s.msConns {
-		mc.mu.Lock()
-		if mc.cli != nil {
-			mc.cli.Close()
-		}
-		mc.mu.Unlock()
-	}
-	s.msMu.Unlock()
+	s.addon.Close()
 	for _, r := range rpcs {
 		r.Close()
 	}

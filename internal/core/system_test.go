@@ -81,7 +81,7 @@ func TestFullPriceCheckProtocol(t *testing.T) {
 	users := addUsers(t, sys, "ES", 4)
 	url := productURL(t, sys, "steampowered.com", 0)
 
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPriceCheckRecordsToDatabase(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 2)
 	url := productURL(t, sys, "chegg.com", 0)
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +150,16 @@ func TestPriceCheckRecordsToDatabase(t *testing.T) {
 func TestPriceCheckUnknownUserAndDomain(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 1)
-	if _, err := sys.PriceCheck("ghost", "http://chegg.com/product/x"); err == nil {
+	if _, err := sys.PriceCheckContext(context.Background(), "ghost", "http://chegg.com/product/x"); err == nil {
 		t.Error("unknown user accepted")
 	}
-	if _, err := sys.PriceCheck(users[0].ID, "garbage"); err == nil {
+	if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, "garbage"); err == nil {
 		t.Error("bad URL accepted")
 	}
 	// A domain outside the mall 404s at navigation time; a mall domain
 	// scrubbed from the whitelist is rejected by the Coordinator and the
 	// rejection is logged for manual inspection.
-	if _, err := sys.PriceCheck(users[0].ID, "http://not-in-mall.com/product/x"); err == nil {
+	if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, "http://not-in-mall.com/product/x"); err == nil {
 		t.Error("unknown domain accepted")
 	}
 	if _, err := sys.Coord.NewJob(context.Background(), "evil.example", users[0].ID); err == nil {
@@ -174,7 +174,7 @@ func TestJobsBalanceAcrossServers(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 2)
 	for i := 0; i < 4; i++ {
-		if _, err := sys.PriceCheck(users[i%2].ID, productURL(t, sys, "chegg.com", i)); err != nil {
+		if _, err := sys.PriceCheckContext(context.Background(), users[i%2].ID, productURL(t, sys, "chegg.com", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func TestAmazonLoggedInVATDetectedWithinCountry(t *testing.T) {
 		t.Skip("no VAT-subset product in this seed")
 	}
 
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestDoppelgangerModeOverProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestPDIPDValidationShopDetectable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestPIIBlacklistRefusesProfilePages(t *testing.T) {
 		"http://chegg.com/product/user-PROFILE-page",
 		"http://amazon.com/product/checkout-now",
 	} {
-		if _, err := sys.PriceCheck(users[0].ID, url); err != ErrPIIBlacklisted {
+		if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, url); err != ErrPIIBlacklisted {
 			t.Errorf("%s: err = %v, want ErrPIIBlacklisted", url, err)
 		}
 	}
@@ -449,7 +449,7 @@ func TestPIIBlacklistRefusesProfilePages(t *testing.T) {
 	}
 	// Operators can extend the list at runtime.
 	sys.PIIBlacklist.Add("giftcard")
-	if _, err := sys.PriceCheck(users[0].ID, "http://chegg.com/product/giftcard-1"); err != ErrPIIBlacklisted {
+	if _, err := sys.PriceCheckContext(context.Background(), users[0].ID, "http://chegg.com/product/giftcard-1"); err != ErrPIIBlacklisted {
 		t.Errorf("runtime pattern not applied: %v", err)
 	}
 }
@@ -464,7 +464,7 @@ func TestRemoveUserStopsRouting(t *testing.T) {
 	if err := sys.RemoveUser(users[1].ID); err == nil {
 		t.Error("double removal accepted")
 	}
-	res, err := sys.PriceCheck(users[0].ID, url)
+	res, err := sys.PriceCheckContext(context.Background(), users[0].ID, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestConcurrentPriceChecks(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := sys.PriceCheck(users[i%4].ID, urls[i%4])
+			res, err := sys.PriceCheckContext(context.Background(), users[i%4].ID, urls[i%4])
 			if err != nil {
 				errs <- err
 				return

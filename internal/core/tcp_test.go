@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func TestSystemOverTCP(t *testing.T) {
 		}
 	}
 	s, _ := mall.Shop("steampowered.com")
-	res, err := sys.PriceCheck("tcp-a", s.ProductURL(s.Products()[0].SKU))
+	res, err := sys.PriceCheckContext(context.Background(), "tcp-a", s.ProductURL(s.Products()[0].SKU))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pricesheriff/internal/coordinator"
@@ -39,7 +40,7 @@ func TestCheckPathNeverFallsBackToJSONBodies(t *testing.T) {
 			urls := distinctURLs(t, sys, 2*len(users)+10)
 			check := func(i int, url string, attached bool) {
 				t.Helper()
-				res, err := sys.PriceCheck(users[i%len(users)].ID, url)
+				res, err := sys.PriceCheckContext(context.Background(), users[i%len(users)].ID, url)
 				if err != nil {
 					t.Fatalf("check %d: %v", i, err)
 				}

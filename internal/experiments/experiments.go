@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -249,7 +250,7 @@ func Fig2(r *Runner, w io.Writer) error {
 		}
 	}
 	s, _ := mall.Shop("digitalrev.com")
-	res, err := sys.PriceCheck("fig2-user-0", s.ProductURL(s.Products()[0].SKU))
+	res, err := sys.PriceCheckContext(context.Background(), "fig2-user-0", s.ProductURL(s.Products()[0].SKU))
 	if err != nil {
 		return err
 	}

@@ -386,9 +386,15 @@ func (n *Node) startElectionLocked(now time.Time) {
 	n.term++
 	n.votedFor = n.cfg.Self
 	n.leader = ""
-	n.persistLocked()
-	n.votes = map[string]bool{n.cfg.Self: true}
 	n.lastHeard = now
+	if err := n.persistLocked(); err != nil {
+		// A self-vote the disk does not hold could be cast again, for
+		// someone else, after a restart: sit this term out unvoted.
+		n.state, n.votedFor = Follower, ""
+		n.cfg.Log.Error(context.Background(), "ha: not standing: vote not persisted", "term", n.term, "err", err)
+		return
+	}
+	n.votes = map[string]bool{n.cfg.Self: true}
 	n.jitter = n.drawJitter()
 	n.cfg.Metrics.election()
 	n.cfg.Metrics.setTerm(n.term)
@@ -466,7 +472,9 @@ func (n *Node) becomePrimaryLocked(now time.Time) {
 	// The no-op makes this term's commit rule reach back over earlier
 	// terms' entries (the standard leader-completeness fix). nudgeAll is
 	// lock-free (buffered channel sends), so it is safe under n.mu.
-	n.appendLocked(Command{Kind: CmdNoop})
+	if _, err := n.appendLocked(Command{Kind: CmdNoop}); err != nil {
+		n.cfg.Log.Error(context.Background(), "ha: term-start no-op not logged", "term", n.term, "err", err)
+	}
 	n.nudgeAll()
 }
 
@@ -480,7 +488,11 @@ func (n *Node) stepDownLocked(term uint64, leader, why string) {
 	if term > n.term {
 		n.term = term
 		n.votedFor = ""
-		n.persistLocked()
+		if err := n.persistLocked(); err != nil {
+			// Harmless on its own: no vote is cast in the new term until
+			// a write of it succeeds.
+			n.cfg.Log.Error(context.Background(), "ha: persist term", "term", term, "err", err)
+		}
 	}
 	n.state = Follower
 	n.leader = leader
@@ -534,18 +546,22 @@ func (n *Node) lastLocked() (idx, term uint64) {
 // appendLocked appends one command as primary and marks it applied (the
 // primary's state machine was already mutated by the caller, or the
 // command is a no-op). Callers hold n.mu; returns the new entry's index.
-func (n *Node) appendLocked(cmd Command) uint64 {
+// An entry the durable log refused is taken back out: it is neither
+// replicated nor counted towards its own commit.
+func (n *Node) appendLocked(cmd Command) (uint64, error) {
 	idx := uint64(len(n.log)) + 1
 	e := Entry{Index: idx, Term: n.term, Cmd: cmd}
+	if err := n.walAppendLocked(e); err != nil {
+		return 0, err
+	}
 	n.log = append(n.log, e)
-	n.walAppendLocked(e)
 	n.applied = idx
 	n.cfg.Metrics.appended()
 	n.cfg.Metrics.setLastIndex(idx)
 	if n.majority == 1 {
 		n.advanceCommitLocked()
 	}
-	return idx
+	return idx, nil
 }
 
 // Append replicates one command from the primary, without waiting for
@@ -562,8 +578,11 @@ func (n *Node) Append(cmd Command) error {
 		n.mu.Unlock()
 		return &NotPrimaryError{Leader: leader}
 	}
-	n.appendLocked(cmd)
+	_, err := n.appendLocked(cmd)
 	n.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	n.nudgeAll()
 	return nil
 }
@@ -583,7 +602,11 @@ func (n *Node) AppendWait(ctx context.Context, cmd Command) error {
 		n.mu.Unlock()
 		return &NotPrimaryError{Leader: leader}
 	}
-	idx := n.appendLocked(cmd)
+	idx, err := n.appendLocked(cmd)
+	if err != nil {
+		n.mu.Unlock()
+		return err
+	}
 	if n.commit >= idx {
 		n.mu.Unlock()
 		return nil

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -554,5 +556,71 @@ func TestDurableVoteSurvivesRestart(t *testing.T) {
 	}
 	if r := n2.handleVote(&VoteReq{Term: 7, Candidate: "other"}); !r.Granted {
 		t.Fatal("restarted node forgot its own vote")
+	}
+}
+
+// TestUnloggedStateIsNeverAcked breaks each durable write under a node in
+// turn. A vote whose term/vote write failed is not granted, a follower
+// whose log refused an entry does not acknowledge it, and a primary does
+// not count such an entry of its own towards commit.
+func TestUnloggedStateIsNeverAcked(t *testing.T) {
+	fab := transport.NewInproc()
+	clk := newTestClock()
+	mk := func(peers ...string) *Node {
+		n, err := NewNode(Config{
+			Self: peers[0], Peers: peers, Fabric: fab, Dir: t.TempDir(), Now: clk.now,
+			HeartbeatInterval: tHeartbeat, LeaseTimeout: tLease, ElectionStagger: tStagger,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+
+	// The state file's temporary is a directory: the write fails (a
+	// permission bit would not stop a test running as root).
+	voter := mk("voter", "cand")
+	tmp := filepath.Join(voter.cfg.Dir, stateFile+".tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if r := voter.handleVote(&VoteReq{Term: 3, Candidate: "cand"}); r.Granted {
+		t.Fatal("granted a vote the disk does not hold")
+	}
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if r := voter.handleVote(&VoteReq{Term: 3, Candidate: "cand"}); !r.Granted {
+		t.Fatal("vote refused once its write succeeds")
+	}
+
+	follower := mk("follower", "leader")
+	follower.wal.Close()
+	resp, err := follower.handleAppend(&AppendReq{
+		Term: 1, Leader: "leader", Commit: 1,
+		Entries: []Entry{{Index: 1, Term: 1, Cmd: Command{Kind: CmdNoop}}},
+	})
+	if err == nil || (resp != nil && resp.Ok) {
+		t.Fatalf("follower acknowledged an unlogged entry: %+v, %v", resp, err)
+	}
+	if st := follower.StatusSnapshot(); st.LastIndex != 0 || st.Commit != 0 {
+		t.Fatalf("follower holds last %d commit %d of an unlogged entry, want 0/0", st.LastIndex, st.Commit)
+	}
+
+	solo := mk("solo")
+	clk.advance(tLease + tStagger + tHeartbeat)
+	solo.Tick(clk.now())
+	if !solo.IsPrimary() {
+		t.Fatal("single node did not self-promote")
+	}
+	solo.wal.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := solo.AppendWait(ctx, Command{Kind: "set", Data: json.RawMessage(`"x"`)}); err == nil {
+		t.Fatal("AppendWait acknowledged an entry its own log refused")
+	}
+	if st := solo.StatusSnapshot(); st.LastIndex != 1 || st.Commit != 1 {
+		t.Fatalf("primary at last %d commit %d, want 1/1 (the term-start no-op only)", st.LastIndex, st.Commit)
 	}
 }

@@ -1,7 +1,6 @@
 package ha
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,48 +84,50 @@ func (n *Node) openLog() error {
 }
 
 // walAppendLocked records one entry in the durable log. Callers hold
-// n.mu; without a Dir this is a no-op.
-func (n *Node) walAppendLocked(e Entry) {
+// n.mu; without a Dir this is a no-op. An entry whose append failed is in
+// no log, so the caller must neither acknowledge nor count it.
+func (n *Node) walAppendLocked(e Entry) error {
 	if n.wal == nil {
-		return
+		return nil
 	}
 	raw, err := json.Marshal(&e)
 	if err == nil {
 		err = n.wal.Append(raw)
 	}
 	if err != nil {
-		n.cfg.Log.Error(context.Background(), "ha: wal append", "err", err)
+		return fmt.Errorf("ha: wal append: %w", err)
 	}
+	return nil
 }
 
 // persistLocked writes term/vote with the usual write-fsync-rename dance
 // so a torn write cannot corrupt the previous state. Callers hold n.mu.
 // Nodes without a Dir keep the state in memory only — fine for tests
 // and single-process demos, required reading before trusting a restart.
-func (n *Node) persistLocked() {
+// A vote whose write failed must not be cast: after a restart the node
+// would not know it had voted in that term.
+func (n *Node) persistLocked() error {
 	if n.cfg.Dir == "" {
-		return
+		return nil
 	}
-	st := durableState{Term: n.term, VotedFor: n.votedFor}
-	raw, err := json.Marshal(&st)
+	raw, err := json.Marshal(&durableState{Term: n.term, VotedFor: n.votedFor})
 	if err != nil {
-		return
+		return err
 	}
 	path := filepath.Join(n.cfg.Dir, stateFile)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		n.cfg.Log.Error(context.Background(), "ha: persist state", "err", err)
-		return
+		return fmt.Errorf("ha: persist state: %w", err)
 	}
 	_, werr := f.Write(raw)
 	serr := f.Sync()
 	cerr := f.Close()
-	if werr == nil && serr == nil && cerr == nil {
-		werr = os.Rename(tmp, path)
+	if err := errors.Join(werr, serr, cerr); err != nil {
+		return fmt.Errorf("ha: persist state: %w", err)
 	}
-	if werr != nil || serr != nil || cerr != nil {
-		n.cfg.Log.Error(context.Background(), "ha: persist state",
-			"err", errors.Join(werr, serr, cerr))
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("ha: persist state: %w", err)
 	}
+	return nil
 }

@@ -88,7 +88,7 @@ func (n *Node) Register(srv *transport.Server) {
 		return n.handleVote(req), nil
 	})
 	transport.HandleTyped(srv, MethodAppend, func(_ context.Context, req *AppendReq) (any, error) {
-		return n.handleAppend(req), nil
+		return n.handleAppend(req)
 	})
 	srv.HandleCtx(MethodStatus, func(context.Context, json.RawMessage) (any, error) {
 		return n.StatusSnapshot(), nil
@@ -155,8 +155,13 @@ func (n *Node) handleVote(req *VoteReq) *VoteResp {
 	upToDate := req.LastTerm > lastTerm ||
 		(req.LastTerm == lastTerm && req.LastIndex >= lastIdx)
 	if (n.votedFor == "" || n.votedFor == req.Candidate) && upToDate && n.state != Primary {
+		prev := n.votedFor
 		n.votedFor = req.Candidate
-		n.persistLocked()
+		if err := n.persistLocked(); err != nil {
+			n.votedFor = prev
+			n.cfg.Log.Error(context.Background(), "ha: vote refused: not persisted", "err", err)
+			return &VoteResp{Term: n.term}
+		}
 		n.lastHeard = n.cfg.Now()
 		return &VoteResp{Term: n.term, Granted: true}
 	}
@@ -165,12 +170,15 @@ func (n *Node) handleVote(req *VoteReq) *VoteResp {
 
 // handleAppend answers one replication/heartbeat frame: defer to any
 // leader of the current or newer term, verify the log-matching anchor,
-// truncate a divergent tail, store the entries, and advance commit.
-func (n *Node) handleAppend(req *AppendReq) *AppendResp {
+// truncate a divergent tail, store the entries, and advance commit. An
+// entry the durable log refused is dropped again and the frame answered
+// with the error: the leader counts no acknowledgement for it and
+// resends on its next round.
+func (n *Node) handleAppend(req *AppendReq) (*AppendResp, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed || req.Term < n.term {
-		return &AppendResp{Term: n.term, LastIndex: uint64(len(n.log))}
+		return &AppendResp{Term: n.term, LastIndex: uint64(len(n.log))}, nil
 	}
 	if req.Term > n.term || n.state != Follower || n.leader != req.Leader {
 		n.stepDownLocked(req.Term, req.Leader, "append from current leader")
@@ -180,7 +188,7 @@ func (n *Node) handleAppend(req *AppendReq) *AppendResp {
 	// Log-matching: the entry before the batch must agree on its term.
 	if req.PrevIndex > uint64(len(n.log)) ||
 		(req.PrevIndex > 0 && n.log[req.PrevIndex-1].Term != req.PrevTerm) {
-		return &AppendResp{Term: n.term, LastIndex: uint64(len(n.log))}
+		return &AppendResp{Term: n.term, LastIndex: uint64(len(n.log))}, nil
 	}
 	for _, e := range req.Entries {
 		if e.Index <= uint64(len(n.log)) {
@@ -192,7 +200,12 @@ func (n *Node) handleAppend(req *AppendReq) *AppendResp {
 			n.log = n.log[:e.Index-1]
 		}
 		n.log = append(n.log, e)
-		n.walAppendLocked(e)
+		if err := n.walAppendLocked(e); err != nil {
+			n.log = n.log[:e.Index-1]
+			n.cfg.Metrics.setLastIndex(uint64(len(n.log)))
+			n.cfg.Log.Error(context.Background(), "ha: append not acknowledged", "index", e.Index, "err", err)
+			return nil, err
+		}
 	}
 	last := uint64(len(n.log))
 	n.cfg.Metrics.setLastIndex(last)
@@ -208,7 +221,7 @@ func (n *Node) handleAppend(req *AppendReq) *AppendResp {
 			n.applied = n.commit
 		}
 	}
-	return &AppendResp{Term: n.term, Ok: true, LastIndex: last}
+	return &AppendResp{Term: n.term, Ok: true, LastIndex: last}, nil
 }
 
 // peerLoop is the per-standby sender: it sleeps until nudged (new

@@ -417,62 +417,31 @@ func TestParkedWaitDoesNotStallTheConnection(t *testing.T) {
 	}
 }
 
-// legacyResultsReq is resultsReq as a peer that predates the wait flag
-// puts it on the wire: same tag, frame ends after Since, no "wait" key.
-type legacyResultsReq struct {
-	JobID string `json:"job_id"`
-	Since int    `json:"since"`
-}
-
-func (r *legacyResultsReq) WireTag() uint8 { return wireTagResultsReq }
-func (r *legacyResultsReq) AppendWire(b []byte) []byte {
-	b = transport.AppendString(b, r.JobID)
-	return transport.AppendVarint(b, int64(r.Since))
-}
-func (r *legacyResultsReq) DecodeWire(d *transport.WireDec) error {
-	r.JobID = d.String()
-	r.Since = int(d.Varint())
-	return d.Err()
-}
-
-// TestResultsReqCodecAcrossVersions: the binary decoder takes the frame of
-// a peer that predates the wait flag (it ends after Since) without
-// tripping the sticky error, round-trips its own, and still refuses a
-// frame cut inside a field.
-func TestResultsReqCodecAcrossVersions(t *testing.T) {
-	old := (&legacyResultsReq{JobID: "job-42", Since: 3}).AppendWire(nil)
-	var got resultsReq
-	if err := got.DecodeWire(transport.NewWireDec(old)); err != nil {
-		t.Fatalf("decode of a pre-wait frame: %v", err)
-	}
-	if got != (resultsReq{JobID: "job-42", Since: 3}) {
-		t.Errorf("pre-wait frame decoded to %+v", got)
-	}
-
-	cur := (&resultsReq{JobID: "job-42", Since: 3, Wait: true}).AppendWire(nil)
-	got = resultsReq{}
-	d := transport.NewWireDec(cur)
-	if err := got.DecodeWire(d); err != nil || d.Remaining() != 0 {
-		t.Fatalf("round trip: err = %v, %d bytes left", err, d.Remaining())
-	}
-	if got != (resultsReq{JobID: "job-42", Since: 3, Wait: true}) {
-		t.Errorf("round trip decoded to %+v", got)
-	}
-	// The other direction: a pre-wait decoder reads the new frame's prefix
-	// and ignores the trailing flag.
-	var legacy legacyResultsReq
-	if err := legacy.DecodeWire(transport.NewWireDec(cur)); err != nil || legacy.JobID != "job-42" || legacy.Since != 3 {
-		t.Errorf("pre-wait decoder on a new frame: %+v, %v", legacy, err)
-	}
-
-	if err := new(resultsReq).DecodeWire(transport.NewWireDec(old[:len(old)-1])); err == nil {
-		t.Error("a frame cut inside Since decoded without error")
+// TestResultsReqCodecOneWire: the results request has one frame shape —
+// job, since, wait flag — which round-trips, and a frame that ends before
+// the flag (or inside any field) is refused, not read as a flagless poll.
+func TestResultsReqCodecOneWire(t *testing.T) {
+	for _, want := range []resultsReq{{JobID: "job-42", Since: 3, Wait: true}, {JobID: "job-42", Since: 3}} {
+		frame := want.AppendWire(nil)
+		var got resultsReq
+		d := transport.NewWireDec(frame)
+		if err := got.DecodeWire(d); err != nil || d.Remaining() != 0 {
+			t.Fatalf("round trip of %+v: err = %v, %d bytes left", want, err, d.Remaining())
+		}
+		if got != want {
+			t.Errorf("round trip decoded to %+v, want %+v", got, want)
+		}
+		for cut := 0; cut < len(frame); cut++ {
+			if err := new(resultsReq).DecodeWire(transport.NewWireDec(frame[:cut])); err == nil {
+				t.Errorf("a frame of %+v cut to %d of %d bytes decoded without error", want, cut, len(frame))
+			}
+		}
 	}
 }
 
-// TestWaitInteropMixedVersions: a caller that polls without the wait flag
-// (the AJAX shape; here as a frame that ends before the flag) is never
-// parked by the server, over real TCP.
+// TestWaitInteropMixedVersions: beside callers that wait, a caller that
+// polls with the wait flag off (the AJAX shape) is never parked by the
+// server, over real TCP.
 func TestWaitInteropMixedVersions(t *testing.T) {
 	t.Run("old_client/client=binary_server=binary", func(t *testing.T) {
 		gf := newGatedFetcher("/held")
@@ -491,7 +460,7 @@ func TestWaitInteropMixedVersions(t *testing.T) {
 		var rows []ResultRow
 		poll := func() ResultsResponse {
 			var resp ResultsResponse
-			if err := rpc.CallCtx(ctx, "ms.results", &legacyResultsReq{JobID: "job-old-cli", Since: len(rows)}, &resp); err != nil {
+			if err := rpc.CallCtx(ctx, "ms.results", &resultsReq{JobID: "job-old-cli", Since: len(rows)}, &resp); err != nil {
 				t.Fatal(err)
 			}
 			rows = append(rows, resp.Rows...)

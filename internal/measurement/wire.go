@@ -87,11 +87,7 @@ func (r *resultsReq) AppendWire(b []byte) []byte {
 func (r *resultsReq) DecodeWire(d *transport.WireDec) error {
 	r.JobID = d.String()
 	r.Since = int(d.Varint())
-	// A peer that predates the wait flag ends the frame here; reading past
-	// the end would trip the sticky error on a well-formed old frame.
-	if d.Remaining() > 0 {
-		r.Wait = d.Bool()
-	}
+	r.Wait = d.Bool()
 	return d.Err()
 }
 

@@ -762,10 +762,6 @@ func IsRemote(err error) bool {
 // transport level are replaced on the next use, so a server restart does
 // not permanently poison the pool.
 type Pool struct {
-	// Timeout bounds each pooled call on top of the caller's context
-	// (zero = unbounded). Set it before serving traffic.
-	Timeout time.Duration
-
 	netw    Network
 	addr    string
 	clients chan *Client
@@ -789,16 +785,11 @@ func NewPool(net Network, addr string, size int) (*Pool, error) {
 	return p, nil
 }
 
-// CallCtx borrows a connection, issues the RPC under the context (plus
-// the pool's Timeout, when set), and returns the connection. Only a
-// connection whose transport actually broke is closed and re-dialed —
-// a call abandoned at its deadline leaves the multiplexed conn healthy.
+// CallCtx borrows a connection, issues the RPC under the context, and
+// returns the connection. Only a connection whose transport actually broke
+// is closed and re-dialed — a call abandoned at its deadline leaves the
+// multiplexed conn healthy.
 func (p *Pool) CallCtx(ctx context.Context, method string, req, resp any) error {
-	if p.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Timeout)
-		defer cancel()
-	}
 	var c *Client
 	select {
 	case c = <-p.clients:

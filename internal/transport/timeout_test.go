@@ -143,10 +143,11 @@ func TestPoolSurvivesTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	pool.Timeout = 30 * time.Millisecond
 
 	var out string
-	if err := pool.CallCtx(context.Background(), "ping", nil, &out); !errors.Is(err, ErrCallTimeout) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := pool.CallCtx(ctx, "ping", nil, &out); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("slow call: %v, want ErrCallTimeout", err)
 	}
 	mute.Store(false)

@@ -1,6 +1,7 @@
 package pricesheriff_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("no steampowered.com")
 	}
-	res, err := sys.PriceCheck("a", shop.ProductURL(shop.Products()[0].SKU))
+	res, err := sys.PriceCheckContext(context.Background(), "a", shop.ProductURL(shop.Products()[0].SKU))
 	if err != nil {
 		t.Fatal(err)
 	}
