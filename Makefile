@@ -26,7 +26,18 @@ LINT_LOGGED = $(LINT_REQUEST_PATH) internal/adminui internal/history cmd
 # `lint:allow` marker on their import line.
 LINT_WIRE = internal/transport/transport.go internal/transport/wire.go internal/measurement/wire.go internal/peer/wire.go internal/shop/wire.go
 
+# One operator surface: the admin UI answers JSON documents (and /metrics
+# text) that sheriffctl renders; no program code serves an HTML page. The
+# shop world's product pages are HTML bodies, not served documents.
+LINT_NO_HTML_PAGES = text/html
+
 lint:
+	@bad=$$(grep -rn --include='*.go' '$(LINT_NO_HTML_PAGES)' . \
+		| grep -v '_test.go' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: text/html in program code (views are JSON documents rendered by sheriffctl; see DESIGN.md):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rn --include='*.go' -E 'time\.Sleep\(' $(LINT_REQUEST_PATH) \
 		| grep -v '_test.go' \
 		| grep -v 'lint:allow' || true); \

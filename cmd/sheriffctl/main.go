@@ -5,29 +5,37 @@
 //
 // Usage:
 //
-//	sheriffctl -coord HOST:PORT -shops HOST:PORT -broker HOST:PORT \
+//	sheriffctl -coord HOST:PORT[,HOST:PORT...] -shops HOST:PORT -broker HOST:PORT \
 //	    [-country ES] [-id my-peer] [-timeout 30s] \
 //	    (-url http://domain/product/sku | -domain chegg.com | -list)
 //
-// The check runs the same add-on client as the library (core.Addon): a URL
-// on the PII blacklist is refused before anything is fetched, and the wait
-// for rows never exceeds the 30 s interactive cap. The whole check runs
-// under a context: -timeout bounds it, and Ctrl-C cancels it cleanly — the
-// measurement server aborts its vantage fan-out and whatever rows arrived
-// before the cut are still printed.
+// -coord takes one coordinator or the whole replica set of a replicated
+// one: the check follows the primary across failovers and skips dead
+// replicas. The check runs the same add-on client as the library
+// (core.Addon): a URL on the PII blacklist is refused before anything is
+// fetched, and the wait for rows never exceeds the 30 s interactive cap.
+// The whole check runs under a context: -timeout bounds it, and Ctrl-C
+// cancels it cleanly — the measurement server aborts its vantage fan-out
+// and whatever rows arrived before the cut are still printed.
 //
-// Subcommands speak to a deployment's admin UI:
+// Subcommands speak to a deployment's admin UI, whose views are JSON
+// documents: each prints its document as a table, or with -json as is.
 //
 //	sheriffctl stats -admin HOST:PORT [-json]
-//	sheriffctl watch add|list|rm -admin HOST:PORT [-url URL] [-currency USD]
+//	sheriffctl servers [add ADDR] -admin HOST:PORT [-json]
+//	sheriffctl peers -admin HOST:PORT [-json]
+//	sheriffctl whitelist [add DOMAIN] -admin HOST:PORT [-json]
+//	sheriffctl watch add|list|rm -admin HOST:PORT [-url URL] [-currency USD] [-json]
 //	sheriffctl history -admin HOST:PORT [-url URL -country CC] [-json]
 //	sheriffctl export -admin HOST:PORT [-o FILE]
 //	sheriffctl import -admin HOST:PORT -f FILE
 //	sheriffctl trace -admin HOST:PORT [TRACE_ID] [-min-ms 500] [-err] [-json]
 //	sheriffctl logs -admin HOST:PORT [-level warn] [-trace TRACE_ID] [-json]
-//	sheriffctl cluster status -peers HOST:PORT,HOST:PORT,... [-json]
 //	sheriffctl shards -admin HOST:PORT [-json]
 //	sheriffctl tables -admin HOST:PORT [-json]
+//	sheriffctl cluster status -peers HOST:PORT,HOST:PORT,... [-json]
+//
+// `cluster status` asks every coordinator replica over its HA RPC instead.
 //
 // With -trace, the check itself runs under a locally owned distributed
 // trace and the assembled cross-process span tree (submit → schedule →
@@ -44,6 +52,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,47 +62,37 @@ import (
 	"pricesheriff/internal/geo"
 	"pricesheriff/internal/obs"
 	"pricesheriff/internal/peer"
+	"pricesheriff/internal/retry"
 	"pricesheriff/internal/shop"
 	"pricesheriff/internal/transport"
 )
 
+// verbs are the subcommands; anything else is a price check.
+var verbs = map[string]func(args []string){
+	"stats":     runStats,
+	"servers":   runServers,
+	"peers":     runPeers,
+	"whitelist": runWhitelist,
+	"watch":     runWatch,
+	"history":   runHistory,
+	"export":    runExport,
+	"import":    runImport,
+	"trace":     runTrace,
+	"logs":      runLogs,
+	"cluster":   runCluster,
+	"shards":    runShards,
+	"tables":    runTables,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "stats":
-			runStats(os.Args[2:])
-			return
-		case "watch":
-			runWatch(os.Args[2:])
-			return
-		case "history":
-			runHistory(os.Args[2:])
-			return
-		case "export":
-			runExport(os.Args[2:])
-			return
-		case "import":
-			runImport(os.Args[2:])
-			return
-		case "trace":
-			runTrace(os.Args[2:])
-			return
-		case "logs":
-			runLogs(os.Args[2:])
-			return
-		case "cluster":
-			runCluster(os.Args[2:])
-			return
-		case "shards":
-			runShards(os.Args[2:])
-			return
-		case "tables":
-			runTables(os.Args[2:])
+		if run, ok := verbs[os.Args[1]]; ok {
+			run(os.Args[2:])
 			return
 		}
 	}
 	var (
-		coordAddr  = flag.String("coord", "", "coordinator address (required)")
+		coordAddr  = flag.String("coord", "", "coordinator address, or the comma-separated replica set of a replicated coordinator (required)")
 		shopsAddr  = flag.String("shops", "", "shop-world address (required)")
 		brokerAddr = flag.String("broker", "", "p2p broker address (required)")
 		country    = flag.String("country", "ES", "country this peer lives in")
@@ -157,7 +156,9 @@ func main() {
 		log.Fatalf("unknown country %q", *country)
 	}
 	br := browser.New(*id, ip.String(), "linux", "firefox")
-	coordCli, err := coordinator.DialCoordinator(fabric, *coordAddr)
+	// The whole replica set: calls follow the primary's NotPrimary
+	// redirects and rotate past dead replicas.
+	coordCli, err := coordinator.DialCoordinatorCluster(fabric, strings.Split(*coordAddr, ","), retry.Policy{}, int64(os.Getpid()))
 	if err != nil {
 		log.Fatalf("dial coordinator: %v", err)
 	}

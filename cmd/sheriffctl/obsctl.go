@@ -1,13 +1,7 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
-	"log"
-	"net/http"
 	"net/url"
 	"sort"
 	"strings"
@@ -16,56 +10,18 @@ import (
 	"pricesheriff/internal/obs"
 )
 
-// getAdminJSON fetches one admin-UI JSON document and decodes it into out,
-// or with raw prints it to stdout indented instead. Any failure ends the
-// command; what names the document in the message.
-func getAdminJSON(admin, path, what string, out any, raw bool) {
-	resp, err := adminClient().Get("http://" + admin + path)
-	if err != nil {
-		log.Fatalf("fetch %s: %v", what, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		log.Fatalf("fetch %s: %v", what, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := fmt.Sprintf("fetch %s: status %d", what, resp.StatusCode)
-		if text := strings.TrimSpace(string(body)); text != "" {
-			msg += ": " + text
-		}
-		log.Fatal(msg)
-	}
-	if raw {
-		var b bytes.Buffer
-		if err := json.Indent(&b, body, "", "  "); err != nil {
-			log.Fatalf("decode %s: %v", what, err)
-		}
-		fmt.Println(b.String())
-		return
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		log.Fatalf("decode %s: %v", what, err)
-	}
-}
-
 // runTrace implements `sheriffctl trace`: fetch /traces.json from the
 // admin UI and print each matching trace as an indented span tree with
 // per-hop timings — the cross-process waterfall assembled from every
 // participating component's exported spans.
 func runTrace(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	admin := fs.String("admin", "", "admin UI address (required; sheriffd prints it)")
-	minMS := fs.Float64("min-ms", 0, "only traces at least this long")
-	errOnly := fs.Bool("err", false, "only errored or abandoned traces")
-	raw := fs.Bool("json", false, "print the raw JSON")
-	fs.Parse(args)
-	if *admin == "" {
-		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
-	}
+	c := docFlags("trace")
+	minMS := c.Float64("min-ms", 0, "only traces at least this long")
+	errOnly := c.Bool("err", false, "only errored or abandoned traces")
+	words := c.parse(args)
 	q := url.Values{}
-	if id := fs.Arg(0); id != "" {
-		q.Set("id", id)
+	if len(words) > 0 {
+		q.Set("id", words[0])
 	}
 	if *minMS > 0 {
 		q.Set("min_ms", fmt.Sprintf("%g", *minMS))
@@ -79,8 +35,7 @@ func runTrace(args []string) {
 	}
 
 	var views []obs.TraceView
-	getAdminJSON(*admin, path, "traces", &views, *raw)
-	if *raw {
+	if !c.getAdminJSON(path, "traces", &views) {
 		return
 	}
 	if len(views) == 0 {
@@ -129,16 +84,11 @@ func sortedKeys(m map[string]string) []string {
 // runLogs implements `sheriffctl logs`: fetch /logs.json from the admin
 // UI and print the records oldest-first, trace IDs included.
 func runLogs(args []string) {
-	fs := flag.NewFlagSet("logs", flag.ExitOnError)
-	admin := fs.String("admin", "", "admin UI address (required; sheriffd prints it)")
-	level := fs.String("level", "info", "minimum level: debug, info, warn, error")
-	trace := fs.String("trace", "", "only records stamped with this trace ID")
-	limit := fs.Int("limit", 200, "at most this many records")
-	raw := fs.Bool("json", false, "print the raw JSON")
-	fs.Parse(args)
-	if *admin == "" {
-		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
-	}
+	c := docFlags("logs")
+	level := c.String("level", "info", "minimum level: debug, info, warn, error")
+	trace := c.String("trace", "", "only records stamped with this trace ID")
+	limit := c.Int("limit", 200, "at most this many records")
+	c.parseNone(args, "sheriffctl logs -admin HOST:PORT [-level warn] [-trace TRACE_ID] [-limit N] [-json]")
 	q := url.Values{}
 	q.Set("level", *level)
 	q.Set("limit", fmt.Sprint(*limit))
@@ -147,8 +97,7 @@ func runLogs(args []string) {
 	}
 
 	var recs []obs.LogRecord
-	getAdminJSON(*admin, "/logs.json?"+q.Encode(), "logs", &recs, *raw)
-	if *raw {
+	if !c.getAdminJSON("/logs.json?"+q.Encode(), "logs", &recs) {
 		return
 	}
 	// The endpoint returns newest first; print oldest first like a tail.

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
 	"sort"
 
 	"pricesheriff/internal/shard"
@@ -12,18 +10,11 @@ import (
 // runShards implements `sheriffctl shards`: fetch /shards.json from a
 // deployment's admin UI and print the data plane's ring.
 func runShards(args []string) {
-	fs := flag.NewFlagSet("shards", flag.ExitOnError)
-	admin := fs.String("admin", "", "admin UI address (required; sheriffd prints it)")
-	raw := fs.Bool("json", false, "print the raw JSON status")
-	fs.Parse(args)
-	if *admin == "" {
-		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
-	}
-
+	c := docFlags("shards")
+	c.parseNone(args, "sheriffctl shards -admin HOST:PORT [-json]")
 	// A deployment without a sharded data plane answers 404 and says so.
 	var st shard.Status
-	getAdminJSON(*admin, "/shards.json", "shards", &st, *raw)
-	if *raw {
+	if !c.getAdminJSON("/shards.json", "shards", &st) {
 		return
 	}
 

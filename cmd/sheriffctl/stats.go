@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
 
 	"pricesheriff/internal/obs"
 )
@@ -11,17 +9,10 @@ import (
 // runStats implements `sheriffctl stats`: fetch /metrics.json from a
 // deployment's admin UI and pretty-print the snapshot.
 func runStats(args []string) {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	admin := fs.String("admin", "", "admin UI address (required; sheriffd prints it)")
-	raw := fs.Bool("json", false, "print the raw JSON snapshot")
-	fs.Parse(args)
-	if *admin == "" {
-		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
-	}
-
+	c := docFlags("stats")
+	c.parseNone(args, "sheriffctl stats -admin HOST:PORT [-json]")
 	var snap obs.Snapshot
-	getAdminJSON(*admin, "/metrics.json", "metrics", &snap, *raw)
-	if *raw {
+	if !c.getAdminJSON("/metrics.json", "metrics", &snap) {
 		return
 	}
 

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"log"
 
 	"pricesheriff/internal/adminui"
 )
@@ -12,17 +10,10 @@ import (
 // deployment's admin UI and print each table's storage engine, row
 // count, and disk footprint.
 func runTables(args []string) {
-	fs := flag.NewFlagSet("tables", flag.ExitOnError)
-	admin := fs.String("admin", "", "admin UI address (required; sheriffd prints it)")
-	raw := fs.Bool("json", false, "print the raw JSON status")
-	fs.Parse(args)
-	if *admin == "" {
-		log.Fatal("need -admin (sheriffd prints the admin web ui address)")
-	}
-
+	c := docFlags("tables")
+	c.parseNone(args, "sheriffctl tables -admin HOST:PORT [-json]")
 	var doc adminui.TablesPayload
-	getAdminJSON(*admin, "/tables.json", "tables", &doc, *raw)
-	if *raw {
+	if !c.getAdminJSON("/tables.json", "tables", &doc) {
 		return
 	}
 

@@ -74,7 +74,7 @@ func TestDiskEngineSurvivesSIGKILL(t *testing.T) {
 		if err := daemon.Start(); err != nil {
 			t.Fatal(err)
 		}
-		adminRe := regexp.MustCompile(`admin web ui:\s+http://(\S+)/`)
+		adminRe := regexp.MustCompile(`admin api:\s+(\S+)`)
 		adminCh := make(chan string, 1)
 		go func() {
 			scanner := bufio.NewScanner(stdout)

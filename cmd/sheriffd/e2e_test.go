@@ -51,7 +51,7 @@ func TestSheriffdSheriffctlEndToEnd(t *testing.T) {
 
 	// Parse the printed component addresses.
 	addrRe := regexp.MustCompile(`(shops \(the web\)|coordinator|p2p relay broker):\s+(\S+)`)
-	adminRe := regexp.MustCompile(`admin web ui:\s+http://(\S+)/`)
+	adminRe := regexp.MustCompile(`admin api:\s+(\S+)`)
 	addrs := map[string]string{}
 	scanner := bufio.NewScanner(stdout)
 	deadline := time.After(30 * time.Second)
@@ -174,9 +174,10 @@ func TestSheriffdSheriffctlEndToEnd(t *testing.T) {
 
 	// Another peer in the same country asks the same question moments
 	// later: the add-on attaches to the finished job instead of fanning
-	// out again.
+	// out again. It is given a replica set whose first member is dead:
+	// the client rotates past it to the live coordinator.
 	again := exec.Command(filepath.Join(tmp, "sheriffctl"),
-		"-coord", addrs["coordinator"], "-shops", addrs["shops (the web)"],
+		"-coord", "127.0.0.1:1,"+addrs["coordinator"], "-shops", addrs["shops (the web)"],
 		"-broker", addrs["p2p relay broker"],
 		"-country", "ES", "-id", "e2e-peer-2", "-domain", "steampowered.com")
 	out, err = again.CombinedOutput()
@@ -198,5 +199,28 @@ func TestSheriffdSheriffctlEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "blacklist") {
 		t.Errorf("the PII refusal does not name the blacklist:\n%s", out)
+	}
+
+	// The operator's views of the paper's Figs. 7 and 16 and of the
+	// whitelist, rendered by sheriffctl from the admin UI's JSON.
+	ctl := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(filepath.Join(tmp, "sheriffctl"), append(args, "-admin", addrs["admin"])...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("sheriffctl %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	if out := ctl("servers"); !regexp.MustCompile(`(?m)^Worker +Status +Jobs`).MatchString(out) || !strings.Contains(out, "online") {
+		t.Errorf("sheriffctl servers:\n%s", out)
+	}
+	if out := ctl("peers"); !strings.Contains(out, "Peer ID") || strings.Count(out, "\n") < 5 {
+		t.Errorf("sheriffctl peers does not list the daemon's four peers:\n%s", out)
+	}
+	if out := ctl("whitelist", "add", "newshop.example"); !strings.Contains(out, "sanctioned newshop.example") {
+		t.Errorf("sheriffctl whitelist add:\n%s", out)
+	}
+	if out := ctl("servers", "add", "127.0.0.1:2"); !strings.Contains(out, "127.0.0.1:2") {
+		t.Errorf("sheriffctl servers add: the new server is not listed:\n%s", out)
 	}
 }

@@ -52,21 +52,6 @@ import (
 	"pricesheriff/internal/workload"
 )
 
-// tablesPlane adapts the System's storage report to the admin UI's
-// TablePlane surface (adminui must not import core).
-type tablesPlane struct{ sys *core.System }
-
-func (t tablesPlane) TablesStatus() []adminui.TableStatus {
-	sts := t.sys.TablesStatus()
-	out := make([]adminui.TableStatus, len(sts))
-	for i, st := range sts {
-		out[i] = adminui.TableStatus{Shard: st.Shard, TableStat: st.TableStat}
-	}
-	return out
-}
-
-func (t tablesPlane) EngineCacheStats() (int64, int64) { return t.sys.EngineCacheStats() }
-
 func main() {
 	var (
 		servers  = flag.Int("servers", 2, "measurement servers to boot")
@@ -75,7 +60,7 @@ func main() {
 		domains  = flag.Int("domains", 200, "checked e-commerce domains in the world")
 		users    = flag.Int("users", 12, "simulated peer users to connect")
 		seed     = flag.Int64("seed", 1, "world/workload seed")
-		admin    = flag.String("admin", "127.0.0.1:0", "admin web UI address (empty disables)")
+		admin    = flag.String("admin", "127.0.0.1:0", "admin UI address: JSON documents and /metrics (empty disables)")
 		debug    = flag.Bool("debug", false, "expose /debug/pprof and /debug/vars on the admin UI")
 		dump     = flag.String("dump", "", "write the collected dataset to this JSON file on shutdown")
 		logLevel = flag.String("log-level", "info", "minimum structured log level: debug, info, warn, error")
@@ -112,7 +97,7 @@ func main() {
 	log.SetFlags(log.Ltime)
 
 	// Structured, trace-correlated logging: JSON lines on stderr plus a
-	// bounded in-memory ring served at the admin UI's /logs.
+	// bounded in-memory ring served at the admin UI's /logs.json.
 	lvl, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		log.Fatal(err)
@@ -280,7 +265,7 @@ func main() {
 		ui.Watches = sys.Watches()
 		ui.HA = sys.HANode()
 		ui.Shards = adminui.ShardPlaneFunc(sys.ShardStatus)
-		ui.Tables = tablesPlane{sys}
+		ui.Tables = sys
 		if *debug {
 			ui.EnableDebug()
 		}
@@ -288,7 +273,7 @@ func main() {
 			log.Fatalf("admin ui: %v", err)
 		}
 		defer ui.Close()
-		fmt.Printf("  admin web ui:        http://%s/\n", ui.Addr())
+		fmt.Printf("  admin api:           %s\n", ui.Addr())
 		fmt.Printf("  metrics:             http://%s/metrics\n", ui.Addr())
 	}
 	if fab != nil {

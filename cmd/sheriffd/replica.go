@@ -133,7 +133,7 @@ func runCoordReplica(ctx context.Context, o replicaOpts) {
 			log.Fatalf("admin ui: %v", err)
 		}
 		defer ui.Close()
-		fmt.Printf("  admin web ui:        http://%s/\n", ui.Addr())
+		fmt.Printf("  admin api:           %s\n", ui.Addr())
 	}
 
 	fmt.Println("Serving until interrupted (Ctrl-C).")

@@ -1,33 +1,38 @@
-// Package adminui is the operator's web interface (paper Sect. 10.2.1:
-// "the system's administrator ... uses an intuitive web interface" to
-// attach/detach Measurement servers, plus the real-time monitoring panels
-// of Figs. 7 and 16 and the whitelist-review workflow of Sect. 2.3).
+// Package adminui is the operator's HTTP API over a deployment (paper
+// Sect. 10.2.1: the administrator attaches/detaches Measurement servers
+// and watches the real-time panels of Figs. 7 and 16, and reviews the
+// whitelist as in Sect. 2.3). Every view is a JSON document; `sheriffctl`
+// renders them for humans and /metrics feeds Prometheus. Nothing here
+// writes HTML.
 //
-// It is a plain net/http server over the Coordinator's state:
+//	GET  /servers.json   Fig. 7 — measurement servers and their jobs
+//	POST /servers.json   register a measurement server (form field "addr")
+//	GET  /peers.json     Fig. 16 — online peer proxies
+//	GET  /whitelist.json sanctioned domain count + rejected-domain queue
+//	POST /whitelist.json sanction a domain (form field "domain")
+//	GET  /metrics        telemetry in Prometheus text exposition format
+//	GET  /metrics.json   telemetry as a JSON snapshot
+//	GET  /traces.json    recent price-check traces;
+//	                     filters: ?min_ms=500 &err=1 &id=<trace id>
+//	GET  /logs.json      recent structured log records, newest first;
+//	                     filters: ?level=warn &trace=<trace id> &limit=100
+//	GET  /history.json   series keys, or with ?url=&country= one series
+//	GET  /watches.json   watches + verdicts (?url= narrows the verdicts)
+//	POST /watches.json   add or remove a watch (form: action=add|rm, url,
+//	                     currency)
+//	GET  /snapshot       stream the whole DB as JSON
+//	POST /snapshot       import a snapshot (merge; joins fixed up)
+//	GET  /cluster.json   this replica's view of the replicated control plane
+//	GET  /shards.json    sharded store data plane: ring, shares, load
+//	GET  /tables.json    per-table storage engines, rows, disk bytes, cache
+//	GET  /healthz        liveness probe
 //
-//	GET  /            index with links
-//	GET  /servers      Fig. 7 (HTML) — measurement servers and jobs
-//	GET  /peers        Fig. 16 (HTML) — online peer proxies
-//	GET  /whitelist    sanctioned domain count + rejected-domain queue
-//	POST /whitelist    add a domain (form field "domain")
-//	POST /servers      register a measurement server (form field "addr")
-//	GET  /metrics      telemetry in Prometheus text exposition format
-//	GET  /metrics.json telemetry as a JSON snapshot
-//	GET  /traces       recent price-check trace waterfalls (HTML);
-//	                   filters: ?min_ms=500 &err=1 &id=<trace id>
-//	GET  /traces.json  the same traces as JSON (same filters)
-//	GET  /logs         recent structured log records (HTML);
-//	                   filters: ?level=warn &trace=<trace id> &limit=100
-//	GET  /logs.json    the same records as JSON (same filters)
-//	GET  /shards       sharded store data plane: ring, shares, load
-//	GET  /shards.json  the same as JSON
-//	GET  /tables       per-table storage engines, rows, disk bytes, cache
-//	GET  /tables.json  the same as JSON
-//	GET  /healthz      liveness probe
+// A mutation answers with its document as it stands after the change. An
+// unknown path answers 404 and a known path asked with another method 405.
 package adminui
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -38,7 +43,6 @@ import (
 	"pricesheriff/internal/ha"
 	"pricesheriff/internal/history"
 	"pricesheriff/internal/obs"
-	"pricesheriff/internal/shard"
 	"pricesheriff/internal/store"
 )
 
@@ -48,29 +52,27 @@ type Server struct {
 	// Metrics backs /metrics and /metrics.json; set it after New (nil:
 	// the endpoints serve an empty snapshot).
 	Metrics *obs.Registry
-	// Tracer backs /traces and /traces.json; set it after New (nil: an
-	// empty panel).
+	// Tracer backs /traces.json; set it after New (nil: no traces).
 	Tracer *obs.Tracer
-	// Logs backs /logs and /logs.json; set it after New (nil: an empty
-	// panel). Point it at the Logger's Ring().
+	// Logs backs /logs.json; set it after New (nil: no records). Point it
+	// at the Logger's Ring().
 	Logs *obs.LogRing
 	// DB backs /snapshot (export/import); set it after New (nil: 404).
 	DB *store.DB
-	// History backs /history and /history.json (nil: 404).
+	// History backs /history.json (nil: 404).
 	History *history.Index
-	// Watches backs /watches and /watches.json (nil: 404).
+	// Watches backs /watches.json (nil: 404).
 	Watches *history.Scheduler
-	// HA backs /cluster and /cluster.json with this replica's view of the
-	// replicated control plane (nil: 404, a single-coordinator deployment).
+	// HA backs /cluster.json with this replica's view of the replicated
+	// control plane (nil: 404, a single-coordinator deployment).
 	HA *ha.Node
-	// Shards backs /shards and /shards.json with the sharded store data
-	// plane's ring and per-shard load (nil: 404). A bare *shard.Router
-	// shows that one router's ops; the deployment wires the fleet-merged
-	// core view so the panel counts every router's traffic.
+	// Shards backs /shards.json with the sharded store data plane's ring
+	// and per-shard load (nil: 404). A bare *shard.Router shows that one
+	// router's ops; the deployment wires the fleet-merged core view so the
+	// document counts every router's traffic.
 	Shards ShardPlane
-	// Tables backs /tables and /tables.json with per-table storage-engine
-	// placement, row counts, disk footprint, and the page-cache hit
-	// ratio (nil: 404).
+	// Tables backs /tables.json with per-table storage-engine placement,
+	// row counts, disk footprint, and the page-cache hit ratio (nil: 404).
 	Tables TablePlane
 
 	mux  *http.ServeMux
@@ -79,51 +81,31 @@ type Server struct {
 	once sync.Once
 }
 
-// ShardPlane is the data-plane surface behind /shards: anything that
-// snapshots ring membership, shares, per-shard ops and row counts.
-type ShardPlane interface {
-	Status(ctx context.Context) (*shard.Status, error)
-}
-
-// ShardPlaneFunc adapts a status function to ShardPlane, the way
-// http.HandlerFunc adapts handlers.
-type ShardPlaneFunc func(ctx context.Context) (*shard.Status, error)
-
-// Status implements ShardPlane.
-func (f ShardPlaneFunc) Status(ctx context.Context) (*shard.Status, error) { return f(ctx) }
-
 // New builds the admin UI over a coordinator.
 func New(coord *coordinator.Coordinator) *Server {
 	s := &Server{Coord: coord, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/servers", s.handleServers)
-	s.mux.HandleFunc("/peers", s.handlePeers)
-	s.mux.HandleFunc("/whitelist", s.handleWhitelist)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	s.mux.HandleFunc("/traces", s.handleTraces)
-	s.mux.HandleFunc("/traces.json", s.handleTracesJSON)
-	s.mux.HandleFunc("/logs", s.handleLogs)
-	s.mux.HandleFunc("/logs.json", s.handleLogsJSON)
-	s.mux.HandleFunc("/history", s.handleHistory)
-	s.mux.HandleFunc("/history.json", s.handleHistoryJSON)
-	s.mux.HandleFunc("/watches", s.handleWatches)
-	s.mux.HandleFunc("/watches.json", s.handleWatchesJSON)
-	s.mux.HandleFunc("/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/cluster", s.handleCluster)
-	s.mux.HandleFunc("/cluster.json", s.handleClusterJSON)
-	s.mux.HandleFunc("/shards", s.handleShards)
-	s.mux.HandleFunc("/shards.json", s.handleShardsJSON)
-	s.mux.HandleFunc("/tables", s.handleTables)
-	s.mux.HandleFunc("/tables.json", s.handleTablesJSON)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	for pattern, h := range map[string]http.HandlerFunc{
+		"GET /servers.json":    s.handleServers,
+		"POST /servers.json":   s.handleRegisterServer,
+		"GET /peers.json":      s.handlePeers,
+		"GET /whitelist.json":  s.handleWhitelist,
+		"POST /whitelist.json": s.handleSanction,
+		"GET /metrics":         s.handleMetrics,
+		"GET /metrics.json":    s.handleMetricsJSON,
+		"GET /traces.json":     s.handleTraces,
+		"GET /logs.json":       s.handleLogs,
+		"GET /history.json":    s.handleHistory,
+		"GET /watches.json":    s.handleWatches,
+		"POST /watches.json":   s.handleWatchChange,
+		"GET /snapshot":        s.handleExport,
+		"POST /snapshot":       s.handleImport,
+		"GET /cluster.json":    s.handleCluster,
+		"GET /shards.json":     s.handleShards,
+		"GET /tables.json":     s.handleTables,
+		"GET /healthz":         handleHealth,
+	} {
+		s.mux.HandleFunc(pattern, h)
+	}
 	return s
 }
 
@@ -162,98 +144,53 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<!DOCTYPE html>
-<html><head><title>Price $heriff admin</title></head><body>
-<h1>Price $heriff</h1>
-<ul>
-<li><a href="/servers">Measurement servers</a></li>
-<li><a href="/peers">Peer proxies</a></li>
-<li><a href="/whitelist">Whitelist</a></li>
-<li><a href="/cluster">Cluster</a></li>
-<li><a href="/shards">Store shards</a></li>
-<li><a href="/tables">Tables &amp; storage engines</a></li>
-<li><a href="/history">Price history</a></li>
-<li><a href="/watches">Watches</a></li>
-<li><a href="/snapshot">Snapshot (export)</a></li>
-<li><a href="/metrics">Metrics (Prometheus)</a></li>
-<li><a href="/metrics.json">Metrics (JSON)</a></li>
-<li><a href="/traces">Recent traces</a></li>
-<li><a href="/logs">Logs</a></li>
-</ul>
-</body></html>
-`)
+// writeJSON answers with one JSON document. An encode error can only be
+// the client going away mid-answer; there is no one left to tell.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
+}
+
+func handleHealth(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
 }
 
 func (s *Server) handleServers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, coordinator.ServersPanelHTML(s.Coord.Servers.Snapshot()))
-	case http.MethodPost:
-		addr := strings.TrimSpace(r.FormValue("addr"))
-		if addr == "" {
-			http.Error(w, "missing addr", http.StatusBadRequest)
-			return
-		}
-		s.Coord.Servers.Register(addr)
-		http.Redirect(w, r, "/servers", http.StatusSeeOther)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	writeJSON(w, s.Coord.Servers.Snapshot())
+}
+
+func (s *Server) handleRegisterServer(w http.ResponseWriter, r *http.Request) {
+	addr := strings.TrimSpace(r.FormValue("addr"))
+	if addr == "" {
+		http.Error(w, "missing addr", http.StatusBadRequest)
+		return
 	}
+	s.Coord.Servers.Register(addr)
+	s.handleServers(w, r)
 }
 
 func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, coordinator.PeersPanelHTML(s.Coord.Peers()))
+	writeJSON(w, s.Coord.Peers())
+}
+
+// WhitelistPayload is the /whitelist.json document: how many domains are
+// sanctioned, and the domains checks were refused for, awaiting review.
+type WhitelistPayload struct {
+	Sanctioned int      `json:"sanctioned"`
+	Rejected   []string `json:"rejected"`
 }
 
 func (s *Server) handleWhitelist(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprintf(w, "<!DOCTYPE html>\n<html><head><title>Whitelist</title></head><body>\n")
-		fmt.Fprintf(w, "<h1>Whitelist</h1>\n<p>%d sanctioned domains.</p>\n", s.Coord.Whitelist.Size())
-		fmt.Fprint(w, "<h2>Rejected (for manual review)</h2>\n<ul>\n")
-		for _, d := range s.Coord.Whitelist.Rejected() {
-			fmt.Fprintf(w, `<li class="rejected">%s</li>`+"\n", htmlEscape(d))
-		}
-		fmt.Fprint(w, `</ul>
-<form method="POST" action="/whitelist">
-<input name="domain" placeholder="domain to sanction">
-<button type="submit">Add</button>
-</form>
-</body></html>
-`)
-	case http.MethodPost:
-		domain := strings.TrimSpace(r.FormValue("domain"))
-		if domain == "" {
-			http.Error(w, "missing domain", http.StatusBadRequest)
-			return
-		}
-		s.Coord.Whitelist.Add(domain)
-		http.Redirect(w, r, "/whitelist", http.StatusSeeOther)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
+	writeJSON(w, WhitelistPayload{Sanctioned: s.Coord.Whitelist.Size(), Rejected: s.Coord.Whitelist.Rejected()})
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&#39;",
-	)
-	return r.Replace(s)
+func (s *Server) handleSanction(w http.ResponseWriter, r *http.Request) {
+	domain := strings.TrimSpace(r.FormValue("domain"))
+	if domain == "" {
+		http.Error(w, "missing domain", http.StatusBadRequest)
+		return
+	}
+	s.Coord.Whitelist.Add(domain)
+	s.handleWhitelist(w, r)
 }

@@ -1,6 +1,7 @@
 package adminui
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -32,22 +33,32 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 	return rec.Code, string(body)
 }
 
-func postForm(t *testing.T, h http.Handler, path string, form url.Values) int {
+// postForm posts a form and returns the status and body.
+func postForm(t *testing.T, h http.Handler, path string, form url.Values) (int, string) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(form.Encode()))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	return rec.Code
+	return rec.Code, rec.Body.String()
 }
 
+// decode unmarshals a JSON document body into out.
+func decode(t *testing.T, body string, out any) {
+	t.Helper()
+	if err := json.Unmarshal([]byte(body), out); err != nil {
+		t.Fatalf("decode %q: %v", body, err)
+	}
+}
+
+// TestIndexAndHealth: there is no index page — every view is a JSON
+// document — and /healthz answers plain "ok".
 func TestIndexAndHealth(t *testing.T) {
 	ui, _ := newUI(t)
-	code, body := get(t, ui.Handler(), "/")
-	if code != 200 || !strings.Contains(body, "Price $heriff") {
-		t.Errorf("index: %d\n%s", code, body)
+	if code, _ := get(t, ui.Handler(), "/"); code != http.StatusNotFound {
+		t.Errorf("index = %d, want 404", code)
 	}
-	code, body = get(t, ui.Handler(), "/healthz")
+	code, body := get(t, ui.Handler(), "/healthz")
 	if code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("health: %d %q", code, body)
 	}
@@ -58,18 +69,22 @@ func TestIndexAndHealth(t *testing.T) {
 
 func TestServersPanelAndRegistration(t *testing.T) {
 	ui, coord := newUI(t)
-	code, body := get(t, ui.Handler(), "/servers")
-	if code != 200 || !strings.Contains(body, "ms-1:80") {
-		t.Errorf("servers: %d\n%s", code, body)
+	code, body := get(t, ui.Handler(), "/servers.json")
+	var servers []coordinator.ServerInfo
+	decode(t, body, &servers)
+	if code != 200 || len(servers) != 1 || servers[0].Addr != "ms-1:80" {
+		t.Errorf("servers: %d %+v", code, servers)
 	}
-	// Register a new measurement server through the form.
-	if code := postForm(t, ui.Handler(), "/servers", url.Values{"addr": {"ms-2:80"}}); code != http.StatusSeeOther {
-		t.Errorf("register = %d", code)
+	// Register a new measurement server; the answer is the list after it.
+	code, body = postForm(t, ui.Handler(), "/servers.json", url.Values{"addr": {"ms-2:80"}})
+	decode(t, body, &servers)
+	if code != http.StatusOK || len(servers) != 2 {
+		t.Errorf("register = %d %+v", code, servers)
 	}
 	if len(coord.Servers.Snapshot()) != 2 {
 		t.Error("registration did not reach the coordinator")
 	}
-	if code := postForm(t, ui.Handler(), "/servers", url.Values{}); code != http.StatusBadRequest {
+	if code, _ := postForm(t, ui.Handler(), "/servers.json", url.Values{}); code != http.StatusBadRequest {
 		t.Errorf("empty addr = %d", code)
 	}
 }
@@ -79,11 +94,13 @@ func TestPeersPanel(t *testing.T) {
 	if _, err := coord.RegisterPeer("peer-1", "11.1.0.5"); err != nil {
 		t.Fatal(err)
 	}
-	code, body := get(t, ui.Handler(), "/peers")
-	if code != 200 || !strings.Contains(body, "peer-1") || !strings.Contains(body, "ES") {
-		t.Errorf("peers: %d\n%s", code, body)
+	code, body := get(t, ui.Handler(), "/peers.json")
+	var peers []coordinator.PeerInfo
+	decode(t, body, &peers)
+	if code != 200 || len(peers) != 1 || peers[0].ID != "peer-1" || peers[0].Country != "ES" {
+		t.Errorf("peers: %d %+v", code, peers)
 	}
-	if code := postForm(t, ui.Handler(), "/peers", nil); code != http.StatusMethodNotAllowed {
+	if code, _ := postForm(t, ui.Handler(), "/peers.json", nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("post peers = %d", code)
 	}
 }
@@ -92,19 +109,23 @@ func TestWhitelistReviewWorkflow(t *testing.T) {
 	ui, coord := newUI(t)
 	// A rejected domain appears in the review queue...
 	coord.Whitelist.Check("evil<script>.example")
-	code, body := get(t, ui.Handler(), "/whitelist")
-	if code != 200 || !strings.Contains(body, "1 sanctioned") {
-		t.Errorf("whitelist: %d\n%s", code, body)
+	code, body := get(t, ui.Handler(), "/whitelist.json")
+	var wl WhitelistPayload
+	decode(t, body, &wl)
+	if code != 200 || wl.Sanctioned != 1 || len(wl.Rejected) != 1 || wl.Rejected[0] != "evil<script>.example" {
+		t.Errorf("whitelist: %d %+v", code, wl)
 	}
-	if strings.Contains(body, "<script>") {
-		t.Error("rejected domain not escaped")
-	}
-	// ... and the operator sanctions a domain through the form.
-	if code := postForm(t, ui.Handler(), "/whitelist", url.Values{"domain": {"newshop.example"}}); code != http.StatusSeeOther {
-		t.Errorf("add = %d", code)
+	// ... and the operator sanctions a domain.
+	code, body = postForm(t, ui.Handler(), "/whitelist.json", url.Values{"domain": {"newshop.example"}})
+	decode(t, body, &wl)
+	if code != http.StatusOK || wl.Sanctioned != 2 {
+		t.Errorf("add = %d %+v", code, wl)
 	}
 	if !coord.Whitelist.Check("newshop.example") {
 		t.Error("added domain still rejected")
+	}
+	if code, _ := postForm(t, ui.Handler(), "/whitelist.json", url.Values{}); code != http.StatusBadRequest {
+		t.Errorf("empty domain = %d", code)
 	}
 }
 

@@ -1,8 +1,6 @@
 package adminui
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -11,201 +9,52 @@ import (
 	"pricesheriff/internal/store"
 )
 
-// Longitudinal endpoints (PR 4):
-//
-//	GET  /history                     series list (HTML)
-//	GET  /history?url=U&country=C     one series with an SVG sparkline
-//	GET  /history.json[?url=&country=] series keys, or one series' points
-//	GET  /watches                     registered watches + verdicts (HTML)
-//	POST /watches                     action=add|rm (form: url, currency)
-//	GET  /watches.json                watches + verdicts as JSON
-//	GET  /snapshot                    stream the whole DB as JSON
-//	POST /snapshot                    import a snapshot (merge; joins fixed up)
+// The longitudinal documents: /history.json (price series), /watches.json
+// (recurring checks and their verdicts) and /snapshot (the whole store,
+// out and in).
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.History == nil {
-		http.Error(w, "history not enabled", http.StatusNotFound)
-		return
-	}
-	url, country := r.URL.Query().Get("url"), r.URL.Query().Get("country")
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if url == "" || country == "" {
-		fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>Price history</title></head><body>\n<h1>Price history</h1>\n<ul>\n")
-		for _, k := range s.History.Series() {
-			fmt.Fprintf(w, `<li><a href="/history?url=%s&country=%s">%s</a> — %d points</li>`+"\n",
-				htmlEscape(k.URL), htmlEscape(k.Country), htmlEscape(k.String()), s.History.Len(k))
-		}
-		fmt.Fprint(w, "</ul>\n</body></html>\n")
-		return
-	}
-	key := history.SeriesKey{URL: url, Country: country}
-	pts := s.History.Range(key, time.Time{}, time.Time{})
-	fmt.Fprintf(w, "<!DOCTYPE html>\n<html><head><title>%s</title></head><body>\n", htmlEscape(key.String()))
-	fmt.Fprintf(w, "<h1>%s</h1>\n<p>%d points.</p>\n", htmlEscape(key.String()), len(pts))
-	fmt.Fprint(w, sparklineSVG(history.Downsample(pts, 60)))
-	fmt.Fprint(w, "<table border=\"1\">\n<tr><th>Time</th><th>Price</th></tr>\n")
-	for _, p := range pts {
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%.2f</td></tr>\n", p.T.Format(time.RFC3339), p.Price)
-	}
-	fmt.Fprint(w, "</table>\n</body></html>\n")
-}
-
-// sparklineSVG renders downsampled buckets as an inline min/max band with
-// a mean polyline.
-func sparklineSVG(buckets []history.Bucket) string {
-	const W, H = 600, 120
-	if len(buckets) == 0 {
-		return "<p>(no data)</p>\n"
-	}
-	lo, hi := buckets[0].Min, buckets[0].Max
-	for _, b := range buckets {
-		if b.Min < lo {
-			lo = b.Min
-		}
-		if b.Max > hi {
-			hi = b.Max
-		}
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	x := func(i int) float64 { return float64(i) / float64(len(buckets)) * W }
-	y := func(v float64) float64 { return H - (v-lo)/(hi-lo)*(H-10) - 5 }
-	var band, mean strings.Builder
-	for i, b := range buckets {
-		fmt.Fprintf(&band, "%.1f,%.1f ", x(i), y(b.Max))
-		fmt.Fprintf(&mean, "%.1f,%.1f ", x(i), y(b.Mean))
-	}
-	for i := len(buckets) - 1; i >= 0; i-- {
-		fmt.Fprintf(&band, "%.1f,%.1f ", x(i), y(buckets[i].Min))
-	}
-	return fmt.Sprintf(`<svg width="%d" height="%d" viewBox="0 0 %d %d">
-<polygon points="%s" fill="#cfe3ff" stroke="none"/>
-<polyline points="%s" fill="none" stroke="#1a56b0" stroke-width="1.5"/>
-</svg>
-`, W, H, W, H, strings.TrimSpace(band.String()), strings.TrimSpace(mean.String()))
-}
-
-// historySeriesJSON is one /history.json series entry.
-type historySeriesJSON struct {
+// HistorySeries is one entry of the /history.json series list.
+type HistorySeries struct {
 	URL     string `json:"url"`
 	Country string `json:"country"`
 	Points  int    `json:"points"`
 }
 
-// historyPointJSON is one observation on the wire.
-type historyPointJSON struct {
-	T     time.Time `json:"t"`
-	Price float64   `json:"price"`
+// HistoryPayload is the /history.json document: without ?url=&country=
+// the series list, with them that one series' points.
+type HistoryPayload struct {
+	Series  []HistorySeries `json:"series,omitempty"`
+	URL     string          `json:"url,omitempty"`
+	Country string          `json:"country,omitempty"`
+	Points  []history.Point `json:"points,omitempty"`
 }
 
-func (s *Server) handleHistoryJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if s.History == nil {
 		http.Error(w, "history not enabled", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	url, country := r.URL.Query().Get("url"), r.URL.Query().Get("country")
+	var p HistoryPayload
 	if url == "" || country == "" {
-		var out []historySeriesJSON
 		for _, k := range s.History.Series() {
-			out = append(out, historySeriesJSON{URL: k.URL, Country: k.Country, Points: s.History.Len(k)})
+			p.Series = append(p.Series, HistorySeries{URL: k.URL, Country: k.Country, Points: s.History.Len(k)})
 		}
-		json.NewEncoder(w).Encode(map[string]any{"series": out})
+		writeJSON(w, p)
 		return
 	}
-	pts := s.History.Range(history.SeriesKey{URL: url, Country: country}, time.Time{}, time.Time{})
-	out := make([]historyPointJSON, len(pts))
-	for i, p := range pts {
-		out[i] = historyPointJSON{T: p.T, Price: p.Price}
-	}
-	json.NewEncoder(w).Encode(map[string]any{"url": url, "country": country, "points": out})
+	p.URL, p.Country = url, country
+	p.Points = s.History.Range(history.SeriesKey{URL: url, Country: country}, time.Time{}, time.Time{})
+	writeJSON(w, p)
+}
+
+// WatchesPayload is the /watches.json document.
+type WatchesPayload struct {
+	Watches  []history.Watch   `json:"watches"`
+	Verdicts []history.Verdict `json:"verdicts"`
 }
 
 func (s *Server) handleWatches(w http.ResponseWriter, r *http.Request) {
-	if s.Watches == nil {
-		http.Error(w, "watches not enabled", http.StatusNotFound)
-		return
-	}
-	switch r.Method {
-	case http.MethodGet:
-		ws, err := s.Watches.List()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		vs, err := s.Watches.Verdicts("")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprint(w, "<!DOCTYPE html>\n<html><head><title>Watches</title></head><body>\n<h1>Watches</h1>\n")
-		fmt.Fprint(w, "<table border=\"1\">\n<tr><th>ID</th><th>URL</th><th>Currency</th><th>Runs</th><th>Next run</th></tr>\n")
-		for _, x := range ws {
-			fmt.Fprintf(w, "<tr><td>%d</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td></tr>\n",
-				x.ID, htmlEscape(x.URL), htmlEscape(x.Currency), x.Runs, x.NextRun.Format(time.RFC3339))
-		}
-		fmt.Fprint(w, "</table>\n<h2>Verdicts</h2>\n<ul>\n")
-		for _, v := range vs {
-			fmt.Fprintf(w, "<li><b>%s</b> %s — spread %.3f vs baseline %.3f at %s</li>\n",
-				htmlEscape(v.Kind), htmlEscape(v.URL), v.Spread, v.Baseline, v.T.Format(time.RFC3339))
-		}
-		fmt.Fprint(w, `</ul>
-<form method="POST" action="/watches">
-<input type="hidden" name="action" value="add">
-<input name="url" placeholder="product URL">
-<input name="currency" placeholder="USD" size="5">
-<button type="submit">Watch</button>
-</form>
-</body></html>
-`)
-	case http.MethodPost:
-		action := r.FormValue("action")
-		url := strings.TrimSpace(r.FormValue("url"))
-		if url == "" {
-			http.Error(w, "missing url", http.StatusBadRequest)
-			return
-		}
-		var err error
-		var id int64
-		switch action {
-		case "", "add":
-			id, err = s.Watches.Add(url, strings.TrimSpace(r.FormValue("currency")))
-		case "rm":
-			err = s.Watches.Remove(url)
-		default:
-			http.Error(w, "unknown action", http.StatusBadRequest)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if r.FormValue("json") != "" {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"ok": true, "id": id})
-			return
-		}
-		http.Redirect(w, r, "/watches", http.StatusSeeOther)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *Server) handleWatchesJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.Watches == nil {
 		http.Error(w, "watches not enabled", http.StatusNotFound)
 		return
@@ -220,43 +69,73 @@ func (s *Server) handleWatchesJSON(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{"watches": ws, "verdicts": vs})
+	writeJSON(w, WatchesPayload{Watches: ws, Verdicts: vs})
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+// handleWatchChange adds (action "add", the default) or removes (action
+// "rm") the watch on the form's url.
+func (s *Server) handleWatchChange(w http.ResponseWriter, r *http.Request) {
+	if s.Watches == nil {
+		http.Error(w, "watches not enabled", http.StatusNotFound)
+		return
+	}
+	url := strings.TrimSpace(r.PostFormValue("url"))
+	if url == "" {
+		http.Error(w, "missing url", http.StatusBadRequest)
+		return
+	}
+	var err error
+	switch r.PostFormValue("action") {
+	case "", "add":
+		_, err = s.Watches.Add(url, strings.TrimSpace(r.PostFormValue("currency")))
+	case "rm":
+		err = s.Watches.Remove(url)
+	default:
+		http.Error(w, "unknown action", http.StatusBadRequest)
+		return
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.handleWatches(w, r)
+}
+
+// handleExport streams the whole store as JSON — the paper's MySQL-dump
+// workflow for moving a corpus into an analysis run.
+func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if s.DB == nil {
 		http.Error(w, "snapshot not enabled", http.StatusNotFound)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="sheriff-snapshot.json"`)
-		if err := s.DB.Export(w); err != nil {
-			// Headers are gone; the truncated body will fail to parse on
-			// import, which is the honest failure mode mid-stream.
-			return
-		}
-	case http.MethodPost:
-		idmap, err := s.DB.ImportMerge(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fixed := fixupResponseJoins(s.DB, idmap)
-		// Imported history_points rows must show up on /history too.
-		if s.History != nil {
-			if err := s.History.Load(s.DB); err != nil {
-				http.Error(w, "refresh history index: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"ok": true, "tables": len(idmap), "joins_fixed": fixed})
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Disposition", `attachment; filename="sheriff-snapshot.json"`)
+	// A failure mid-stream leaves a truncated body that fails to parse on
+	// import — the headers are gone, so that is the honest failure mode.
+	s.DB.Export(w)
+}
+
+// handleImport merges a snapshot into the store, repairs the
+// responses→requests join, and refreshes the history index.
+func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
+	if s.DB == nil {
+		http.Error(w, "snapshot not enabled", http.StatusNotFound)
+		return
 	}
+	idmap, err := s.DB.ImportMerge(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	fixed := fixupResponseJoins(s.DB, idmap)
+	// Imported history_points rows must show up on /history.json too.
+	if s.History != nil {
+		if err := s.History.Load(s.DB); err != nil {
+			http.Error(w, "refresh history index: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+	}
+	writeJSON(w, map[string]any{"ok": true, "tables": len(idmap), "joins_fixed": fixed})
 }
 
 // fixupResponseJoins repairs the responses→requests join after a merge

@@ -2,7 +2,6 @@ package adminui
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -40,52 +39,47 @@ func TestHistoryPanelAndJSON(t *testing.T) {
 		ui.History.Append(key, history.Point{T: base.Add(time.Duration(i) * time.Hour), Price: 100 + float64(i)})
 	}
 
-	code, body := get(t, ui.Handler(), "/history")
-	if code != http.StatusOK || !strings.Contains(body, "shop-0001.com") {
-		t.Fatalf("series list: code %d body %q", code, body)
-	}
-	code, body = get(t, ui.Handler(), "/history?url="+url.QueryEscape(key.URL)+"&country=US")
-	if code != http.StatusOK || !strings.Contains(body, "<svg") || !strings.Contains(body, "104.00") {
-		t.Fatalf("series page: code %d, svg/points missing", code)
+	code, body := get(t, ui.Handler(), "/history.json")
+	var list HistoryPayload
+	decode(t, body, &list)
+	if code != http.StatusOK || len(list.Series) != 1 || list.Series[0].URL != key.URL || list.Series[0].Points != 5 {
+		t.Fatalf("series list: code %d %+v", code, list)
 	}
 
 	code, body = get(t, ui.Handler(), "/history.json?url="+url.QueryEscape(key.URL)+"&country=US")
 	if code != http.StatusOK {
 		t.Fatalf("/history.json code %d", code)
 	}
-	var got struct {
-		Points []struct {
-			Price float64 `json:"price"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != 5 || got.Points[4].Price != 104 {
-		t.Fatalf("points = %+v", got.Points)
+	var got HistoryPayload
+	decode(t, body, &got)
+	if got.URL != key.URL || got.Country != "US" || len(got.Points) != 5 || got.Points[4].Price != 104 {
+		t.Fatalf("series = %+v", got)
 	}
 }
 
 func TestWatchesEndpointLifecycle(t *testing.T) {
 	ui, _ := newHistoryUI(t)
-	code := postForm(t, ui.Handler(), "/watches", url.Values{
+	code, body := postForm(t, ui.Handler(), "/watches.json", url.Values{
 		"action": {"add"}, "url": {"http://shop-0001.com/product/a"}, "currency": {"USD"},
 	})
-	if code != http.StatusSeeOther {
-		t.Fatalf("add code %d", code)
-	}
-	code, body := get(t, ui.Handler(), "/watches")
-	if code != http.StatusOK || !strings.Contains(body, "shop-0001.com") {
-		t.Fatalf("watch panel missing the watch: %d %q", code, body)
+	var doc WatchesPayload
+	decode(t, body, &doc)
+	if code != http.StatusOK || len(doc.Watches) != 1 || doc.Watches[0].Currency != "USD" {
+		t.Fatalf("add: %d %+v", code, doc)
 	}
 	code, body = get(t, ui.Handler(), "/watches.json")
 	if code != http.StatusOK || !strings.Contains(body, `"url":"http://shop-0001.com/product/a"`) {
 		t.Fatalf("watches.json: %d %q", code, body)
 	}
-	code = postForm(t, ui.Handler(), "/watches", url.Values{
+	if code, _ := postForm(t, ui.Handler(), "/watches.json", url.Values{
+		"action": {"pause"}, "url": {"http://shop-0001.com/product/a"},
+	}); code != http.StatusBadRequest {
+		t.Fatalf("unknown action = %d, want 400", code)
+	}
+	code, _ = postForm(t, ui.Handler(), "/watches.json", url.Values{
 		"action": {"rm"}, "url": {"http://shop-0001.com/product/a"},
 	})
-	if code != http.StatusSeeOther {
+	if code != http.StatusOK {
 		t.Fatalf("rm code %d", code)
 	}
 	_, body = get(t, ui.Handler(), "/watches.json")
@@ -162,9 +156,12 @@ func TestSnapshotExportImportRoundtrip(t *testing.T) {
 
 func TestHistoryEndpointsDisabledWithoutWiring(t *testing.T) {
 	ui, _ := newUI(t)
-	for _, path := range []string{"/history", "/history.json", "/watches", "/watches.json", "/snapshot"} {
+	for _, path := range []string{"/history.json", "/watches.json", "/snapshot"} {
 		if code, _ := get(t, ui.Handler(), path); code != http.StatusNotFound {
 			t.Errorf("%s without wiring: code %d, want 404", path, code)
+		}
+		if code, _ := postForm(t, ui.Handler(), path, url.Values{"url": {"http://a.com/product/x"}}); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s without wiring: code %d, want 404 or 405", path, code)
 		}
 	}
 }

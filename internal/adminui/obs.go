@@ -1,10 +1,8 @@
 package adminui
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -15,10 +13,6 @@ import (
 
 // handleMetrics serves the registry in Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.Metrics.WritePrometheus(w)
 }
@@ -26,243 +20,56 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleMetricsJSON serves the registry as a JSON snapshot (the shape
 // consumed by `sheriffctl stats`).
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Metrics.Snapshot())
+	writeJSON(w, s.Metrics.Snapshot())
 }
 
-// traceFilter is the shared /traces query filter: minimum duration,
-// errors-only, and an exact trace ID.
-type traceFilter struct {
-	minDur  time.Duration
-	errOnly bool
-	id      string
-}
-
-func parseTraceFilter(r *http.Request) (traceFilter, error) {
+// handleTraces serves the recent traces, filterable with ?id=<trace id>,
+// ?min_ms=<duration floor> and ?err=1 (errored/abandoned traces only) —
+// the shape consumed by `sheriffctl trace`.
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var f traceFilter
+	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
 		if err != nil || ms < 0 {
-			return f, fmt.Errorf("bad min_ms %q", v)
+			http.Error(w, fmt.Sprintf("bad min_ms %q", v), http.StatusBadRequest)
+			return
 		}
-		f.minDur = time.Duration(ms * float64(time.Millisecond))
+		minDur = time.Duration(ms * float64(time.Millisecond))
 	}
-	f.errOnly = q.Get("err") == "1" || q.Get("err") == "true"
-	f.id = q.Get("id")
-	return f, nil
-}
-
-func (f traceFilter) keep(tv obs.TraceView) bool {
-	if f.id != "" && tv.ID != f.id {
-		return false
-	}
-	if tv.Duration < f.minDur {
-		return false
-	}
-	if f.errOnly && !tv.HasError() {
-		return false
-	}
-	return true
-}
-
-func (s *Server) filteredTraces(f traceFilter) []obs.TraceView {
-	views := s.Tracer.Recent()
-	out := views[:0]
-	for _, tv := range views {
-		if f.keep(tv) {
-			out = append(out, tv)
+	errOnly := q.Get("err") == "1" || q.Get("err") == "true"
+	id := q.Get("id")
+	views := []obs.TraceView{}
+	for _, tv := range s.Tracer.Recent() {
+		if (id == "" || tv.ID == id) && tv.Duration >= minDur && (!errOnly || tv.HasError()) {
+			views = append(views, tv)
 		}
 	}
-	return out
+	writeJSON(w, views)
 }
 
-// handleTracesJSON serves the recent traces as JSON, filterable with
-// ?id=<trace id>, ?min_ms=<duration floor> and ?err=1 (errored/abandoned
-// traces only) — the shape consumed by `sheriffctl trace`.
-func (s *Server) handleTracesJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	f, err := parseTraceFilter(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	views := s.filteredTraces(f)
-	if views == nil {
-		views = []obs.TraceView{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(views)
-}
-
-// handleTraces renders the recent price-check traces as HTML waterfalls:
-// one horizontal bar per span, offset and sized relative to the trace.
-// It honors the same ?id= / ?min_ms= / ?err=1 filters as /traces.json.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	f, err := parseTraceFilter(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<!DOCTYPE html>
-<html><head><title>Recent traces</title><style>
-body { font-family: monospace; }
-.trace { border: 1px solid #ccc; margin: 1em 0; padding: .5em; }
-.lane { position: relative; height: 1.4em; }
-.bar { position: absolute; height: 1.1em; background: #4a90d9; color: #fff;
-       overflow: hidden; white-space: nowrap; font-size: .8em; padding: 0 2px; }
-.bar.err { background: #c0392b; }
-.child .bar { background: #7fb2e5; }
-.child .bar.err { background: #c0392b; }
-</style></head><body>
-<h1>Recent traces</h1>
-`)
-	views := s.filteredTraces(f)
-	if len(views) == 0 {
-		fmt.Fprint(w, "<p>No completed traces match.</p>\n")
-	}
-	for _, tv := range views {
-		fmt.Fprintf(w, `<div class="trace"><b>%s</b> %s — %s`+"\n",
-			htmlEscape(tv.ID), htmlEscape(tv.Name), tv.Duration.Round(time.Microsecond))
-		for k, v := range tv.Attrs {
-			fmt.Fprintf(w, ` <i>%s=%s</i>`, htmlEscape(k), htmlEscape(v))
-		}
-		fmt.Fprint(w, "\n")
-		for _, sp := range tv.Spans {
-			writeSpanLane(w, sp, tv.Duration, false)
-		}
-		fmt.Fprint(w, "</div>\n")
-	}
-	fmt.Fprint(w, "</body></html>\n")
-}
-
-func writeSpanLane(w http.ResponseWriter, sp obs.SpanView, total time.Duration, child bool) {
-	left, width := 0.0, 100.0
-	if total > 0 {
-		left = 100 * float64(sp.Offset) / float64(total)
-		width = 100 * float64(sp.Duration) / float64(total)
-	}
-	if width < 0.5 {
-		width = 0.5 // keep instantaneous spans visible
-	}
-	cls, lane := "bar", "lane"
-	if _, bad := sp.Attrs["error"]; bad {
-		cls += " err"
-	}
-	if child {
-		lane += " child"
-	}
-	title := ""
-	for k, v := range sp.Attrs {
-		title += k + "=" + v + " "
-	}
-	fmt.Fprintf(w, `<div class="%s"><span class="%s" title="%s" style="left:%.2f%%;width:%.2f%%">%s %s</span></div>`+"\n",
-		lane, cls, htmlEscape(title), left, width, htmlEscape(sp.Name), sp.Duration.Round(time.Microsecond))
-	for _, c := range sp.Children {
-		writeSpanLane(w, c, total, true)
-	}
-}
-
-// parseLogsQuery resolves the shared /logs filters: ?level= (minimum
-// level, default info), ?trace= (exact trace ID) and ?limit= (record
-// cap, default 200).
-func parseLogsQuery(r *http.Request) (slog.Level, string, int, error) {
+// handleLogs serves the log ring, newest first — the shape consumed by
+// `sheriffctl logs`. Filters: ?level= (minimum level, default info),
+// ?trace= (exact trace ID) and ?limit= (record cap, default 200).
+func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	lvl, err := obs.ParseLevel(q.Get("level"))
 	if err != nil {
-		return 0, "", 0, err
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	limit := 200
 	if v := q.Get("limit"); v != "" {
-		limit, err = strconv.Atoi(v)
-		if err != nil || limit < 0 {
-			return 0, "", 0, fmt.Errorf("bad limit %q", v)
+		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
+			http.Error(w, fmt.Sprintf("bad limit %q", v), http.StatusBadRequest)
+			return
 		}
 	}
-	return lvl, q.Get("trace"), limit, nil
-}
-
-// handleLogsJSON serves the log ring as JSON, newest first — the shape
-// consumed by `sheriffctl logs`. Filters: ?level=, ?trace=, ?limit=.
-func (s *Server) handleLogsJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	lvl, trace, limit, err := parseLogsQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	recs := s.Logs.Records(lvl, trace, limit)
+	recs := s.Logs.Records(lvl, q.Get("trace"), limit)
 	if recs == nil {
 		recs = []obs.LogRecord{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(recs)
-}
-
-// handleLogs renders the log ring as an HTML table, newest first, with
-// each record's trace ID linking to its /traces waterfall.
-func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	lvl, trace, limit, err := parseLogsQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, `<!DOCTYPE html>
-<html><head><title>Logs</title><style>
-body { font-family: monospace; }
-table { border-collapse: collapse; }
-td, th { border: 1px solid #ccc; padding: 2px 6px; text-align: left; }
-tr.WARN { background: #fdf3d7; }
-tr.ERROR { background: #fbe3e0; }
-</style></head><body>
-<h1>Logs</h1>
-<form method="GET" action="/logs">
-level <select name="level">
-<option value="debug">debug</option>
-<option value="info" selected>info</option>
-<option value="warn">warn</option>
-<option value="error">error</option>
-</select>
-trace <input name="trace" placeholder="trace id">
-<button type="submit">Filter</button>
-</form>
-<table><tr><th>time</th><th>level</th><th>message</th><th>trace</th><th>attrs</th></tr>
-`)
-	for _, rec := range s.Logs.Records(lvl, trace, limit) {
-		traceCell := ""
-		if rec.TraceID != "" {
-			traceCell = fmt.Sprintf(`<a href="/traces?id=%s">%s</a>`,
-				htmlEscape(rec.TraceID), htmlEscape(rec.TraceID))
-		}
-		attrs := ""
-		for k, v := range rec.Attrs {
-			attrs += k + "=" + v + " "
-		}
-		fmt.Fprintf(w, `<tr class="%s"><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>`+"\n",
-			htmlEscape(rec.Level), rec.Time.Format("15:04:05.000"), htmlEscape(rec.Level),
-			htmlEscape(rec.Msg), traceCell, htmlEscape(attrs))
-	}
-	fmt.Fprint(w, "</table></body></html>\n")
+	writeJSON(w, recs)
 }
 
 // EnableDebug mounts net/http/pprof and expvar on the admin mux — the

@@ -78,11 +78,12 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	}
 }
 
+// TestTracesPanel: a fan-out's child spans, errored ones included, reach
+// /traces.json as the span tree `sheriffctl trace` prints.
 func TestTracesPanel(t *testing.T) {
 	ui := newObsUI(t)
-	code, body := get(t, ui.Handler(), "/traces")
-	if code != 200 || !strings.Contains(body, "No completed traces") {
-		t.Errorf("empty traces: %d\n%s", code, body)
+	if views := getTraces(t, ui, ""); len(views) != 0 {
+		t.Errorf("empty tracer = %d traces", len(views))
 	}
 
 	tr, _ := ui.Tracer.Start("", "check http://shop/p/1")
@@ -95,24 +96,23 @@ func TestTracesPanel(t *testing.T) {
 	fan.End()
 	tr.Finish()
 
-	code, body = get(t, ui.Handler(), "/traces")
-	if code != 200 {
-		t.Fatalf("traces = %d", code)
+	views := getTraces(t, ui, "")
+	if len(views) != 1 || views[0].Name != "check http://shop/p/1" || len(views[0].Spans) != 1 {
+		t.Fatalf("traces = %+v", views)
 	}
-	for _, want := range []string{"check http://shop/p/1", "fanout", "ipc-1", "peer-2", "bar err"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("traces missing %q", want)
-		}
+	fanView := views[0].Spans[0]
+	if fanView.Name != "fanout" || len(fanView.Children) != 2 {
+		t.Fatalf("fanout span = %+v", fanView)
 	}
-	if strings.Contains(body, "timed <out>") {
-		t.Error("trace attrs not HTML-escaped")
+	if got := fanView.Children[1]; got.Name != "peer-2" || got.Attrs["error"] != "timed <out>" {
+		t.Errorf("errored child = %+v", got)
 	}
 }
 
 func TestObsEndpointsRejectPost(t *testing.T) {
 	ui := newObsUI(t)
-	for _, path := range []string{"/metrics", "/metrics.json", "/traces", "/healthz", "/"} {
-		if code := postForm(t, ui.Handler(), path, nil); code != http.StatusMethodNotAllowed {
+	for _, path := range []string{"/metrics", "/metrics.json", "/traces.json", "/logs.json", "/healthz", "/shards.json", "/tables.json"} {
+		if code, _ := postForm(t, ui.Handler(), path, nil); code != http.StatusMethodNotAllowed {
 			t.Errorf("POST %s = %d, want 405", path, code)
 		}
 	}
@@ -120,7 +120,7 @@ func TestObsEndpointsRejectPost(t *testing.T) {
 
 func TestObsEndpointsNilSafe(t *testing.T) {
 	ui, _ := newUI(t) // Metrics and Tracer left nil
-	for _, path := range []string{"/metrics", "/metrics.json", "/traces"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/traces.json"} {
 		if code, _ := get(t, ui.Handler(), path); code != 200 {
 			t.Errorf("GET %s with nil telemetry = %d", path, code)
 		}

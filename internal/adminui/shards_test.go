@@ -69,9 +69,6 @@ func newShardedUI(t *testing.T) *Server {
 
 func TestShardsEndpoints404WithoutPlane(t *testing.T) {
 	ui, _ := newUI(t)
-	if code, _ := get(t, ui.Handler(), "/shards"); code != 404 {
-		t.Fatalf("/shards without a plane = %d, want 404", code)
-	}
 	if code, _ := get(t, ui.Handler(), "/shards.json"); code != 404 {
 		t.Fatalf("/shards.json without a plane = %d, want 404", code)
 	}
@@ -80,20 +77,7 @@ func TestShardsEndpoints404WithoutPlane(t *testing.T) {
 func TestShardsPanelAndJSON(t *testing.T) {
 	ui := newShardedUI(t)
 
-	code, body := get(t, ui.Handler(), "/shards")
-	if code != 200 {
-		t.Fatalf("/shards = %d", code)
-	}
-	for _, want := range []string{"ring v2", "1 shards", "shard-0", "keys"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/shards missing %q:\n%s", want, body)
-		}
-	}
-	if !strings.Contains(body, "last change v1→v2") {
-		t.Errorf("/shards missing the last-change line:\n%s", body)
-	}
-
-	code, body = get(t, ui.Handler(), "/shards.json")
+	code, body := get(t, ui.Handler(), "/shards.json")
 	if code != 200 {
 		t.Fatalf("/shards.json = %d", code)
 	}

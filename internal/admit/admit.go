@@ -13,17 +13,14 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"pricesheriff/internal/transport"
 )
 
 // ErrOverload is returned when a request is shed at admission. It
 // implements transport.RPCCoder (RPCCode "overload") so errors.Is keeps
 // matching it on the far side of an RPC boundary.
-var ErrOverload error = overloadError{}
-
-type overloadError struct{}
-
-func (overloadError) Error() string   { return "admit: server overloaded, request shed" }
-func (overloadError) RPCCode() string { return "overload" }
+var ErrOverload = transport.NewCodedError("admit: server overloaded, request shed", "overload")
 
 // Defaults used when the corresponding Config field is zero.
 const (

@@ -8,8 +8,10 @@ import (
 
 // The deployment exposed two real-time web panels: the Measurement-server
 // monitor (paper Fig. 7: worker, port, status, jobs) and the peer-proxy
-// monitor (Fig. 16: peer ID, IP, country, region, city). These renderers
-// produce both the terminal and the HTML form of each.
+// monitor (Fig. 16: peer ID, IP, country, region, city). The admin UI
+// serves their rows as /servers.json and /peers.json; these renderers
+// print the tables in the terminal (`sheriffctl servers`, `sheriffctl
+// peers`).
 
 // ServersPanelText renders the Fig. 7 table for terminals.
 func ServersPanelText(rows []ServerInfo) string {
@@ -34,50 +36,4 @@ func PeersPanelText(rows []PeerInfo) string {
 		fmt.Fprintf(&b, "%-20s %-16s %-8s %-16s %-16s\n", r.ID, r.IP, r.Country, r.Region, r.City)
 	}
 	return b.String()
-}
-
-// ServersPanelHTML renders the Fig. 7 table as an HTML document.
-func ServersPanelHTML(rows []ServerInfo) string {
-	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html>
-<html><head><title>Available Sheriff servers and jobs</title></head><body>
-<h1>Available Sheriff servers and jobs</h1>
-<table class="servers">
-<tr><th>Worker</th><th>Status</th><th>Jobs</th></tr>
-`)
-	for _, r := range rows {
-		status, class := "offline", "offline"
-		if r.Online {
-			status, class = "online", "online"
-		}
-		fmt.Fprintf(&b, `<tr><td class="addr">%s</td><td class="%s">%s</td><td class="jobs">%d</td></tr>`+"\n",
-			htmlEscape(r.Addr), class, status, r.Pending)
-	}
-	b.WriteString("</table>\n</body></html>\n")
-	return b.String()
-}
-
-// PeersPanelHTML renders the Fig. 16 table as an HTML document.
-func PeersPanelHTML(rows []PeerInfo) string {
-	var b strings.Builder
-	b.WriteString(`<!DOCTYPE html>
-<html><head><title>Price Detective peer proxy monitoring</title></head><body>
-<h1>Peer proxies online</h1>
-<table class="peers">
-<tr><th>Peer ID</th><th>IP</th><th>Country</th><th>Region</th><th>City</th></tr>
-`)
-	for _, r := range rows {
-		fmt.Fprintf(&b, `<tr><td class="peer">%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>`+"\n",
-			htmlEscape(r.ID), htmlEscape(r.IP), htmlEscape(r.Country), htmlEscape(r.Region), htmlEscape(r.City))
-	}
-	b.WriteString("</table>\n</body></html>\n")
-	return b.String()
-}
-
-// htmlEscape escapes the five reserved HTML characters.
-func htmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&#39;",
-	)
-	return r.Replace(s)
 }

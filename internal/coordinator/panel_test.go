@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -40,38 +41,13 @@ func TestPeersPanelText(t *testing.T) {
 	}
 }
 
-func TestPanelsHTMLWellFormed(t *testing.T) {
-	servers, peers := panelFixtures()
-	for name, html := range map[string]string{
-		"servers": ServersPanelHTML(servers),
-		"peers":   PeersPanelHTML(peers),
-	} {
-		if !strings.HasPrefix(html, "<!DOCTYPE html>") {
-			t.Errorf("%s: no doctype", name)
-		}
-		for _, tag := range []string{"<table", "</table>", "<tr>", "</body>"} {
-			if !strings.Contains(html, tag) {
-				t.Errorf("%s: missing %s", name, tag)
-			}
-		}
-	}
-	// Peer IDs are user-influenced: they must be escaped.
-	html := PeersPanelHTML(peers)
-	if strings.Contains(html, "costas<worker>") {
-		t.Error("peer ID not escaped")
-	}
-	if !strings.Contains(html, "costas&lt;worker&gt;") {
-		t.Error("escaped peer ID missing")
-	}
-}
-
 func TestPanelsFromLiveCoordinator(t *testing.T) {
 	c, world := newCoordinator(t)
 	registerPeers(t, c, world, "DE", 2)
 	c.Servers.Heartbeat("ms-1", 3)
-	srvHTML := ServersPanelHTML(c.Servers.Snapshot())
-	if !strings.Contains(srvHTML, "ms-1") || !strings.Contains(srvHTML, ">3<") {
-		t.Errorf("live servers panel wrong:\n%s", srvHTML)
+	srvText := ServersPanelText(c.Servers.Snapshot())
+	if !regexp.MustCompile(`ms-1 +online +3 `).MatchString(srvText) {
+		t.Errorf("live servers panel wrong:\n%s", srvText)
 	}
 	peerText := PeersPanelText(c.Peers())
 	if !strings.Contains(peerText, "DE") {

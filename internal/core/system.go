@@ -674,18 +674,11 @@ func (s *System) DB() store.Conn { return s.db }
 // rather than deep-copying over RPC.
 func (s *System) StoreEngine() *store.DB { return s.coreDB }
 
-// TableStatus is one table's storage report on one local shard — the
-// sheriffctl tables / adminui /tables surface.
-type TableStatus struct {
-	Shard string `json:"shard"`
-	store.TableStat
-}
-
 // TablesStatus reports engine placement, row counts, and storage
 // footprint for every table on every local shard (the durable shard-0
 // plus RAM-only extra shards), ordered by shard then table. Each shard's
 // report is a consistent snapshot (store.TableStats's read-lock contract).
-func (s *System) TablesStatus() []TableStatus {
+func (s *System) TablesStatus() []store.TableStatus {
 	type namedDB struct {
 		id string
 		db *store.DB
@@ -701,10 +694,10 @@ func (s *System) TablesStatus() []TableStatus {
 		dbs = append(dbs, namedDB{id, s.extraShards[id].db})
 	}
 	s.shardMu.Unlock()
-	var out []TableStatus
+	var out []store.TableStatus
 	for _, nd := range dbs {
 		for _, st := range nd.db.TableStats() {
-			out = append(out, TableStatus{Shard: nd.id, TableStat: st})
+			out = append(out, store.TableStatus{Shard: nd.id, TableStat: st})
 		}
 	}
 	return out
@@ -1179,7 +1172,8 @@ func (d *systemDirectory) ClientState(token, domain string) (map[string]string, 
 }
 
 // FormatResult renders a CheckResult as the Fig. 2 result page (text
-// form): converted value, original text, and the low-confidence asterisk.
+// form): converted value, original text, and the low-confidence asterisk
+// with its footnote.
 func FormatResult(r *CheckResult) string {
 	var b []byte
 	b = fmt.Appendf(b, "Price check %s — %s (converted to %s)\n", r.JobID, r.URL, r.Currency)
@@ -1187,6 +1181,7 @@ func FormatResult(r *CheckResult) string {
 		b = fmt.Appendf(b, "Vantage prices %s\n", note)
 	}
 	b = fmt.Appendf(b, "%-28s %-14s %-14s %s\n", "Variant", "Converted", "Original", "")
+	lowSeen := false
 	for _, row := range r.Rows {
 		name := row.Source
 		if row.Kind == "ipc" || row.Kind == "ppc" {
@@ -1201,10 +1196,13 @@ func FormatResult(r *CheckResult) string {
 		}
 		mark := ""
 		if row.Confidence == "low" {
-			mark = "*" // currency detection confidence is low
+			mark, lowSeen = "*", true
 		}
 		b = fmt.Appendf(b, "%-28s %-14s %-14s %s\n",
 			name, currency.Format(row.Converted, r.Currency)+mark, row.Original, row.Mode)
+	}
+	if lowSeen {
+		b = append(b, "* Currency detection confidence is low. Please double check the result.\n"...)
 	}
 	return string(b)
 }

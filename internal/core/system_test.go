@@ -431,6 +431,44 @@ func TestFormatResultRendersErrorsAndAsterisks(t *testing.T) {
 	}
 }
 
+// TestFormatResultLowConfidenceFootnote: the paper's Fig. 2 rows — a
+// low-confidence conversion carries the asterisk, the page ends with the
+// footnote that explains it, and an error row shows its error, not a price.
+func TestFormatResultLowConfidenceFootnote(t *testing.T) {
+	res := &CheckResult{
+		JobID: "job-1", URL: "http://digitalrev.com/product/cam", Currency: "EUR",
+		Rows: []measurement.ResultRow{
+			{Source: "You", Kind: "initiator", Converted: 654, Original: "EUR654", Confidence: "high"},
+			{Source: "ipc-1", Kind: "ipc", Country: "US", City: "Tennessee", Converted: 617.65, Original: "$699", Confidence: "low"},
+			{Source: "peer ES", Kind: "ppc", Country: "ES", City: "Madrid", Err: "request timed out"},
+		},
+	}
+	text := FormatResult(res)
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if len(lines) != 6 { // title, header, 3 rows, footnote
+		t.Fatalf("lines = %d:\n%s", len(lines), text)
+	}
+	if !strings.Contains(lines[3], "EUR 617.65*") {
+		t.Errorf("US row lacks the converted value and its asterisk: %q", lines[3])
+	}
+	if !strings.Contains(lines[4], "peer ES, Madrid") || !strings.Contains(lines[4], "request timed out") {
+		t.Errorf("error row = %q", lines[4])
+	}
+	if lines[5] != "* Currency detection confidence is low. Please double check the result." {
+		t.Errorf("footnote = %q", lines[5])
+	}
+}
+
+func TestFormatResultNoLowConfidenceFootnote(t *testing.T) {
+	res := &CheckResult{
+		JobID: "job", URL: "http://x.com/product/1", Currency: "EUR",
+		Rows: []measurement.ResultRow{{Source: "You", Kind: "initiator", Converted: 10, Original: "EUR10", Confidence: "high"}},
+	}
+	if text := FormatResult(res); strings.Contains(text, "confidence is low") {
+		t.Errorf("footnote without a low-confidence row:\n%s", text)
+	}
+}
+
 func TestPIIBlacklistRefusesProfilePages(t *testing.T) {
 	sys := newSystem(t)
 	users := addUsers(t, sys, "ES", 1)

@@ -3,7 +3,7 @@ package ha
 import "pricesheriff/internal/obs"
 
 // Metrics instruments one HA replica: the term and role gauges behind
-// the /cluster panel, election and failover counters, log progress, and
+// /cluster.json, election and failover counters, log progress, and
 // the per-standby replication-lag gauge the primary maintains. A nil
 // *Metrics disables instrumentation.
 type Metrics struct {

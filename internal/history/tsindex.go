@@ -28,8 +28,8 @@ func (k SeriesKey) String() string { return k.URL + " @ " + k.Country }
 
 // Point is one observation in a series.
 type Point struct {
-	T     time.Time
-	Price float64
+	T     time.Time `json:"t"`
+	Price float64   `json:"price"`
 }
 
 // Index is the in-memory time-series view over history_points: fast

@@ -3,6 +3,7 @@ package measurement
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"pricesheriff/internal/htmlx"
+	"pricesheriff/internal/obs"
 	"pricesheriff/internal/shop"
 	"pricesheriff/internal/store"
 	"pricesheriff/internal/transport"
@@ -291,6 +293,61 @@ func TestRecordingToStore(t *testing.T) {
 		t.Error("reconstructed page lost the price")
 	}
 	_ = url
+}
+
+// TestRefusedRequestRowStoresNoOrphans: when the store refuses the job's
+// requests row (here its unique job_id index), the check still answers
+// with its rows, the refusal is logged with the job, and no responses row
+// is stored joined to request 0.
+func TestRefusedRequestRowStoresNoOrphans(t *testing.T) {
+	netw := transport.NewInproc()
+	lisDB, _ := netw.Listen("")
+	dbSrv := store.NewServer(store.NewDB(), lisDB)
+	go dbSrv.Serve()
+	defer dbSrv.Close()
+	db, err := store.Dial(netw, dbSrv.Addr(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	if err := EnsureTables(db); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InsertCtx(ctx, "requests", store.Row{"job_id": "job-taken"}); err != nil {
+		t.Fatal(err)
+	}
+
+	m := shop.NewMall(shop.MallConfig{Seed: 6, NumDomains: 20, NumLocationPD: 5, NumAlexa: 5})
+	fleet, _ := NewIPCFleet(m.World, shop.LocalFetcher{Mall: m}, []string{"ES", "US"}, 2)
+	srv := New("ms-test", nil)
+	srv.IPCs = fleet
+	srv.DB = db
+	lg := obs.NewLogger(nil, slog.LevelDebug, 32)
+	srv.Log = lg
+
+	req, _ := buildCheck(t, m, "abercrombie.com", "job-taken")
+	if err := srv.StartCheck(req); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := srv.WaitResults("job-taken", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 { // You + 2 IPCs
+		t.Fatalf("rows = %d, want 3", len(rows))
+	}
+	orphans, err := db.SelectCtx(ctx, store.Query{Table: "responses", Eq: map[string]any{"request_id": float64(0)}})
+	if err != nil || len(orphans) != 0 {
+		t.Fatalf("responses joined to request 0: %d, %v", len(orphans), err)
+	}
+	warned := false
+	for _, rec := range lg.Ring().Records(slog.LevelWarn, "", 0) {
+		warned = warned || (rec.Msg == "request row refused, responses not stored" && rec.Attrs["job"] == "job-taken")
+	}
+	if !warned {
+		t.Error("the refused request row was not logged with its job")
+	}
 }
 
 func jsonUnmarshal(s string, v any) error {

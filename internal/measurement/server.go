@@ -257,15 +257,10 @@ var (
 // carries a transport.RPCCoder code): the job is not, or no longer, known
 // here; or it is, but finished without its whole fan-out and is not shared.
 var (
-	ErrUnknownJob     error = &codedError{"measurement: unknown job", "ms_unknown_job"}
-	ErrSourcePartial  error = &codedError{"measurement: source check was cut by its deadline", "ms_source_partial"}
-	ErrSourceCanceled error = &codedError{"measurement: source check was canceled", "ms_source_canceled"}
+	ErrUnknownJob     = transport.NewCodedError("measurement: unknown job", "ms_unknown_job")
+	ErrSourcePartial  = transport.NewCodedError("measurement: source check was cut by its deadline", "ms_source_partial")
+	ErrSourceCanceled = transport.NewCodedError("measurement: source check was canceled", "ms_source_canceled")
 )
-
-type codedError struct{ msg, code string }
-
-func (e *codedError) Error() string   { return e.msg }
-func (e *codedError) RPCCode() string { return e.code }
 
 // New creates a Measurement server (no network listener; see NewServerOn).
 func New(ownAddr string, rates *currency.RateTable) *Server {
@@ -662,25 +657,31 @@ func (s *Server) process(ctx context.Context, req *CheckRequest, release func())
 	ext.End()
 	s.addRow(req.JobID, initRow)
 
-	var reqRowID int64
+	// Batched recording: vantage rows accumulate here and land in the
+	// store as one insert_batch round trip before the job reports done.
+	// A straggler racing the flush falls back to its own insert. Every
+	// responses row joins the job's requests row, so a refused request
+	// row records no responses: the user still gets the rows, the store
+	// gets no orphans.
+	var rec *recorder
 	if s.DB != nil {
 		per := tr.Span("persist", "table", "requests")
-		reqRowID, _ = s.DB.InsertCtx(obs.WithSpan(ctx, per), "requests", store.Row{
+		reqRowID, err := s.DB.InsertCtx(obs.WithSpan(ctx, per), "requests", store.Row{
 			"job_id": req.JobID, "domain": domain, "url": req.URL,
 			"day": req.Day, "initiator_html": req.InitiatorHTML,
 			"origin": req.Origin,
 		})
+		if err != nil {
+			per.Annotate("error", err.Error())
+		}
 		per.End()
-	}
-
-	// Batched recording: vantage rows accumulate here and land in the
-	// store as one insert_batch round trip before the job reports done.
-	// A straggler racing the flush falls back to its own insert.
-	var rec *recorder
-	if s.DB != nil {
-		rec = &recorder{
-			jobID: req.JobID, requestID: reqRowID, domain: domain,
-			base: strings.Split(req.InitiatorHTML, "\n"),
+		if err != nil {
+			s.Log.Warn(ctx, "request row refused, responses not stored", "job", req.JobID, "err", err)
+		} else {
+			rec = &recorder{
+				jobID: req.JobID, requestID: reqRowID, domain: domain,
+				base: strings.Split(req.InitiatorHTML, "\n"),
+			}
 		}
 	}
 

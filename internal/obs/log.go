@@ -12,7 +12,7 @@ import (
 
 // LogRecord is one entry in the in-memory log ring. Level is the
 // slog level name (DEBUG, INFO, WARN, ERROR); TraceID/SpanID are stamped
-// from the context the record was logged under, so /logs can be filtered
+// from the context the record was logged under, so /logs.json can be filtered
 // down to exactly the lines interleaved with one distributed trace.
 type LogRecord struct {
 	Time    time.Time         `json:"time"`
@@ -27,7 +27,7 @@ type LogRecord struct {
 
 // LogRing is a bounded in-memory ring of recent log records, shared by
 // every Logger derived from one NewLogger call and served at the admin
-// UI's /logs. All methods are safe on a nil *LogRing.
+// UI's /logs.json. All methods are safe on a nil *LogRing.
 type LogRing struct {
 	mu  sync.Mutex
 	buf []LogRecord

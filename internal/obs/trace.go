@@ -50,9 +50,9 @@ const (
 // of Sect. 3.2 (submit → schedule → fan-out → extract/convert → persist)
 // with per-vantage-point child spans, stitched across processes by the
 // transport layer (see WireSpan). Completed traces land in a bounded
-// in-memory ring for the /traces operator panel. All methods are safe on
-// a nil *Tracer, and a nil *Trace / *Span swallows every operation, so
-// call sites need no guards.
+// in-memory ring behind /traces.json and sheriffctl trace. All methods
+// are safe on a nil *Tracer, and a nil *Trace / *Span swallows every
+// operation, so call sites need no guards.
 type Tracer struct {
 	// MaxActive caps the active map: when a Start would exceed it, the
 	// oldest active traces are force-finished with an abandoned mark.
@@ -439,7 +439,7 @@ type TraceView struct {
 }
 
 // HasError reports whether the trace or any span in it carries an
-// "error" or "abandoned" attribute; the /traces err=1 filter keys on it.
+// "error" or "abandoned" attribute; the /traces.json err=1 filter keys on it.
 func (v TraceView) HasError() bool {
 	if v.Attrs["error"] != "" || v.Attrs["abandoned"] != "" {
 		return true

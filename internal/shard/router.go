@@ -702,7 +702,7 @@ func (r *Router) CountsCtx(ctx context.Context) (map[string]int, error) {
 	return total, nil
 }
 
-// Status is the admin view of the data plane (the /shards surface and
+// Status is the admin view of the data plane (the /shards.json document and
 // sheriffctl shards).
 type Status struct {
 	RingVersion int64            `json:"ring_version"`
@@ -743,7 +743,7 @@ func (r *Router) Status(ctx context.Context) (*Status, error) {
 }
 
 // CountsByShard returns per-member per-table row counts — the status
-// surface behind the admin UI's /shards and sheriffctl shards.
+// surface behind the admin UI's /shards.json and sheriffctl shards.
 func (r *Router) CountsByShard(ctx context.Context) (map[string]map[string]int, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

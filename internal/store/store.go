@@ -18,6 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"pricesheriff/internal/transport"
 )
 
 // Row is one record. Values survive a JSON round trip, so numbers are
@@ -32,21 +34,16 @@ const ID = "_id"
 // (transport.RPCCoder), so errors.Is matches it on the far side of a
 // store RPC — and through the shard router — as it does in process.
 var (
-	ErrNoTable     error = &codedError{"store: no such table", "store_no_table"}
-	ErrTableExists error = &codedError{"store: table already exists", "store_table_exists"}
-	ErrNoRow       error = &codedError{"store: no such row", "store_no_row"}
-	ErrDupUnique   error = &codedError{"store: unique index violation", "store_dup_unique"}
-	ErrNoProc            = errors.New("store: no such stored procedure")
-	ErrBadQuery          = errors.New("store: bad query")
+	ErrNoTable     = transport.NewCodedError("store: no such table", "store_no_table")
+	ErrTableExists = transport.NewCodedError("store: table already exists", "store_table_exists")
+	ErrNoRow       = transport.NewCodedError("store: no such row", "store_no_row")
+	ErrDupUnique   = transport.NewCodedError("store: unique index violation", "store_dup_unique")
+	ErrNoProc      = errors.New("store: no such stored procedure")
+	ErrBadQuery    = errors.New("store: bad query")
 	// ErrIDExhausted reports that a table's ID sequence ran out (see
 	// NewPlaneDB for the budget). IDs never wrap.
 	ErrIDExhausted = errors.New("store: row ID sequence exhausted")
 )
-
-type codedError struct{ msg, code string }
-
-func (e *codedError) Error() string   { return e.msg }
-func (e *codedError) RPCCode() string { return e.code }
 
 // TableSpec declares a table: its name, optional secondary indexes and
 // optional unique indexes (all single-column), and optionally which
@@ -830,6 +827,13 @@ type TableStat struct {
 	DiskBytes int64 `json:"disk_bytes,omitempty"`
 	MemBytes  int64 `json:"mem_bytes,omitempty"`
 	Runs      int   `json:"runs,omitempty"`
+}
+
+// TableStatus is one table's storage report on one shard of a deployment
+// (a row of the admin UI's /tables.json and of `sheriffctl tables`).
+type TableStatus struct {
+	Shard string `json:"shard"`
+	TableStat
 }
 
 // TableStats reports every table's engine placement and footprint in one

@@ -32,18 +32,24 @@ const (
 // ErrNotPrimary is the matchable identity of a CodeNotPrimary rejection:
 // errors.Is(err, transport.ErrNotPrimary) holds on the caller's side of
 // the wire for any handler error that carried the code.
-var ErrNotPrimary error = &notPrimaryError{}
-
-type notPrimaryError struct{}
-
-func (*notPrimaryError) Error() string   { return "transport: not the primary" }
-func (*notPrimaryError) RPCCode() string { return CodeNotPrimary }
+var ErrNotPrimary = NewCodedError("transport: not the primary", CodeNotPrimary)
 
 // RPCCoder is implemented by application errors that must stay matchable
 // with errors.Is on the far side of an RPC: the server puts RPCCode into
 // Envelope.Code and the client's RemoteError compares codes in Is. The
 // admission layer's ErrOverload is the canonical example.
 type RPCCoder interface{ RPCCode() string }
+
+// NewCodedError returns a sentinel error whose RPCCode is code: errors.Is
+// matches it in process by identity and, through RemoteError, on the far
+// side of the wire by code. Packages declare their wire-matchable
+// sentinels with it (store.ErrNoRow, measurement.ErrUnknownJob, …).
+func NewCodedError(msg, code string) error { return &codedError{msg, code} }
+
+type codedError struct{ msg, code string }
+
+func (e *codedError) Error() string   { return e.msg }
+func (e *codedError) RPCCode() string { return e.code }
 
 // RPCHinter is implemented by application errors that carry a redirect
 // target along with their code — the canonical case is a NotPrimary
